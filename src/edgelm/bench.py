@@ -21,7 +21,8 @@ from . import lora as lora_mod
 from . import quant as quant_mod
 from .errors import ContractViolation
 from .metrics import ROUGE_VARIANT, rouge_n
-from .model import ModelConfig, TinyLM, forward, greedy_decode, init_model
+from .model import (ModelConfig, TinyLM, forward, greedy_continue, greedy_decode,
+                    init_model)
 from .specdec import (DraftConfig, FeatureReuseDraft, IndependentDraft,
                       block_efficiency, decode_speculative)
 from .tasks import gen_needle
@@ -142,8 +143,8 @@ def run_evict_bench(config: dict) -> dict:
         prefill(model, sample.tokens[:-1], cache)
         baseline_bytes = kvc.cache_bytes(cache, 4)
         base_cache = _clone_cache(cache)
-        baseline_out = _decode_from(model, base_cache, sample.tokens[-1],
-                                    decode_len)
+        baseline_out = greedy_continue(model, base_cache, sample.tokens[-1:],
+                                       decode_len)
 
         for ratio in ratios:
             budget = cache.kept(0) - int(round(ratio * cache.kept(0)))
@@ -154,8 +155,8 @@ def run_evict_bench(config: dict) -> dict:
                 method_bytes = kvc.cache_bytes(c, 4)
                 retained = needle_retained(c, sample.answer_start,
                                            sample.answer_end)
-                method_out = _decode_from(model, c, sample.tokens[-1],
-                                          decode_len)
+                method_out = greedy_continue(model, c, sample.tokens[-1:],
+                                             decode_len)
                 r1 = rouge_n(baseline_out, method_out, 1).f1
                 rows.append({
                     "trial": t, "policy": pspec["kind"], "policy_spec": pspec,
@@ -181,19 +182,6 @@ def _retention_rates(rows) -> dict:
         key = f'{r["policy"]}@{r["target_ratio"]}'
         by_policy.setdefault(key, []).append(bool(r["needle_retained"]))
     return {k: sum(v) / len(v) for k, v in sorted(by_policy.items())}
-
-
-def _decode_from(model: TinyLM, cache: kvc.KvCache, last_token: int,
-                 n: int) -> list[int]:
-    """Greedy continuation from an existing cache, seeded by the held-back
-    final context token."""
-    out = []
-    tok = int(last_token)
-    for _ in range(n):
-        fo = forward(model, [tok], cache=cache)
-        tok = int(np.argmax(fo.logits[-1]))
-        out.append(tok)
-    return out
 
 
 def run_spec_bench(config: dict) -> dict:
@@ -342,14 +330,21 @@ def run_lora_demo(config: dict) -> dict:
 
 # --- report plumbing ---------------------------------------------------------
 
+def _summary(rows: list, field: str):
+    """Mean, min and max of a field over the rows that carry it, or None."""
+    vals = [r[field] for r in rows if r.get(field) is not None]
+    if not vals:
+        return None
+    return {"mean": float(np.mean(vals)), "min": float(np.min(vals)),
+            "max": float(np.max(vals))}
+
+
 def _make_report(config: dict, rows: list, agg_fields=(), extra_meta=None) -> dict:
     aggregates = {}
     for field in agg_fields:
-        vals = [r[field] for r in rows if r.get(field) is not None]
-        if vals:
-            aggregates[field] = {"mean": float(np.mean(vals)),
-                                 "min": float(np.min(vals)),
-                                 "max": float(np.max(vals))}
+        summary = _summary(rows, field)
+        if summary is not None:
+            aggregates[field] = summary
     meta = {"artifact_version": ARTIFACT_VERSION,
             "generated_ns": time.time_ns()}
     if extra_meta:
@@ -359,17 +354,15 @@ def _make_report(config: dict, rows: list, agg_fields=(), extra_meta=None) -> di
 
 
 def verify_report(report: dict) -> bool:
-    """Recompute mean/min/max aggregates from the per-trial rows."""
+    """Recompute every aggregate from the per-trial rows."""
     rows = report["trials"]
     for field, agg in report["aggregates"].items():
-        if not isinstance(agg, dict) or set(agg) != {"mean", "min", "max"}:
-            continue
-        vals = [r[field] for r in rows if r.get(field) is not None]
-        if not vals:
-            return False
-        if not (np.isclose(agg["mean"], np.mean(vals))
-                and np.isclose(agg["min"], np.min(vals))
-                and np.isclose(agg["max"], np.max(vals))):
+        if field == "retention_rate_by_policy":
+            expected = _retention_rates(rows)
+        else:
+            expected = _summary(rows, field)
+        if (not isinstance(agg, dict) or expected is None or set(agg) != set(expected)
+                or not all(np.isclose(agg[k], expected[k]) for k in expected)):
             return False
     return True
 

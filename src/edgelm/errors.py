@@ -15,3 +15,7 @@ class FrozenEncodingError(RuntimeError):
 
 class ContractViolation(RuntimeError):
     """A hard runtime contract failed (losslessness, base-hash invariance)."""
+
+
+class ManifestError(ValueError):
+    """A weight, quant or adapter file is truncated, malformed or inconsistent."""

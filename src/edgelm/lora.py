@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, FrozenEncodingError
+from . import _manifest
+from .errors import ConfigError, FrozenEncodingError, ManifestError
 from .model import TinyLM, ForwardOutput, forward, slot_rng
 from .quant import QuantTensor
 
@@ -221,47 +221,34 @@ def qalft_gradient_check(w_q: QuantTensor, data, r: int, alpha: float,
 
 # --- adapter / registry file formats -----------------------------------------
 
+_MAGIC = b"EDGELMA1"
+
+
 def save_adapter(adapter: LoraAdapter, path):
     """JSON header + row-major little-endian float32 A/B blobs."""
     slots = []
-    blobs = []
-    offset = 0
+    blobs = _manifest.Blobs()
     for slot in adapter.target_slots:
-        a = np.ascontiguousarray(adapter.A[slot], dtype="<f4").tobytes()
-        b = np.ascontiguousarray(adapter.B[slot], dtype="<f4").tobytes()
-        slots.append({"slot": slot,
-                      "a_shape": list(adapter.A[slot].shape), "a_offset": offset,
-                      "b_shape": list(adapter.B[slot].shape),
-                      "b_offset": offset + len(a)})
-        blobs += [a, b]
-        offset += len(a) + len(b)
-    header = json.dumps({"name": adapter.name, "r": adapter.r,
-                         "alpha": adapter.alpha, "slots": slots}).encode()
-    with open(path, "wb") as f:
-        f.write(b"EDGELMA1")
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        for blob in blobs:
-            f.write(blob)
+        a, b = adapter.A[slot], adapter.B[slot]
+        slots.append({"slot": slot, "a_shape": list(a.shape),
+                      "a_offset": blobs.add(np.ascontiguousarray(a, "<f4").tobytes())[0],
+                      "b_shape": list(b.shape),
+                      "b_offset": blobs.add(np.ascontiguousarray(b, "<f4").tobytes())[0]})
+    _manifest.write(path, _MAGIC, {"name": adapter.name, "r": adapter.r,
+                                   "alpha": adapter.alpha, "slots": slots}, blobs)
 
 
 def load_adapter(path) -> LoraAdapter:
-    with open(path, "rb") as f:
-        if f.read(8) != b"EDGELMA1":
-            raise ValueError("not an edgelm adapter file")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode())
-        data = f.read()
+    header, blobs = _manifest.read(path, _MAGIC)
+    r = header["r"]
     A, B = {}, {}
     for s in header["slots"]:
-        a_shape = tuple(s["a_shape"])
-        b_shape = tuple(s["b_shape"])
-        a_count, b_count = int(np.prod(a_shape)), int(np.prod(b_shape))
-        A[s["slot"]] = np.frombuffer(data, dtype="<f4", count=a_count,
-                                     offset=s["a_offset"]).reshape(a_shape).copy()
-        B[s["slot"]] = np.frombuffer(data, dtype="<f4", count=b_count,
-                                     offset=s["b_offset"]).reshape(b_shape).copy()
-    return LoraAdapter(name=header["name"], r=header["r"], alpha=header["alpha"],
+        A[s["slot"]] = blobs.array("<f4", s["a_shape"], s["a_offset"])
+        B[s["slot"]] = blobs.array("<f4", s["b_shape"], s["b_offset"])
+        if A[s["slot"]].shape[:1] != (r,) or B[s["slot"]].shape[1:] != (r,):
+            raise ManifestError(f"slot {s['slot']}: A {s['a_shape']} and "
+                                f"B {s['b_shape']} do not have rank {r}")
+    return LoraAdapter(name=header["name"], r=r, alpha=header["alpha"],
                        target_slots=tuple(s["slot"] for s in header["slots"]),
                        A=A, B=B)
 

@@ -12,14 +12,13 @@ policies can score positions, and are optionally surfaced to the caller.
 from __future__ import annotations
 
 import hashlib
-import json
-import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from . import _manifest
+from .errors import ConfigError, ManifestError, ShapeError
 
 
 def slot_rng(seed: int, name: str) -> np.random.Generator:
@@ -157,15 +156,8 @@ def apply_rope(vec: np.ndarray, position: int, theta: float) -> np.ndarray:
     d = vec.shape[-1]
     if d % 2 != 0:
         raise ShapeError("apply_rope requires an even-length vector")
-    half = d // 2
-    freqs = theta ** (-2.0 * np.arange(half) / d)
-    ang = position * freqs
-    cos, sin = np.cos(ang), np.sin(ang)
-    x0, x1 = vec[..., 0::2], vec[..., 1::2]
-    out = np.empty_like(vec)
-    out[..., 0::2] = x0 * cos - x1 * sin
-    out[..., 1::2] = x0 * sin + x1 * cos
-    return out
+    rows = vec.reshape(1, -1, d)
+    return _rope_block(rows, np.array([position]), theta).reshape(vec.shape)
 
 
 def _rope_block(x: np.ndarray, positions: np.ndarray, theta: float) -> np.ndarray:
@@ -197,7 +189,7 @@ def _proj(h: np.ndarray, model: TinyLM, slot: str, adapter=None) -> np.ndarray:
 
 
 def forward(model: TinyLM, tokens, cache=None, capture_attn: bool = False,
-            attn_per_head: bool = False, adapter=None) -> ForwardOutput:
+            adapter=None) -> ForwardOutput:
     """Run the model over new tokens, optionally extending a KV cache.
 
     Positions continue from the cache's maximum position; keys are stored
@@ -264,11 +256,7 @@ def forward(model: TinyLM, tokens, cache=None, capture_attn: bool = False,
         if cache is not None:
             cache.append_block(li, k, v, positions, rows)
         if capture_attn:
-            if attn_per_head:
-                attn_out_rows.append(
-                    [probs[:, i, : m + i + 1].copy() for i in range(n)])
-            else:
-                attn_out_rows.append(rows)
+            attn_out_rows.append(rows)
 
         h2 = rms_norm(x, model.weight(p + "ffn_norm").astype(np.float64))
         gate = _silu(_proj(h2, model, p + "w_gate", adapter))
@@ -283,6 +271,21 @@ def forward(model: TinyLM, tokens, cache=None, capture_attn: bool = False,
     return ForwardOutput(logits=logits, final_hidden=fh, attn_rows=attn_out_rows)
 
 
+def greedy_continue(model: TinyLM, cache, tokens, n: int, adapter=None) -> list[int]:
+    """The next n argmax tokens after ``tokens``, extending ``cache``.
+
+    One forward over ``tokens``, then n-1 single-token forwards; ties go to
+    the lowest id.
+    """
+    out: list[int] = []
+    step = list(tokens)
+    for _ in range(n):
+        fo = forward(model, step, cache=cache, adapter=adapter)
+        out.append(int(np.argmax(fo.logits[-1])))
+        step = out[-1:]
+    return out
+
+
 def greedy_decode(model: TinyLM, prompt, max_new: int, adapter=None) -> list[int]:
     """Argmax decoding with a full (non-evicting) cache; ties go to the lowest id."""
     from .kvcache import KvCache
@@ -292,18 +295,8 @@ def greedy_decode(model: TinyLM, prompt, max_new: int, adapter=None) -> list[int
         raise ValueError("prompt must be nonempty")
     if max_new < 0:
         raise ValueError("max_new must be nonnegative")
-    out = list(prompt)
-    if max_new == 0:
-        return out
     cache = KvCache.for_model(model.config)
-    fo = forward(model, prompt, cache=cache, adapter=adapter)
-    nxt = int(np.argmax(fo.logits[-1]))
-    out.append(nxt)
-    for _ in range(max_new - 1):
-        fo = forward(model, [nxt], cache=cache, adapter=adapter)
-        nxt = int(np.argmax(fo.logits[-1]))
-        out.append(nxt)
-    return out
+    return prompt + greedy_continue(model, cache, prompt, max_new, adapter)
 
 
 def pixel_shuffle(grid: PatchGrid, r: int) -> PatchGrid:
@@ -339,44 +332,38 @@ def pixel_unshuffle(grid: PatchGrid, r: int) -> PatchGrid:
 _MAGIC = b"EDGELM01"
 
 
+def check_slots(config: ModelConfig, shapes: dict):
+    """Reject a manifest slot table (name -> shape list) unless it lists
+    exactly the config's slots with their shapes."""
+    expected = config.slot_shapes()
+    if set(shapes) != set(expected):
+        raise ManifestError("manifest slots do not match config: "
+                            f"{sorted(set(shapes) ^ set(expected))}")
+    for name, shape in shapes.items():
+        if shape != list(expected[name]):
+            raise ManifestError(f"slot {name} has shape {shape}, config "
+                                f"expects {list(expected[name])}")
+
+
 def save_model(model: TinyLM, path):
     """Flat binary manifest: magic, JSON header (config + slot table), raw data."""
     slots = []
-    blobs = []
-    offset = 0
+    blobs = _manifest.Blobs()
     for name in sorted(model.weights):
         w = model.weights[name]
         if not isinstance(w, np.ndarray):
             raise ValueError("save_model handles float models; use quant manifests "
                              "for quantized weights")
         raw = np.ascontiguousarray(w, dtype="<f4").tobytes()
-        slots.append({"name": name, "shape": list(w.shape), "offset": offset})
-        blobs.append(raw)
-        offset += len(raw)
-    header = json.dumps({"config": model.config.to_dict(), "slots": slots}).encode()
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        for b in blobs:
-            f.write(b)
+        slots.append({"name": name, "shape": list(w.shape), "offset": blobs.add(raw)[0]})
+    _manifest.write(path, _MAGIC, {"config": model.config.to_dict(), "slots": slots},
+                    blobs)
 
 
 def load_model(path) -> TinyLM:
-    with open(path, "rb") as f:
-        if f.read(8) != _MAGIC:
-            raise ValueError("not an edgelm weight manifest")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode())
-        data = f.read()
+    header, blobs = _manifest.read(path, _MAGIC)
     config = ModelConfig.from_dict(header["config"])
-    weights = {}
-    for slot in header["slots"]:
-        shape = tuple(slot["shape"])
-        count = int(np.prod(shape))
-        arr = np.frombuffer(data, dtype="<f4", count=count, offset=slot["offset"])
-        weights[slot["name"]] = arr.reshape(shape).copy()
-    expected = set(config.slot_shapes())
-    if set(weights) != expected:
-        raise ValueError("manifest slots do not match config")
+    check_slots(config, {s["name"]: s["shape"] for s in header["slots"]})
+    weights = {s["name"]: blobs.array("<f4", s["shape"], s["offset"])
+               for s in header["slots"]}
     return TinyLM(config=config, weights=weights)

@@ -7,17 +7,16 @@ code, scale, zero-point, and mask bits.
 """
 from __future__ import annotations
 
-import json
 import math
-import struct
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
 
+from . import _manifest
 from .errors import ConfigError, FrozenEncodingError, ShapeError
-from .model import TinyLM, forward
+from .model import ModelConfig, TinyLM, check_slots, forward
 
 _ALLOWED_BITS = (2, 3, 4, 8)
 
@@ -50,6 +49,9 @@ class Unstructured:
         if not (0 < self.keep_ratio <= 1):
             raise ConfigError("keep_ratio must be in (0, 1]")
 
+    def kept(self, total: int) -> int:
+        return int(math.ceil(self.keep_ratio * total))
+
     def mask_bits_per_weight(self) -> Fraction:
         return Fraction(1)
 
@@ -62,6 +64,9 @@ class Structured:
     def __post_init__(self):
         if not (1 <= self.n <= self.m):
             raise ConfigError("need 1 <= n <= m")
+
+    def kept(self, total: int) -> int:
+        return total * self.n // self.m
 
     def mask_bits_per_weight(self) -> Fraction:
         return Fraction(math.ceil(math.log2(math.comb(self.m, self.n))), self.m)
@@ -128,24 +133,19 @@ class QuantTensor:
         return b"".join(parts)
 
 
-def _group_slices(shape: tuple, spec: QuantSpec) -> list[slice]:
-    """Slices of the flattened (row-major) tensor forming quantization groups."""
+def _group_index(shape: tuple, spec: QuantSpec) -> tuple[np.ndarray, int]:
+    """Quantization group of each element of the flattened (row-major) tensor,
+    and the number of groups. Groups tile each row from the left, so a row's
+    last group may be narrower than the group size."""
     total = int(np.prod(shape))
-    if spec.granularity == "per-tensor":
-        return [slice(0, total)]
-    rowlen = shape[-1] if len(shape) > 1 else total
-    nrows = total // rowlen
-    if spec.granularity == "per-row":
-        return [slice(r * rowlen, (r + 1) * rowlen) for r in range(nrows)]
-    g = spec.group_size
-    if g > rowlen:
-        raise ConfigError(f"group size {g} exceeds row length {rowlen}")
-    slices = []
-    for r in range(nrows):
-        for start in range(0, rowlen, g):
-            stop = min(start + g, rowlen)
-            slices.append(slice(r * rowlen + start, r * rowlen + stop))
-    return slices
+    per_tensor = spec.granularity == "per-tensor" or len(shape) < 2
+    rowlen = total if per_tensor else shape[-1]
+    width = spec.group_size if spec.granularity == "per-group" else rowlen
+    if width > rowlen:
+        raise ConfigError(f"group size {width} exceeds row length {rowlen}")
+    per_row = -(-rowlen // width)
+    index = np.arange(total // rowlen)[:, None] * per_row + np.arange(rowlen) // width
+    return index.ravel(), total // rowlen * per_row
 
 
 def quantize(tensor: np.ndarray, spec: QuantSpec,
@@ -153,47 +153,34 @@ def quantize(tensor: np.ndarray, spec: QuantSpec,
     tensor = np.asarray(tensor, dtype=np.float64)
     if tensor.size == 0:
         raise ShapeError("cannot quantize an empty tensor")
+    if not np.isfinite(tensor).all():
+        raise ShapeError("cannot quantize non-finite values")
     flat = tensor.ravel()
-    slices = _group_slices(tensor.shape, spec)
-    n_groups = len(slices)
-    scales = np.empty(n_groups)
-    zps = np.empty(n_groups, dtype=np.int64) if spec.scheme == "asymmetric" else None
-    codes = np.empty(flat.size, dtype=np.int64)
-    group_index = np.empty(flat.size, dtype=np.int64)
-    qmax = 2 ** (spec.bits - 1) - 1
-    hi = 2 ** spec.bits - 1
-
-    for gi, sl in enumerate(slices):
-        x = flat[sl]
-        group_index[sl] = gi
-        if spec.scheme == "symmetric":
-            amax = np.max(np.abs(x))
-            scale = amax / qmax if amax > 0 else 1.0
-            c = np.clip(np.rint(x / scale), -qmax, qmax)
-        else:
-            mn, mx = x.min(), x.max()
-            if mx > mn:
-                scale = (mx - mn) / hi
-                zp = int(np.rint(-mn / scale))
-                c = np.clip(np.rint(x / scale) + zp, 0, hi)
-            else:  # constant group
-                c0 = float(mn)
-                if c0 == 0.0:
-                    scale, zp = 1.0, 0
-                    c = np.zeros_like(x)
-                elif c0 > 0:
-                    scale, zp = c0, 0
-                    c = np.ones_like(x)
-                else:
-                    scale, zp = -c0, 1
-                    c = np.zeros_like(x)
-            zps[gi] = zp
-        scales[gi] = scale
-        codes[sl] = c
-    codes = codes.reshape(tensor.shape)
-    return QuantTensor(codes=codes, scales=scales, zero_points=zps,
-                       shape=tensor.shape, spec=spec, group_index=group_index,
-                       mask=mask)
+    group_index, _ = _group_index(tensor.shape, spec)
+    starts = np.flatnonzero(np.diff(group_index, prepend=-1))
+    if spec.scheme == "symmetric":
+        qmax = 2 ** (spec.bits - 1) - 1
+        amax = np.maximum.reduceat(np.abs(flat), starts)
+        scales = np.where(amax > 0, amax / qmax, 1.0)
+        codes = np.clip(np.rint(flat / scales[group_index]), -qmax, qmax)
+        zps = None
+    else:
+        hi = 2 ** spec.bits - 1
+        mn = np.minimum.reduceat(flat, starts)
+        mx = np.maximum.reduceat(flat, starts)
+        spread = mx > mn
+        # a constant group c stores scale |c| (1 when c = 0) and a code that
+        # decodes to c exactly: 1 with zero point 0 for c > 0, 0 with zero
+        # point 1 for c < 0
+        scales = np.where(spread, (mx - mn) / hi, np.where(mn == 0, 1.0, np.abs(mn)))
+        zps = np.where(spread, np.rint(-mn / scales), mn < 0).astype(np.int64)
+        codes = np.where(spread[group_index],
+                         np.clip(np.rint(flat / scales[group_index]) + zps[group_index],
+                                 0, hi),
+                         (mn > 0)[group_index])
+    return QuantTensor(codes=codes.astype(np.int64).reshape(tensor.shape),
+                       scales=scales, zero_points=zps, shape=tensor.shape,
+                       spec=spec, group_index=group_index, mask=mask)
 
 
 def dequantize(qt: QuantTensor) -> np.ndarray:
@@ -231,7 +218,7 @@ def sparsify(tensor: np.ndarray, spec: SparsitySpec
     mask = np.zeros(tensor.shape, dtype=bool)
     if isinstance(spec, Unstructured):
         flat = tensor.ravel()
-        keep = int(math.ceil(spec.keep_ratio * flat.size))
+        keep = spec.kept(flat.size)
         order = np.lexsort((np.arange(flat.size), -np.abs(flat)))
         mask.ravel()[order[:keep]] = True
     else:
@@ -247,36 +234,28 @@ def sparsify(tensor: np.ndarray, spec: SparsitySpec
     return (tensor * mask).astype(tensor.dtype), mask
 
 
-def _tensor_bits(shape: tuple, qspec: QuantSpec,
-                 sspec: Optional[SparsitySpec] = None,
-                 kept: Optional[int] = None) -> Fraction:
-    total = int(np.prod(shape))
-    n_groups = len(_group_slices(shape, qspec))
-    if sspec is None:
-        stored = total
-        mask_bits = Fraction(0)
-    else:
-        if kept is None:
-            if isinstance(sspec, Unstructured):
-                kept = int(math.ceil(sspec.keep_ratio * total))
-            else:
-                kept = total * sspec.n // sspec.m
-        stored = kept
-        mask_bits = sspec.mask_bits_per_weight() * total
-    bits = Fraction(stored * qspec.bits) + Fraction(n_groups * qspec.scale_bits)
+def _tensor_bits(shape: tuple, qspec: QuantSpec, stored: int,
+                 mask_bits_per_weight: Fraction = Fraction(0)) -> Fraction:
+    """Code bits of the stored weights, per-group scale (and zero-point) bits,
+    and mask bits over every weight."""
+    n_groups = _group_index(shape, qspec)[1]
+    group_bits = qspec.scale_bits
     if qspec.scheme == "asymmetric":
-        bits += Fraction(n_groups * qspec.zero_point_bits)
-    return bits + mask_bits
+        group_bits += qspec.zero_point_bits
+    return (Fraction(stored * qspec.bits + n_groups * group_bits)
+            + mask_bits_per_weight * int(np.prod(shape)))
 
 
 def bpw_exact(qt: QuantTensor,
               sparsity: Optional[SparsitySpec] = None) -> Fraction:
     total = int(np.prod(qt.shape))
-    kept = int(qt.mask.sum()) if qt.mask is not None else None
-    if qt.mask is not None and sparsity is None:
-        # mask present without a declared scheme: unstructured, 1 bit/weight
-        sparsity = Unstructured(keep_ratio=kept / total if kept else 1e-9)
-    return _tensor_bits(qt.shape, qt.spec, sparsity, kept) / total
+    if qt.mask is None and sparsity is None:
+        return _tensor_bits(qt.shape, qt.spec, total) / total
+    # a stored mask counts what it keeps, at 1 bit per weight unless a
+    # declared scheme encodes it more compactly
+    stored = int(qt.mask.sum()) if qt.mask is not None else sparsity.kept(total)
+    mask_bpw = sparsity.mask_bits_per_weight() if sparsity is not None else Fraction(1)
+    return _tensor_bits(qt.shape, qt.spec, stored, mask_bpw) / total
 
 
 def bpw(qt: QuantTensor, sparsity: Optional[SparsitySpec] = None) -> float:
@@ -318,8 +297,14 @@ def plan_bpw_exact(model: TinyLM, plan: PrecisionPlan) -> Fraction:
     total_bits = Fraction(0)
     total_weights = 0
     for name, shape in model.config.slot_shapes().items():
-        total_bits += _tensor_bits(shape, plan.specs[name], plan.sparsity.get(name))
-        total_weights += int(np.prod(shape))
+        total = int(np.prod(shape))
+        sspec = plan.sparsity.get(name)
+        if sspec is None:
+            total_bits += _tensor_bits(shape, plan.specs[name], total)
+        else:
+            total_bits += _tensor_bits(shape, plan.specs[name], sspec.kept(total),
+                                       sspec.mask_bits_per_weight())
+        total_weights += total
     return total_bits / total_weights
 
 
@@ -454,53 +439,29 @@ def assign_precision(model: TinyLM, calibration, bpw_budget: float,
 
 # --- packed manifest ----------------------------------------------------------
 
+_MAGIC = b"EDGELMQ1"
+
+
 def pack_bits(values: np.ndarray, bits: int) -> bytes:
     """LSB-first bit packing of nonnegative ints, little-endian byte order."""
-    values = np.asarray(values, dtype=np.uint64).ravel()
-    out = bytearray((values.size * bits + 7) // 8)
-    bitpos = 0
-    for v in values:
-        v = int(v)
-        byte, off = bitpos >> 3, bitpos & 7
-        chunk = v << off
-        while chunk:
-            out[byte] |= chunk & 0xFF
-            chunk >>= 8
-            byte += 1
-        bitpos += bits
-    return bytes(out)
+    values = np.asarray(values, dtype="<u8").ravel()
+    planes = np.unpackbits(values.view(np.uint8).reshape(-1, 8), axis=1,
+                           count=bits, bitorder="little")
+    return np.packbits(planes, bitorder="little").tobytes()
 
 
 def unpack_bits(data: bytes, bits: int, count: int) -> np.ndarray:
-    out = np.empty(count, dtype=np.int64)
-    mask = (1 << bits) - 1
-    for i in range(count):
-        bitpos = i * bits
-        byte, off = bitpos >> 3, bitpos & 7
-        acc = 0
-        shift = 0
-        b = byte
-        while shift < bits + off:
-            acc |= data[b] << shift
-            shift += 8
-            b += 1
-        out[i] = (acc >> off) & mask
-    return out
+    buf = np.frombuffer(data, dtype=np.uint8)
+    if buf.size * 8 < count * bits:
+        raise ShapeError(f"{buf.size} bytes cannot hold {count} {bits}-bit values")
+    planes = np.unpackbits(buf, count=count * bits, bitorder="little")
+    return planes.reshape(count, bits).astype(np.int64) @ (1 << np.arange(bits))
 
 
 def save_quant_model(model: TinyLM, path):
     """Quantized manifest: per-slot spec, packed codes, scales, zero points."""
     header_slots = []
-    blobs = []
-    offset = 0
-
-    def add(blob: bytes) -> tuple[int, int]:
-        nonlocal offset
-        blobs.append(blob)
-        start = offset
-        offset += len(blob)
-        return start, len(blob)
-
+    blobs = _manifest.Blobs()
     for name in sorted(model.weights):
         qt = model.weights[name]
         if not isinstance(qt, QuantTensor):
@@ -509,8 +470,6 @@ def save_quant_model(model: TinyLM, path):
         raw = qt.codes.ravel().astype(np.int64)
         if qt.spec.scheme == "symmetric":
             raw = raw + qmax  # shift to nonnegative for packing
-        codes_loc = add(pack_bits(raw, qt.spec.bits))
-        scales_loc = add(np.asarray(qt.scales, dtype="<f8").tobytes())
         entry = {
             "name": name, "shape": list(qt.shape), "frozen": qt.frozen,
             "spec": {"bits": qt.spec.bits, "scheme": qt.spec.scheme,
@@ -518,61 +477,42 @@ def save_quant_model(model: TinyLM, path):
                      "group_size": qt.spec.group_size,
                      "scale_bits": qt.spec.scale_bits,
                      "zero_point_bits": qt.spec.zero_point_bits},
-            "codes": codes_loc, "scales": scales_loc,
+            "codes": blobs.add(pack_bits(raw, qt.spec.bits)),
+            "scales": blobs.add(np.asarray(qt.scales, dtype="<f8").tobytes()),
         }
         if qt.zero_points is not None:
-            entry["zero_points"] = add(
+            entry["zero_points"] = blobs.add(
                 np.asarray(qt.zero_points, dtype="<i4").tobytes())
         if qt.mask is not None:
-            entry["mask"] = add(np.packbits(qt.mask.ravel()).tobytes())
+            entry["mask"] = blobs.add(np.packbits(qt.mask.ravel()).tobytes())
         header_slots.append(entry)
-
-    header = json.dumps({"config": model.config.to_dict(),
-                         "slots": header_slots}).encode()
-    with open(path, "wb") as f:
-        f.write(b"EDGELMQ1")
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        for b in blobs:
-            f.write(b)
+    _manifest.write(path, _MAGIC, {"config": model.config.to_dict(),
+                                   "slots": header_slots}, blobs)
 
 
 def load_quant_model(path) -> TinyLM:
-    from .model import ModelConfig
-
-    with open(path, "rb") as f:
-        if f.read(8) != b"EDGELMQ1":
-            raise ValueError("not an edgelm quantized manifest")
-        (hlen,) = struct.unpack("<I", f.read(4))
-        header = json.loads(f.read(hlen).decode())
-        data = f.read()
+    header, blobs = _manifest.read(path, _MAGIC)
     config = ModelConfig.from_dict(header["config"])
+    check_slots(config, {e["name"]: e["shape"] for e in header["slots"]})
     weights = {}
     for entry in header["slots"]:
         spec = QuantSpec(**entry["spec"])
         shape = tuple(entry["shape"])
         count = int(np.prod(shape))
-        start, length = entry["codes"]
-        codes = unpack_bits(data[start:start + length], spec.bits, count)
+        gidx, n_groups = _group_index(shape, spec)
+        packed = blobs.array(np.uint8, [(count * spec.bits + 7) // 8], *entry["codes"])
+        codes = unpack_bits(packed, spec.bits, count)
         if spec.scheme == "symmetric":
             codes = codes - (2 ** (spec.bits - 1) - 1)
-        start, length = entry["scales"]
-        scales = np.frombuffer(data[start:start + length], dtype="<f8").copy()
+        scales = blobs.array("<f8", [n_groups], *entry["scales"])
         zps = None
-        if "zero_points" in entry:
-            start, length = entry["zero_points"]
-            zps = np.frombuffer(data[start:start + length], dtype="<i4").copy()
+        if spec.scheme == "asymmetric":
+            zps = blobs.array("<i4", [n_groups], *entry["zero_points"])
         mask = None
         if "mask" in entry:
-            start, length = entry["mask"]
-            mask = np.unpackbits(
-                np.frombuffer(data[start:start + length], dtype=np.uint8),
-                count=count).astype(bool).reshape(shape)
-        gidx = np.empty(count, dtype=np.int64)
-        for gi, sl in enumerate(_group_slices(shape, spec)):
-            gidx[sl] = gi
-        qt = QuantTensor(codes=codes.reshape(shape), scales=scales,
-                         zero_points=zps, shape=shape, spec=spec,
-                         group_index=gidx, mask=mask, frozen=entry["frozen"])
-        weights[entry["name"]] = qt
+            packed = blobs.array(np.uint8, [(count + 7) // 8], *entry["mask"])
+            mask = np.unpackbits(packed, count=count).astype(bool).reshape(shape)
+        weights[entry["name"]] = QuantTensor(
+            codes=codes.reshape(shape), scales=scales, zero_points=zps, shape=shape,
+            spec=spec, group_index=gidx, mask=mask, frozen=entry["frozen"])
     return TinyLM(config=config, weights=weights)

@@ -13,7 +13,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .kvcache import KvCache
-from .model import TinyLM, forward, slot_rng
+from .model import TinyLM, forward, greedy_continue, slot_rng
 
 
 @dataclass
@@ -91,14 +91,8 @@ def propose(draft_cfg: DraftConfig, target: TinyLM, context, k: int,
         return []
     draft = draft_cfg.draft
     if isinstance(draft, IndependentDraft):
-        cache = KvCache.for_model(draft.model.config)
-        toks = list(context)
-        fo = forward(draft.model, toks, cache=cache)
-        out = [int(np.argmax(fo.logits[-1]))]
-        for _ in range(k - 1):
-            fo = forward(draft.model, [out[-1]], cache=cache)
-            out.append(int(np.argmax(fo.logits[-1])))
-        return out
+        return greedy_continue(draft.model, KvCache.for_model(draft.model.config),
+                               context, k)
     # feature reuse: roll the predicted hidden forward through the shared head
     d = target.config.d_model
     h = np.zeros(d) if last_hidden is None else np.asarray(last_hidden, dtype=np.float64)
@@ -116,6 +110,15 @@ def propose(draft_cfg: DraftConfig, target: TinyLM, context, k: int,
     return out
 
 
+def _accept(draft: list[int], preds: np.ndarray, base: int) -> tuple[int, int]:
+    """Longest prefix of the draft matching the target argmax ``preds[base:]``:
+    (accepted length, target token after it)."""
+    acc = 0
+    while acc < len(draft) and draft[acc] == int(preds[base + acc]):
+        acc += 1
+    return acc, int(preds[base + acc])
+
+
 def verify(target: TinyLM, context, draft_tokens) -> tuple[int, int]:
     """One batched target pass over context+draft; longest matching prefix.
 
@@ -127,12 +130,7 @@ def verify(target: TinyLM, context, draft_tokens) -> tuple[int, int]:
     if not draft_tokens:
         raise ValueError("draft must be nonempty")
     fo = forward(target, context + draft_tokens)
-    preds = np.argmax(fo.logits, axis=-1)
-    base = len(context) - 1
-    acc = 0
-    while acc < len(draft_tokens) and draft_tokens[acc] == int(preds[base + acc]):
-        acc += 1
-    return acc, int(preds[base + acc])
+    return _accept(draft_tokens, np.argmax(fo.logits, axis=-1), len(context) - 1)
 
 
 def decode_speculative(target: TinyLM, draft_cfg: DraftConfig, prompt,
@@ -163,10 +161,7 @@ def decode_speculative(target: TinyLM, draft_cfg: DraftConfig, prompt,
         fo = forward(target, block, cache=cache)
         preds = np.argmax(fo.logits, axis=-1)
         base = len(pending) - 1
-        acc = 0
-        while acc < len(draft_tokens) and draft_tokens[acc] == int(preds[base + acc]):
-            acc += 1
-        next_tok = int(preds[base + acc])
+        acc, next_tok = _accept(draft_tokens, preds, base)
         out.extend(draft_tokens[:acc])
         out.append(next_tok)
         emitted += acc + 1

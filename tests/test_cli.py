@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -39,7 +40,11 @@ class TestReports:
 
     def test_tampered_aggregate_detected(self):
         report = self.evict_report()
-        report["aggregates"]["rouge1_vs_baseline"]["mean"] += 0.1
+        tampered = copy.deepcopy(report)
+        tampered["aggregates"]["rouge1_vs_baseline"]["mean"] += 0.1
+        assert not bench.verify_report(tampered)
+        rates = report["aggregates"]["retention_rate_by_policy"]
+        rates[next(iter(rates))] = 0.123
         assert not bench.verify_report(report)
 
     def test_spec_bench_lossless_and_bounded(self):

@@ -1,0 +1,114 @@
+"""The shared manifest envelope behind the model, quant and adapter files."""
+import hashlib
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import edgelm as E
+from edgelm import _manifest
+from edgelm.errors import ManifestError
+
+# SHA-256 of each file written by `write_files`; the formats are frozen, so
+# files written by any earlier version must still load.
+DIGESTS = {
+    "float.edgelm": "a68a65a25e5df3c968a8de8b586a6225e9121ddd2769a432c6706c94cab58af8",
+    "sym.edgelmq": "9194865bdea2ba03e08790924a82a67d6878d0e9c1f7fe033e07bffdd7b6e16b",
+    "asym_sparse.edgelmq": "32da812a1e879a3d3318639926e1c7be7121bb57f4270518a5d63f67751e5bfb",
+    "adapter.edgelma": "16b84708a47767ba249d100e8f70ea5b9287abf30da3045c32646e1ec4ecb807",
+}
+FORMATS = {  # file -> (loader, saver, magic)
+    "float.edgelm": (E.load_model, E.save_model, b"EDGELM01"),
+    "sym.edgelmq": (E.load_quant_model, E.save_quant_model, b"EDGELMQ1"),
+    "asym_sparse.edgelmq": (E.load_quant_model, E.save_quant_model, b"EDGELMQ1"),
+    "adapter.edgelma": (E.load_adapter, E.save_adapter, b"EDGELMA1"),
+}
+
+
+def write_files(out):
+    """One seeded small model in every format: float, symmetric 3-bit with
+    partial groups, asymmetric 4-bit with both sparsity kinds, and an adapter."""
+    cfg = E.ModelConfig(vocab_size=32, d_model=16, n_layers=1, n_heads=2,
+                        n_kv_heads=1, head_dim=8, max_seq=128, tie_embeddings=False)
+    m = E.init_model(cfg, 11)
+    E.save_model(m, out / "float.edgelm")
+    sym = E.ptq_model(m, E.uniform_plan(m, 3, group_size=6), freeze=True)
+    E.save_quant_model(sym, out / "sym.edgelmq")
+    plan = E.uniform_plan(m, 4, scheme="asymmetric", group_size=8)
+    plan.sparsity = {"layers.0.wq": E.Unstructured(0.5),
+                     "layers.0.w_up": E.Structured(2, 4)}
+    E.save_quant_model(E.ptq_model(m, plan), out / "asym_sparse.edgelmq")
+    ad = E.create_adapter(m, ("layers.0.wq", "layers.0.wv"), r=2, alpha=4.0,
+                          seed=5, name="demo")
+    for slot, b in ad.B.items():
+        ad.B[slot] = E.slot_rng(5, slot + ".B").normal(0, 0.02, b.shape).astype(np.float32)
+    E.save_adapter(ad, out / "adapter.edgelma")
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    out = tmp_path_factory.mktemp("manifests")
+    write_files(out)
+    return {name: (out / name).read_bytes() for name in FORMATS}
+
+
+@pytest.mark.parametrize("name", sorted(FORMATS))
+def test_bytes_match_digest_and_reload_identically(name, files, tmp_path):
+    assert hashlib.sha256(files[name]).hexdigest() == DIGESTS[name]
+    load, save, _ = FORMATS[name]
+    src = tmp_path / name
+    src.write_bytes(files[name])
+    save(load(src), tmp_path / "again")
+    assert (tmp_path / "again").read_bytes() == files[name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_truncation_raises_manifest_error(files, tmp_path_factory, data):
+    name = data.draw(st.sampled_from(sorted(FORMATS)))
+    raw = files[name]
+    cut = data.draw(st.integers(0, len(raw) - 1))
+    path = tmp_path_factory.mktemp("cut") / name
+    path.write_bytes(raw[:cut])
+    with pytest.raises(ManifestError):
+        FORMATS[name][0](path)
+
+
+def _first(h):
+    return h["slots"][0]
+
+
+@pytest.mark.parametrize("name, mutate", [
+    # a slot shape the config does not have
+    ("float.edgelm", lambda h: _first(h).update(shape=[1, 2])),
+    # the last blob reaches four bytes past the region
+    ("float.edgelm", lambda h: h["slots"][-1].update(offset=h["slots"][-1]["offset"] + 4)),
+    # np.unpackbits would zero-pad a codes blob one byte short without complaint
+    ("sym.edgelmq", lambda h: _first(h).update(
+        codes=[_first(h)["codes"][0], _first(h)["codes"][1] - 1])),
+    ("asym_sparse.edgelmq", lambda h: _first(h).update(zero_points=[-4, 4])),
+    # A is [r, in]: a rank-1 A under a rank-2 adapter
+    ("adapter.edgelma", lambda h: _first(h).update(a_shape=[1, 16])),
+])
+def test_inconsistent_header_rejected(name, mutate, files, tmp_path):
+    load, _, magic = FORMATS[name]
+    path = tmp_path / name
+    path.write_bytes(files[name])
+    header, blobs = _manifest.read(path, magic)
+    mutate(header)
+    _manifest.write(path, magic, header, blobs)
+    with pytest.raises(ManifestError):
+        load(path)
+
+
+@pytest.mark.parametrize("raw", [
+    b"EDGELM02" + struct.pack("<I", 2) + b"{}",    # wrong magic
+    b"EDGELM01" + struct.pack("<I", 3) + b"{x}",   # header is not JSON
+    b"EDGELM01" + struct.pack("<I", 2) + b"[]",    # header is not an object
+])
+def test_unreadable_envelope_rejected(raw, tmp_path):
+    path = tmp_path / "m.bin"
+    path.write_bytes(raw)
+    with pytest.raises(ManifestError):
+        E.load_model(path)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import edgelm as E
 from edgelm import quant as Q
@@ -74,6 +75,62 @@ class TestRoundTrip:
     def test_empty_rejected(self):
         with pytest.raises(ShapeError):
             E.quantize(np.zeros((0,)), E.QuantSpec())
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
+    def test_non_finite_rejected(self, bad, scheme):
+        x = np.ones((2, 8))
+        x[1, 3] = bad
+        with pytest.raises(ShapeError):
+            E.quantize(x, E.QuantSpec(scheme=scheme, granularity="per-row"))
+
+
+def reference_quantize(x, spec):
+    """Group-by-group loop over explicit slices: the reference for quantize."""
+    flat = x.ravel()
+    rowlen = x.shape[-1] if x.ndim > 1 and spec.granularity != "per-tensor" else x.size
+    width = spec.group_size if spec.granularity == "per-group" else rowlen
+    slices = [slice(r + c, r + min(c + width, rowlen))
+              for r in range(0, x.size, rowlen) for c in range(0, rowlen, width)]
+    codes = np.empty(flat.size, dtype=np.int64)
+    scales, zps = [], []
+    qmax, hi = 2 ** (spec.bits - 1) - 1, 2 ** spec.bits - 1
+    for sl in slices:
+        g = flat[sl]
+        if spec.scheme == "symmetric":
+            amax = np.max(np.abs(g))
+            scale = amax / qmax if amax > 0 else 1.0
+            codes[sl] = np.clip(np.rint(g / scale), -qmax, qmax)
+        elif g.max() > g.min():
+            scale = (g.max() - g.min()) / hi
+            zps.append(int(np.rint(-g.min() / scale)))
+            codes[sl] = np.clip(np.rint(g / scale) + zps[-1], 0, hi)
+        else:  # constant group
+            c = float(g[0])
+            scale = 1.0 if c == 0 else abs(c)
+            zps.append(int(c < 0))
+            codes[sl] = int(c > 0)
+        scales.append(scale)
+    return codes.reshape(x.shape), np.array(scales), np.array(zps, dtype=np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 5), cols=st.integers(1, 24),
+       bits=st.sampled_from([2, 3, 4, 8]), scheme=st.sampled_from(["symmetric", "asymmetric"]),
+       granularity=st.sampled_from(["per-tensor", "per-row", "per-group"]), data=st.data())
+def test_quantize_matches_reference_loop(seed, rows, cols, bits, scheme, granularity, data):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(rows, cols))
+    x[rng.random(rows) < 0.4] = rng.choice([0.0, 0.7, -0.3])  # constant rows
+    spec = E.QuantSpec(bits=bits, scheme=scheme, granularity=granularity,
+                       group_size=data.draw(st.integers(1, cols)))
+    qt = E.quantize(x, spec)
+    codes, scales, zps = reference_quantize(x, spec)
+    np.testing.assert_array_equal(qt.codes, codes)
+    np.testing.assert_array_equal(qt.scales, scales)
+    if scheme == "asymmetric":
+        np.testing.assert_array_equal(qt.zero_points, zps)
+    np.testing.assert_array_equal(np.unique(qt.group_index), np.arange(len(scales)))
 
 
 class TestFrozen:
@@ -228,6 +285,20 @@ class TestPacking:
 
     def test_packed_size(self):
         assert len(Q.pack_bits(np.zeros(8, dtype=np.int64), 3)) == 3  # 24 bits
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), bits=st.sampled_from([2, 3, 4, 8]))
+    def test_pack_matches_reference_and_roundtrips(self, data, bits):
+        vals = data.draw(st.lists(st.integers(0, 2 ** bits - 1), max_size=200))
+        packed = Q.pack_bits(np.array(vals, dtype=np.int64), bits)
+        # reference: value i occupies bits [i*bits, (i+1)*bits), LSB first
+        acc = sum(v << (i * bits) for i, v in enumerate(vals))
+        assert packed == acc.to_bytes((len(vals) * bits + 7) // 8, "little")
+        np.testing.assert_array_equal(Q.unpack_bits(packed, bits, len(vals)), vals)
+
+    def test_unpack_short_buffer_rejected(self):
+        with pytest.raises(ShapeError):
+            Q.unpack_bits(b"\x00\x00", 3, 6)  # 18 bits need 3 bytes
 
     def test_quant_manifest_roundtrip(self, tmp_path):
         m = small_model(9)
