@@ -34,8 +34,8 @@ from .trainmath import (CaptionStats, FilterDecision, Image, InterleavedDoc,
                         mpo_preference_loss, mpo_quality_loss,
                         reposition_images, reward_shift_update,
                         select_by_difficulty, total_reward)
-from .metrics import (ROUGE_VARIANT, RougeScore, RunRecord, SpeedReport,
-                      lcs_length, rouge_l, rouge_n, summarize_runs, tokenize)
+from .metrics import (ROUGE_VARIANT, RougeScore, lcs_length, rouge_l, rouge_n,
+                      tokenize)
 from .tasks import NeedleSample, gen_copy, gen_dialogue, gen_needle
 
 __version__ = "0.1.0"

@@ -2,10 +2,12 @@
 
 Layout: ``magic (8 bytes) | header length (uint32 LE) | JSON header | blobs``.
 Blob offsets in the header count from the start of the blob region. Reading
-is bounds-checked, and every failure raises :class:`ManifestError`.
+is bounds-checked, header fields are checked for presence and type, and every
+failure raises :class:`ManifestError`.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
@@ -75,3 +77,29 @@ def read(path, magic: bytes) -> tuple[dict, Blobs]:
     if not isinstance(header, dict):
         raise ManifestError(f"{path}: header is not a JSON object")
     return header, Blobs(memoryview(data)[end:])
+
+
+def fields(obj, where: str, **kinds) -> list:
+    """The values of the named fields of the header object ``obj``, in order;
+    each must be present and an instance of its kind."""
+    if not isinstance(obj, dict):
+        raise ManifestError(f"{where} is not a JSON object")
+    for key, kind in kinds.items():
+        if key not in obj:
+            raise ManifestError(f"{where}: missing field {key!r}")
+        if not isinstance(obj[key], kind):
+            raise ManifestError(f"{where}: field {key!r} has the wrong type "
+                                f"{type(obj[key]).__name__}")
+    return [obj[key] for key in kinds]
+
+
+def dataclass_from(cls, obj, where: str):
+    """``cls(**obj)`` for a header object with exactly the dataclass's fields,
+    each of its default's type (an int passes for a float)."""
+    kinds = {f.name: (int, float) if type(f.default) is float else type(f.default)
+             for f in dataclasses.fields(cls)}
+    values = fields(obj, where, **kinds)
+    unknown = sorted(set(obj) - set(kinds))
+    if unknown:
+        raise ManifestError(f"{where}: unknown fields {unknown}")
+    return cls(**dict(zip(kinds, values)))

@@ -19,7 +19,7 @@ from jsonschema import validate as _js_validate
 from . import kvcache as kvc
 from . import lora as lora_mod
 from . import quant as quant_mod
-from .errors import ContractViolation
+from .errors import ConfigError, ContractViolation
 from .metrics import ROUGE_VARIANT, rouge_n
 from .model import (ModelConfig, TinyLM, forward, greedy_continue, greedy_decode,
                     init_model)
@@ -127,6 +127,16 @@ def run_evict_bench(config: dict) -> dict:
     ratios = config.get("method", {}).get("eviction_ratios", [0.25, 0.5])
     policy_specs = config.get("method", {}).get("policies",
                                                 list(DEFAULT_EVICT_POLICIES))
+    policies = [policy_from_spec(p) for p in policy_specs]
+    kept = context_len - 1    # the prefill holds back the final query token
+    budgets = {ratio: kept - int(round(ratio * kept)) for ratio in ratios}
+    for ratio, budget in budgets.items():
+        for pspec, policy in zip(policy_specs, policies):
+            if budget < max(1, policy.floor()):
+                raise ConfigError(
+                    f"policy {pspec['kind']} at eviction ratio {ratio} gets budget "
+                    f"{budget} (context_len {context_len}), below its mandatory "
+                    f"floor {policy.floor()}")
 
     rows = []
     for t in range(trials):
@@ -147,9 +157,8 @@ def run_evict_bench(config: dict) -> dict:
                                        decode_len)
 
         for ratio in ratios:
-            budget = cache.kept(0) - int(round(ratio * cache.kept(0)))
-            for pspec in policy_specs:
-                policy = policy_from_spec(pspec)
+            budget = budgets[ratio]
+            for pspec, policy in zip(policy_specs, policies):
                 c = _clone_cache(cache)
                 report = kvc.evict(c, policy, budget)
                 method_bytes = kvc.cache_bytes(c, 4)

@@ -5,8 +5,9 @@ mass), observation-window (pooled attention of the last W queries), a
 weighted hybrid over all four signal types, and a random control.
 
 Score state lives with the cache: an accumulated-mass vector and a ring
-buffer of recent head-averaged attention rows, both maintained by
-``append``/``append_block`` and pruned on eviction.
+buffer of recent head-averaged attention rows. Both are built by
+``append_block`` from the one attention block each forward hands over per
+layer, and pruned on eviction.
 """
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 
@@ -149,48 +151,39 @@ class KvCache:
         return self.layers[layer].positions.copy()
 
     def append(self, layer: int, k, v, position: int, attn_row=None):
-        """Append one entry; if an attention row is given, update score state."""
-        ls = self.layers[layer]
-        if ls.positions.size and position <= ls.positions[-1]:
-            raise ValueError(f"position {position} not beyond cached max "
-                             f"{int(ls.positions[-1])}")
-        if attn_row is not None:
-            attn_row = np.asarray(attn_row, dtype=np.float64)
-            if attn_row.size != ls.kept + 1:
-                raise ValueError(f"attn_row length {attn_row.size} != kept+1 "
-                                 f"({ls.kept + 1})")
-        k = np.asarray(k, dtype=np.float64).reshape(1, self.n_kv_heads, self.head_dim)
-        v = np.asarray(v, dtype=np.float64).reshape(1, self.n_kv_heads, self.head_dim)
-        ls.keys = np.concatenate([ls.keys, k], axis=0)
-        ls.values = np.concatenate([ls.values, v], axis=0)
-        ls.positions = np.append(ls.positions, np.int64(position))
-        ls.acc = np.append(ls.acc, 0.0)
-        if attn_row is not None:
-            ls.acc += attn_row
-            ls.rows.append(attn_row.copy())
+        """Append one entry: :meth:`append_block` with a block of one."""
+        self.append_block(layer, k, v, [position],
+                          None if attn_row is None else np.reshape(attn_row, (1, -1)))
 
-    def append_block(self, layer: int, k, v, positions, attn_rows=None):
-        """Vectorized multi-entry append (prefill path)."""
+    def append_block(self, layer: int, k, v, positions, attn=None):
+        """Append n entries at positions beyond the cached ones.
+
+        ``attn`` is the head-averaged attention of the n new queries over the
+        kept+n keys, shape [n, kept+n], zero above the causal diagonal. Its
+        column sums extend the accumulated mass, and its last rows (each cut
+        at its own query) enter the window of recent rows.
+        """
         ls = self.layers[layer]
         positions = np.asarray(positions, dtype=np.int64)
-        if ls.positions.size and positions[0] <= ls.positions[-1]:
-            raise ValueError("block positions must continue beyond cached max")
-        n = positions.size
-        base = ls.kept
-        ls.keys = np.concatenate([ls.keys, np.asarray(k, dtype=np.float64)], axis=0)
-        ls.values = np.concatenate([ls.values, np.asarray(v, dtype=np.float64)], axis=0)
+        n, kept = positions.size, ls.kept
+        if kept and positions[0] <= ls.positions[-1]:
+            raise ValueError(f"position {int(positions[0])} not beyond cached max "
+                             f"{int(ls.positions[-1])}")
+        if attn is not None:
+            attn = np.asarray(attn, dtype=np.float64)
+            if attn.shape != (n, kept + n):
+                raise ValueError(f"attention block shape {attn.shape} != "
+                                 f"(n, kept+n) = {(n, kept + n)}")
+        shape = (n, self.n_kv_heads, self.head_dim)
+        ls.keys = np.concatenate([ls.keys, np.asarray(k, np.float64).reshape(shape)])
+        ls.values = np.concatenate([ls.values, np.asarray(v, np.float64).reshape(shape)])
         ls.positions = np.concatenate([ls.positions, positions])
-        ls.acc = np.concatenate([ls.acc, np.zeros(n)])
-        if attn_rows is not None:
-            if len(attn_rows) != n:
-                raise ValueError("one attention row per appended entry expected")
-            for i, row in enumerate(attn_rows):
-                row = np.asarray(row, dtype=np.float64)
-                if row.size != base + i + 1:
-                    raise ValueError(f"attn_row length {row.size} != kept+1 "
-                                     f"({base + i + 1})")
-                ls.acc[: row.size] += row
-                ls.rows.append(row.copy())
+        acc = np.zeros(kept + n) if attn is None else attn.sum(axis=0)
+        acc[:kept] += ls.acc
+        ls.acc = acc
+        if attn is not None:
+            ls.rows.extend(attn[i, :kept + i + 1].copy()
+                           for i in range(max(0, n - self.window), n))
 
     def truncate(self, drop: int):
         """Drop the newest `drop` entries from every layer (speculative rollback)."""
@@ -202,8 +195,7 @@ class KvCache:
             ls.values = ls.values[:keep]
             ls.positions = ls.positions[:keep]
             ls.acc = ls.acc[:keep]
-            rows = [r for r in ls.rows if r.size <= keep]
-            ls.rows = deque(rows, maxlen=self.window)
+            ls.rows = deque((r for r in ls.rows if r.size <= keep), maxlen=self.window)
 
     def total_kept(self) -> int:
         return sum(ls.kept for ls in self.layers)
@@ -257,9 +249,10 @@ def _pooled_window_score(ls: _LayerStore, obs: int, kernel: int) -> np.ndarray:
         return m
     h = kernel // 2
     pooled = np.empty(n)
-    for j in range(n):
-        lo, hi = max(0, j - h), min(n, j + h + 1)
-        pooled[j] = m[lo:hi].mean()
+    if n >= kernel:
+        pooled[h:n - h] = sliding_window_view(m, kernel).mean(-1)
+    for j in (*range(min(h, n)), *range(max(h, n - h), n)):   # clipped edges
+        pooled[j] = m[max(0, j - h):j + h + 1].mean()
     return pooled
 
 
@@ -271,38 +264,37 @@ def _layer_kept_indices(ls: _LayerStore, policy: EvictionPolicy, budget: int,
     idx = np.arange(n)
 
     if isinstance(policy, AttentionSink):
-        mandatory = set(range(min(policy.sinks, n))) | set(range(n - policy.window, n))
+        mandatory = np.concatenate([np.arange(policy.sinks),
+                                    np.arange(n - policy.window, n)])
         scores = idx.astype(np.float64)            # fill spare budget by recency
     elif isinstance(policy, HeavyHitter):
-        mandatory = set(range(n - policy.recent, n))
+        mandatory = np.arange(n - policy.recent, n)
         scores = ls.acc.copy()
     elif isinstance(policy, ObsWindow):
-        mandatory = set(range(n - policy.obs, n))
+        mandatory = np.arange(n - policy.obs, n)
         scores = _pooled_window_score(ls, policy.obs, policy.pool_kernel)
     elif isinstance(policy, Hybrid):
-        mand_n = policy.obs if policy.lambda_win > 0 else 1
-        mandatory = set(range(n - mand_n, n))
+        mandatory = np.arange(n - (policy.obs if policy.lambda_win > 0 else 1), n)
         sink_ind = (idx < policy.sinks).astype(np.float64)
         recency = idx.astype(np.float64)
         win = _pooled_window_score(ls, policy.obs, policy.pool_kernel)
         scores = score_hybrid(sink_ind, recency, ls.acc, win, policy)
     elif isinstance(policy, RandomPolicy):
-        mandatory = {n - 1}
+        mandatory = idx[-1:]
         rng = np.random.default_rng(
             np.random.SeedSequence([policy.seed & (2**64 - 1), layer, n]))
         scores = rng.random(n)
     else:
         raise ConfigError(f"unknown policy {policy!r}")
 
-    mandatory = {i for i in mandatory if 0 <= i < n}
-    free = budget - len(mandatory)
-    kept = set(mandatory)
-    if free > 0:
-        cand = np.array([i for i in idx if i not in mandatory])
-        # highest score first; ties toward more recent (larger index)
-        order = np.lexsort((-cand, -scores[cand]))
-        kept.update(int(c) for c in cand[order[:free]])
-    return np.array(sorted(kept), dtype=np.int64)
+    mandatory = np.unique(mandatory[(mandatory >= 0) & (mandatory < n)])
+    free = budget - mandatory.size
+    if free <= 0:
+        return mandatory
+    cand = np.setdiff1d(idx, mandatory, assume_unique=True)
+    # highest score first; ties toward more recent (larger index)
+    order = np.lexsort((-cand, -scores[cand]))
+    return np.union1d(mandatory, cand[order[:free]])
 
 
 def evict(cache: KvCache, policy: EvictionPolicy, budget: int) -> EvictionReport:
@@ -322,12 +314,9 @@ def evict(cache: KvCache, policy: EvictionPolicy, budget: int) -> EvictionReport
             ls.values = ls.values[kept]
             ls.positions = ls.positions[kept]
             ls.acc = ls.acc[kept]
-            new_rows = []
-            for row in ls.rows:
-                sel = kept[kept < row.size]
-                new_rows.append(row[sel])
-            ls.rows = deque(new_rows, maxlen=cache.window)
-        reports.append(LayerReport(kept_indices=[int(i) for i in kept],
+            ls.rows = deque((row[kept[kept < row.size]] for row in ls.rows),
+                            maxlen=cache.window)
+        reports.append(LayerReport(kept_indices=kept.tolist(),
                                    evicted_count=evicted, budget=budget))
     return EvictionReport(layers=reports)
 

@@ -88,12 +88,10 @@ class AdapterRegistry:
     def active_adapter(self) -> Optional[LoraAdapter]:
         return self.adapters[self.active] if self.active is not None else None
 
-    def apply_forward(self, tokens, cache=None,
-                      capture_attn: bool = False) -> ForwardOutput:
+    def apply_forward(self, tokens, cache=None) -> ForwardOutput:
         """Forward with the active adapter's delta applied per use; the stored
         base weights are never touched."""
-        return forward(self.base, tokens, cache=cache, capture_attn=capture_attn,
-                       adapter=self.active_adapter())
+        return forward(self.base, tokens, cache=cache, adapter=self.active_adapter())
 
     def merged_model(self) -> TinyLM:
         """Offline merge of the active adapter into a fresh float model."""
@@ -240,17 +238,19 @@ def save_adapter(adapter: LoraAdapter, path):
 
 def load_adapter(path) -> LoraAdapter:
     header, blobs = _manifest.read(path, _MAGIC)
-    r = header["r"]
+    name, r, alpha, slots = _manifest.fields(header, "header", name=str, r=int,
+                                             alpha=(int, float), slots=list)
     A, B = {}, {}
-    for s in header["slots"]:
+    for i, s in enumerate(slots):
+        _manifest.fields(s, f"slots[{i}]", slot=str, a_shape=list, a_offset=int,
+                         b_shape=list, b_offset=int)
         A[s["slot"]] = blobs.array("<f4", s["a_shape"], s["a_offset"])
         B[s["slot"]] = blobs.array("<f4", s["b_shape"], s["b_offset"])
         if A[s["slot"]].shape[:1] != (r,) or B[s["slot"]].shape[1:] != (r,):
             raise ManifestError(f"slot {s['slot']}: A {s['a_shape']} and "
                                 f"B {s['b_shape']} do not have rank {r}")
-    return LoraAdapter(name=header["name"], r=r, alpha=header["alpha"],
-                       target_slots=tuple(s["slot"] for s in header["slots"]),
-                       A=A, B=B)
+    return LoraAdapter(name=name, r=r, alpha=alpha,
+                       target_slots=tuple(s["slot"] for s in slots), A=A, B=B)
 
 
 def save_registry_manifest(registry: AdapterRegistry, adapter_paths: dict, path):

@@ -1,4 +1,4 @@
-"""Text and performance metrics: ROUGE-1/2/L and run summaries.
+"""Text metrics: ROUGE-1/2/L.
 
 ROUGE here is the F1 variant with clipped n-gram counts; tokenization for the
 CLI is whitespace split with lowercase folding, no stemming or stopword
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Optional
 
 ROUGE_VARIANT = "F1, clipped counts, whitespace tokens, lowercased, no stemming"
 
@@ -63,45 +62,3 @@ def rouge_l(reference, hypothesis) -> RougeScore:
         return RougeScore(0.0, 0.0, 0.0)
     l = lcs_length(ref, hyp)
     return RougeScore.from_pr(l / len(hyp), l / len(ref))
-
-
-@dataclass
-class RunRecord:
-    target_forwards: int
-    wall_ns: int
-    tokens: list
-    cache_bytes: int = 0
-
-
-@dataclass
-class SpeedReport:
-    baseline_target_forwards: int
-    method_target_forwards: int
-    wall_ns_baseline: int
-    wall_ns_method: int
-    speedup_forwards: float
-    speedup_wall: float
-    memory_reduction: float
-    outputs_match: bool
-
-
-def summarize_runs(baseline: RunRecord, method: RunRecord,
-                   baseline_bytes: Optional[int] = None,
-                   method_bytes: Optional[int] = None) -> SpeedReport:
-    """Forward-count and wall-clock ratios plus cache memory reduction."""
-    if len(baseline.tokens) != len(method.tokens):
-        raise ValueError("runs must decode the same prompts to the same length")
-    b_bytes = baseline.cache_bytes if baseline_bytes is None else baseline_bytes
-    m_bytes = method.cache_bytes if method_bytes is None else method_bytes
-    reduction = 0.0 if b_bytes == 0 else 1.0 - m_bytes / b_bytes
-    return SpeedReport(
-        baseline_target_forwards=baseline.target_forwards,
-        method_target_forwards=method.target_forwards,
-        wall_ns_baseline=baseline.wall_ns,
-        wall_ns_method=method.wall_ns,
-        speedup_forwards=baseline.target_forwards / method.target_forwards,
-        speedup_wall=(baseline.wall_ns / method.wall_ns
-                      if method.wall_ns else float("nan")),
-        memory_reduction=reduction,
-        outputs_match=list(baseline.tokens) == list(method.tokens),
-    )

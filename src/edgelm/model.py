@@ -5,15 +5,14 @@ MLP, optionally tied embeddings. Weights are stored as float32; all compute
 runs in float64 so that blockwise and token-by-token decoding agree to well
 inside the 1e-5 contract.
 
-The forward pass can attach to a :class:`~edgelm.kvcache.KvCache`; attention
-probability rows (head-averaged per layer) are fed to the cache so eviction
-policies can score positions, and are optionally surfaced to the caller.
+The forward pass can attach to a :class:`~edgelm.kvcache.KvCache`; each layer
+hands the cache its head-averaged attention block over the new positions, so
+eviction policies can score positions.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -114,7 +113,6 @@ class TinyLM:
 class ForwardOutput:
     logits: np.ndarray                 # [new_positions, vocab]
     final_hidden: np.ndarray           # [new_positions, d_model], post final norm
-    attn_rows: Optional[list] = None   # per layer: list of rows per new position
 
 
 @dataclass
@@ -188,8 +186,7 @@ def _proj(h: np.ndarray, model: TinyLM, slot: str, adapter=None) -> np.ndarray:
     return y
 
 
-def forward(model: TinyLM, tokens, cache=None, capture_attn: bool = False,
-            adapter=None) -> ForwardOutput:
+def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
     """Run the model over new tokens, optionally extending a KV cache.
 
     Positions continue from the cache's maximum position; keys are stored
@@ -212,7 +209,6 @@ def forward(model: TinyLM, tokens, cache=None, capture_attn: bool = False,
     inv_sqrt = 1.0 / np.sqrt(cfg.head_dim)
 
     x = model.weight("token_embed").astype(np.float64)[tokens]
-    attn_out_rows: Optional[list] = [] if capture_attn else None
 
     for li in range(cfg.n_layers):
         p = f"layers.{li}."
@@ -247,16 +243,8 @@ def forward(model: TinyLM, tokens, cache=None, capture_attn: bool = False,
         attn = _proj(out.reshape(n, cfg.n_heads * cfg.head_dim), model, p + "wo", adapter)
         x = x + attn
 
-        head_avg = probs.mean(axis=0)                            # [n, m+n]
-        rows = []
-        for i in range(n):
-            r = head_avg[i, : m + i + 1]
-            s = r.sum()
-            rows.append(r / s if s > 0 else r)
         if cache is not None:
-            cache.append_block(li, k, v, positions, rows)
-        if capture_attn:
-            attn_out_rows.append(rows)
+            cache.append_block(li, k, v, positions, probs.mean(axis=0))
 
         h2 = rms_norm(x, model.weight(p + "ffn_norm").astype(np.float64))
         gate = _silu(_proj(h2, model, p + "w_gate", adapter))
@@ -268,7 +256,7 @@ def forward(model: TinyLM, tokens, cache=None, capture_attn: bool = False,
         logits = fh @ model.weight("token_embed").astype(np.float64).T
     else:
         logits = _proj(fh, model, "lm_head", adapter)
-    return ForwardOutput(logits=logits, final_hidden=fh, attn_rows=attn_out_rows)
+    return ForwardOutput(logits=logits, final_hidden=fh)
 
 
 def greedy_continue(model: TinyLM, cache, tokens, n: int, adapter=None) -> list[int]:
@@ -332,9 +320,15 @@ def pixel_unshuffle(grid: PatchGrid, r: int) -> PatchGrid:
 _MAGIC = b"EDGELM01"
 
 
-def check_slots(config: ModelConfig, shapes: dict):
-    """Reject a manifest slot table (name -> shape list) unless it lists
-    exactly the config's slots with their shapes."""
+def read_slots(header: dict, **kinds) -> tuple[ModelConfig, list[dict]]:
+    """A model manifest's config and slot entries. Each entry needs a ``name``,
+    a ``shape`` and the fields in ``kinds`` (name -> type), and the entries
+    must list exactly the config's slots with their shapes."""
+    config, slots = _manifest.fields(header, "header", config=dict, slots=list)
+    config = _manifest.dataclass_from(ModelConfig, config, "config")
+    for i, entry in enumerate(slots):
+        _manifest.fields(entry, f"slots[{i}]", name=str, shape=list, **kinds)
+    shapes = {entry["name"]: entry["shape"] for entry in slots}
     expected = config.slot_shapes()
     if set(shapes) != set(expected):
         raise ManifestError("manifest slots do not match config: "
@@ -343,6 +337,7 @@ def check_slots(config: ModelConfig, shapes: dict):
         if shape != list(expected[name]):
             raise ManifestError(f"slot {name} has shape {shape}, config "
                                 f"expects {list(expected[name])}")
+    return config, slots
 
 
 def save_model(model: TinyLM, path):
@@ -362,8 +357,6 @@ def save_model(model: TinyLM, path):
 
 def load_model(path) -> TinyLM:
     header, blobs = _manifest.read(path, _MAGIC)
-    config = ModelConfig.from_dict(header["config"])
-    check_slots(config, {s["name"]: s["shape"] for s in header["slots"]})
-    weights = {s["name"]: blobs.array("<f4", s["shape"], s["offset"])
-               for s in header["slots"]}
+    config, slots = read_slots(header, offset=int)
+    weights = {s["name"]: blobs.array("<f4", s["shape"], s["offset"]) for s in slots}
     return TinyLM(config=config, weights=weights)

@@ -15,8 +15,8 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _manifest
-from .errors import ConfigError, FrozenEncodingError, ShapeError
-from .model import ModelConfig, TinyLM, check_slots, forward
+from .errors import ConfigError, FrozenEncodingError, ManifestError, ShapeError
+from .model import TinyLM, forward, read_slots
 
 _ALLOWED_BITS = (2, 3, 4, 8)
 
@@ -490,27 +490,36 @@ def save_quant_model(model: TinyLM, path):
                                    "slots": header_slots}, blobs)
 
 
+def _blob(blobs: _manifest.Blobs, entry: dict, key: str, dtype, shape) -> np.ndarray:
+    """The array a slot entry locates with an ``[offset, length]`` pair."""
+    at, = _manifest.fields(entry, f"slot {entry['name']}", **{key: list})
+    if len(at) != 2:
+        raise ManifestError(f"slot {entry['name']}: field {key!r} is not an "
+                            "[offset, length] pair")
+    return blobs.array(dtype, shape, *at)
+
+
 def load_quant_model(path) -> TinyLM:
     header, blobs = _manifest.read(path, _MAGIC)
-    config = ModelConfig.from_dict(header["config"])
-    check_slots(config, {e["name"]: e["shape"] for e in header["slots"]})
+    config, slots = read_slots(header, frozen=bool, spec=dict)
     weights = {}
-    for entry in header["slots"]:
-        spec = QuantSpec(**entry["spec"])
+    for entry in slots:
+        spec = _manifest.dataclass_from(QuantSpec, entry["spec"],
+                                        f"slot {entry['name']} spec")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape))
         gidx, n_groups = _group_index(shape, spec)
-        packed = blobs.array(np.uint8, [(count * spec.bits + 7) // 8], *entry["codes"])
+        packed = _blob(blobs, entry, "codes", np.uint8, [(count * spec.bits + 7) // 8])
         codes = unpack_bits(packed, spec.bits, count)
         if spec.scheme == "symmetric":
             codes = codes - (2 ** (spec.bits - 1) - 1)
-        scales = blobs.array("<f8", [n_groups], *entry["scales"])
+        scales = _blob(blobs, entry, "scales", "<f8", [n_groups])
         zps = None
         if spec.scheme == "asymmetric":
-            zps = blobs.array("<i4", [n_groups], *entry["zero_points"])
+            zps = _blob(blobs, entry, "zero_points", "<i4", [n_groups])
         mask = None
         if "mask" in entry:
-            packed = blobs.array(np.uint8, [(count + 7) // 8], *entry["mask"])
+            packed = _blob(blobs, entry, "mask", np.uint8, [(count + 7) // 8])
             mask = np.unpackbits(packed, count=count).astype(bool).reshape(shape)
         weights[entry["name"]] = QuantTensor(
             codes=codes.reshape(shape), scales=scales, zero_points=zps, shape=shape,

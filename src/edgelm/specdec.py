@@ -12,6 +12,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .errors import ConfigError
 from .kvcache import KvCache
 from .model import TinyLM, forward, greedy_continue, slot_rng
 
@@ -133,6 +134,18 @@ def verify(target: TinyLM, context, draft_tokens) -> tuple[int, int]:
     return _accept(draft_tokens, np.argmax(fo.logits, axis=-1), len(context) - 1)
 
 
+def _check_draft(target: TinyLM, draft: Union[IndependentDraft, FeatureReuseDraft]):
+    """Reject a draft whose vocabulary or head shapes do not fit the target."""
+    d, vocab = target.config.d_model, target.config.vocab_size
+    if isinstance(draft, IndependentDraft):
+        if draft.model.config.vocab_size != vocab:
+            raise ConfigError(f"draft vocab_size {draft.model.config.vocab_size} "
+                              f"!= target vocab_size {vocab}")
+    elif (draft.w1.shape, draft.w2.shape) != ((2 * d, d), (d, d)):
+        raise ConfigError(f"feature-reuse head w1 {draft.w1.shape}, w2 "
+                          f"{draft.w2.shape} does not fit target d_model {d}")
+
+
 def decode_speculative(target: TinyLM, draft_cfg: DraftConfig, prompt,
                        max_new: int, trace: Optional[list] = None
                        ) -> tuple[list[int], SpecStats]:
@@ -147,6 +160,7 @@ def decode_speculative(target: TinyLM, draft_cfg: DraftConfig, prompt,
         raise ValueError("prompt must be nonempty")
     if max_new < 1:
         raise ValueError("max_new must be >= 1")
+    _check_draft(target, draft_cfg.draft)
 
     cache = KvCache.for_model(target.config)
     stats = SpecStats()

@@ -103,6 +103,16 @@ class TestCli:
         written = json.loads(capsys.readouterr().out)["written"]
         assert any(p.endswith("evict.csv") for p in written)
 
+    def test_evict_budget_below_policy_floor_named_up_front(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"seed": 0, "trials": 1, "model": TINY,
+                                   "task": {"context_len": 128}}))
+        assert main(["evict", "--config", str(cfg)]) != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError"
+        for part in ("attention_sink", "ratio 0.5", "budget 63"):
+            assert part in err["message"]
+
     def test_report_verification_roundtrip(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({

@@ -1,5 +1,8 @@
+import copy
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import edgelm as E
 from edgelm import kvcache as kvc
@@ -211,3 +214,69 @@ class TestTrace:
         replay_report = kvc.replay_trace(records, 1, E.HeavyHitter(recent=2), 5)
         assert live_report.layers[0].kept_indices == \
             replay_report.layers[0].kept_indices
+
+
+def _split(data, n):
+    """Random consecutive blocks covering range(n)."""
+    cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    return np.split(np.arange(n), cuts)
+
+
+def _kept_by_score(scores, mandatory, budget):
+    """Brute force: the mandatory set plus the highest scores, ties to recent."""
+    cand = sorted((i for i in range(scores.size) if i not in mandatory),
+                  key=lambda i: (-scores[i], -i))
+    return sorted(mandatory | set(cand[:max(0, budget - len(mandatory))]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_block_append_equals_single_appends_and_oracles(data):
+    n = data.draw(st.integers(1, 24))
+    window = data.draw(st.integers(1, 12))
+    # masses in sixteenths keep every sum exact, so a tie is a tie in the
+    # cache and in the oracle alike, whatever the summation order
+    rows = [np.array(data.draw(st.lists(st.integers(0, 16), min_size=p + 1,
+                                        max_size=p + 1))) / 16 for p in range(n)]
+    single = E.KvCache(1, 1, 1, window=window)
+    for p, row in enumerate(rows):
+        single.append(0, np.zeros((1, 1)), np.zeros((1, 1)), p, row)
+    block = E.KvCache(1, 1, 1, window=window)
+    for b in _split(data, n):
+        attn = np.zeros((b.size, b[-1] + 1))
+        for i, p in enumerate(b):
+            attn[i, :p + 1] = rows[p]
+        block.append_block(0, np.zeros((b.size, 1, 1)), np.zeros((b.size, 1, 1)), b, attn)
+    s, b = single.layers[0], block.layers[0]
+    np.testing.assert_array_equal(b.positions, s.positions)
+    assert len(b.rows) == len(s.rows) == min(n, window)
+    for rb, rs in zip(b.rows, s.rows):
+        np.testing.assert_array_equal(rb, rs)
+    np.testing.assert_allclose(b.acc, s.acc, rtol=0, atol=1e-12)
+
+    # H2O and SnapKV kept sets from the block-built cache, against test_04's oracle
+    recent = data.draw(st.integers(1, n))
+    budget = data.draw(st.integers(recent, n))
+    c = copy.deepcopy(block)
+    E.evict(c, E.HeavyHitter(recent=recent), budget)
+    acc = sum(np.pad(r, (0, n - r.size)) for r in rows)
+    assert c.kept_positions(0).tolist() == _kept_by_score(
+        acc, set(range(n - recent, n)), budget)
+
+    obs = data.draw(st.integers(1, min(n, window)))
+    kernel = data.draw(st.sampled_from([1, 3, 5]))
+    budget = data.draw(st.integers(obs, n))
+    c = copy.deepcopy(block)
+    E.evict(c, E.ObsWindow(obs=obs, pool_kernel=kernel), budget)
+    win = sum(np.pad(r, (0, n - r.size)) for r in rows[-obs:]) / obs
+    h = kernel // 2
+    pooled = np.array([win[max(0, j - h):j + h + 1].mean() for j in range(n)])
+    assert c.kept_positions(0).tolist() == _kept_by_score(
+        pooled, set(range(n - obs, n)), budget)
+
+
+def test_append_block_rejects_wrong_attention_shape():
+    c = make_cache(3)
+    with pytest.raises(ValueError):
+        c.append_block(0, np.zeros((2, 1, 2)), np.zeros((2, 1, 2)), [3, 4],
+                       np.zeros((2, 4)))

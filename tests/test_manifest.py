@@ -102,6 +102,27 @@ def test_inconsistent_header_rejected(name, mutate, files, tmp_path):
         load(path)
 
 
+@pytest.mark.parametrize("name, mutate, field", [
+    ("asym_sparse.edgelmq", lambda h: _first(h).pop("zero_points"), "zero_points"),
+    ("float.edgelm", lambda h: h["config"].update(n_experts=2), "n_experts"),
+    ("sym.edgelmq", lambda h: h["config"].pop("max_seq"), "max_seq"),
+    ("sym.edgelmq", lambda h: _first(h)["spec"].update(bits="4"), "bits"),
+    ("sym.edgelmq", lambda h: _first(h).update(codes=[0]), "codes"),
+    ("float.edgelm", lambda h: _first(h).update(name=["token_embed"]), "name"),
+    ("adapter.edgelma", lambda h: h.pop("alpha"), "alpha"),
+    ("adapter.edgelma", lambda h: _first(h).update(b_offset=None), "b_offset"),
+])
+def test_missing_or_mistyped_field_named(name, mutate, field, files, tmp_path):
+    load, _, magic = FORMATS[name]
+    path = tmp_path / name
+    path.write_bytes(files[name])
+    header, blobs = _manifest.read(path, magic)
+    mutate(header)
+    _manifest.write(path, magic, header, blobs)
+    with pytest.raises(ManifestError, match=field):
+        load(path)
+
+
 @pytest.mark.parametrize("raw", [
     b"EDGELM02" + struct.pack("<I", 2) + b"{}",    # wrong magic
     b"EDGELM01" + struct.pack("<I", 3) + b"{x}",   # header is not JSON

@@ -79,28 +79,3 @@ class TestRougeL:
 class TestTokenize:
     def test_lowercase_whitespace(self):
         assert E.tokenize("The  Cat\nsat") == ["the", "cat", "sat"]
-
-
-class TestSummarizeRuns:
-    def test_identical_runs(self):
-        r = E.RunRecord(target_forwards=10, wall_ns=100, tokens=[1, 2],
-                        cache_bytes=64)
-        rep = E.summarize_runs(r, r)
-        assert rep.speedup_forwards == 1.0
-        assert rep.memory_reduction == 0.0
-        assert rep.outputs_match
-
-    def test_half_forwards_doubles_speedup(self):
-        base = E.RunRecord(10, 200, [1, 2], 100)
-        meth = E.RunRecord(5, 100, [1, 2], 75)
-        rep = E.summarize_runs(base, meth)
-        assert rep.speedup_forwards == 2.0
-        assert rep.memory_reduction == pytest.approx(0.25)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            E.summarize_runs(E.RunRecord(1, 1, [1], 0), E.RunRecord(1, 1, [1, 2], 0))
-
-    def test_output_mismatch_flagged(self):
-        rep = E.summarize_runs(E.RunRecord(1, 1, [1], 8), E.RunRecord(1, 1, [2], 8))
-        assert not rep.outputs_match

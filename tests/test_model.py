@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import edgelm as E
 from edgelm.errors import ConfigError, ShapeError
@@ -147,12 +148,34 @@ class TestForward:
         np.testing.assert_allclose(base[:3], pert[:3], atol=1e-12)
         assert not np.allclose(base[3], pert[3])
 
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_blockwise_cache_matches_token_by_token(self, data):
+        m = E.init_model(small_config(), 3)
+        tokens = data.draw(st.lists(st.integers(0, 63), min_size=2, max_size=20))
+        more = data.draw(st.lists(st.integers(0, 63), min_size=1, max_size=6))
+        cuts = sorted(data.draw(st.sets(st.integers(1, len(tokens) - 1))))
+        drop = data.draw(st.integers(0, len(tokens) - 1))
+        blocks, steps = E.KvCache.for_model(m.config), E.KvCache.for_model(m.config)
+
+        def one_by_one(toks):
+            return np.vstack([E.forward(m, [t], cache=steps).logits for t in toks])
+
+        a = np.vstack([E.forward(m, part, cache=blocks).logits
+                       for part in np.split(np.array(tokens), cuts)])
+        np.testing.assert_allclose(a, one_by_one(tokens), rtol=0, atol=1e-9)
+        blocks.truncate(drop)
+        steps.truncate(drop)
+        np.testing.assert_allclose(E.forward(m, more, cache=blocks).logits,
+                                   one_by_one(more), rtol=0, atol=1e-9)
+
     def test_attention_rows_are_distributions(self):
         m = E.init_model(small_config(), 5)
-        fo = E.forward(m, [1, 2, 3, 4], capture_attn=True)
-        assert len(fo.attn_rows) == m.config.n_layers
-        for rows in fo.attn_rows:
-            for i, r in enumerate(rows):
+        c = E.KvCache.for_model(m.config)
+        E.forward(m, [1, 2, 3, 4], cache=c)
+        for layer in c.layers:
+            assert len(layer.rows) == 4
+            for i, r in enumerate(layer.rows):
                 assert r.size == i + 1
                 assert abs(r.sum() - 1.0) < 1e-9
                 assert np.all(r >= 0)

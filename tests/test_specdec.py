@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import edgelm as E
+from edgelm.errors import ConfigError
 from edgelm.specdec import SpecStats, propose, verify
 
 
@@ -145,3 +146,17 @@ class TestDecodeSpeculative:
             E.decode_speculative(target, E.DraftConfig(draft, 2), [1], 0)
         with pytest.raises(ValueError):
             E.DraftConfig(draft, 0)
+
+    def test_draft_vocab_must_match_target(self):
+        target = small_model(0)
+        draft = E.IndependentDraft(small_model(1, vocab_size=128))
+        with pytest.raises(ConfigError, match="vocab_size"):
+            E.decode_speculative(target, E.DraftConfig(draft, 2), [1], 4)
+        assert target.stats["forwards"] == 0
+
+    def test_feature_head_must_fit_target_width(self):
+        target = small_model(0)
+        head = E.FeatureReuseDraft.random_init(target.config.d_model // 2, 3)
+        with pytest.raises(ConfigError, match="d_model"):
+            E.decode_speculative(target, E.DraftConfig(head, 2), [1], 4)
+        assert target.stats["forwards"] == 0
