@@ -12,17 +12,15 @@ from .model import (ForwardOutput, ModelConfig, PatchGrid, TinyLM, apply_rope,
                     slot_rng)
 from .kvcache import (AttentionSink, EvictionReport, HeavyHitter, Hybrid,
                       KvCache, LayerReport, ObsWindow, RandomPolicy,
-                      cache_bytes, evict, eviction_ratio, export_trace,
-                      import_trace, replay_trace, score_hybrid)
+                      cache_bytes, evict, eviction_ratio, score_hybrid)
 from .specdec import (DraftConfig, FeatureReuseDraft, IndependentDraft,
                       SpecStats, block_efficiency, decode_speculative,
-                      propose, verify)
+                      propose)
 from .quant import (PrecisionPlan, QuantSpec, QuantTensor, Structured,
                     Unstructured, assign_precision, bpw, bpw_exact,
-                    dequantize, fake_quant, load_quant_model, pack_bits,
-                    plan_bpw, plan_bpw_exact, ptq_model, quantize,
-                    save_quant_model, sparsify, top1_overlap, uniform_plan,
-                    unpack_bits)
+                    fake_quant, load_quant_model, pack_bits, plan_bpw,
+                    plan_bpw_exact, ptq_model, quantize, save_quant_model,
+                    sparsify, top1_overlap, uniform_plan, unpack_bits)
 from .lora import (AdapterRegistry, LinearFit, LoraAdapter, create_adapter,
                    load_adapter, merge, qalft_fit, qalft_gradient_check,
                    save_adapter, save_registry_manifest)
@@ -36,6 +34,6 @@ from .trainmath import (CaptionStats, FilterDecision, Image, InterleavedDoc,
                         select_by_difficulty, total_reward)
 from .metrics import (ROUGE_VARIANT, RougeScore, lcs_length, rouge_l, rouge_n,
                       tokenize)
-from .tasks import NeedleSample, gen_copy, gen_dialogue, gen_needle
+from .tasks import NeedleSample, gen_copy, gen_needle
 
 __version__ = "0.1.0"

@@ -35,6 +35,7 @@ class Blobs:
         """Copy out the array of ``dtype`` and ``shape`` stored at ``offset``.
 
         ``length``, when the header records one, must equal the array's size.
+        A float array must be finite.
         """
         if (not isinstance(shape, (list, tuple))
                 or not all(type(n) is int and n >= 0 for n in shape)):
@@ -47,7 +48,10 @@ class Blobs:
         if type(offset) is not int or offset < 0 or offset + size > len(self.data):
             raise ManifestError(f"blob of {size} bytes at offset {offset!r} lies "
                                 f"outside the {len(self.data)}-byte blob region")
-        return np.frombuffer(self.data, dtype, count, offset).reshape(shape).copy()
+        arr = np.frombuffer(self.data, dtype, count, offset).reshape(shape).copy()
+        if dtype.kind == "f" and not np.isfinite(arr).all():
+            raise ManifestError(f"blob at offset {offset} holds non-finite values")
+        return arr
 
 
 def write(path, magic: bytes, header: dict, blobs: Blobs):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -29,6 +30,8 @@ from .tasks import gen_needle
 
 ARTIFACT_VERSION = "0.1.0"
 
+_JSON_TYPES = {int: "integer", float: "number", bool: "boolean"}
+
 CONFIG_SCHEMA = {
     "type": "object",
     "properties": {
@@ -36,13 +39,8 @@ CONFIG_SCHEMA = {
         "trials": {"type": "integer", "minimum": 1},
         "model": {
             "type": "object",
-            "properties": {
-                "vocab_size": {"type": "integer"}, "d_model": {"type": "integer"},
-                "n_layers": {"type": "integer"}, "n_heads": {"type": "integer"},
-                "n_kv_heads": {"type": "integer"}, "head_dim": {"type": "integer"},
-                "ffn_mult": {"type": "integer"}, "rope_theta": {"type": "number"},
-                "tie_embeddings": {"type": "boolean"}, "max_seq": {"type": "integer"},
-            },
+            "properties": {f.name: {"type": _JSON_TYPES[type(f.default)]}
+                           for f in dataclasses.fields(ModelConfig)},
             "additionalProperties": False,
         },
         "task": {"type": "object"},
@@ -231,12 +229,10 @@ def run_spec_bench(config: dict) -> dict:
                     "rounds": stats.rounds, "proposed": stats.proposed,
                     "accepted": stats.accepted, "emitted": stats.emitted,
                     "target_forwards": target.stats["forwards"],
-                    "forward_speedup": max_new / stats.rounds,
                 })
                 for rec in trace:
                     trace_rows.append({"trial": t, "draft_kind": kind, "k": k, **rec})
-    report = _make_report(config, rows,
-                          agg_fields=("block_efficiency", "forward_speedup"))
+    report = _make_report(config, rows, agg_fields=("block_efficiency",))
     report["round_trace"] = trace_rows
     return report
 

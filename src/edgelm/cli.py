@@ -13,7 +13,7 @@ import numpy as np
 
 from . import bench
 from .metrics import rouge_l, rouge_n, tokenize
-from .model import ModelConfig, greedy_decode, init_model
+from .model import greedy_decode
 from .trainmath import MpoWeights, PrefBatch, mpo_joint_loss
 
 
@@ -38,13 +38,15 @@ def _emit(args, report: dict, name: str):
 
 
 def cmd_gen(args) -> int:
-    seed = args.seed if args.seed is not None else 0
-    config = _load_config(args) if args.config else {"seed": seed}
-    model = init_model(ModelConfig(**config.get("model", {})), config["seed"])
-    rng = np.random.default_rng(config["seed"])
-    prompt = (json.loads(args.prompt) if args.prompt
-              else [int(x) for x in rng.integers(0, model.config.vocab_size,
-                                                 size=8)])
+    config = _load_config(args)
+    model = bench.model_from_config(config, config["seed"])
+    if args.prompt:
+        prompt = json.loads(args.prompt)
+        if not isinstance(prompt, list) or not all(type(t) is int for t in prompt):
+            raise ValueError("--prompt must be a JSON list of integer token ids")
+    else:
+        rng = np.random.default_rng(config["seed"])
+        prompt = rng.integers(0, model.config.vocab_size, size=8).tolist()
     tokens = greedy_decode(model, prompt, args.max_new)
     print(json.dumps({"prompt": prompt, "tokens": tokens}))
     return 0

@@ -11,10 +11,9 @@ layer, and pruned on eviction.
 """
 from __future__ import annotations
 
-import json
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -94,11 +93,6 @@ class LayerReport:
     kept_indices: list[int]
     evicted_count: int
     budget: int
-
-    @property
-    def eviction_ratio(self) -> float:
-        total = len(self.kept_indices) + self.evicted_count
-        return self.evicted_count / total
 
 
 @dataclass
@@ -304,6 +298,11 @@ def evict(cache: KvCache, policy: EvictionPolicy, budget: int) -> EvictionReport
     if budget < policy.floor():
         raise ConfigError(
             f"budget {budget} below the policy's mandatory floor {policy.floor()}")
+    scores_rows = isinstance(policy, ObsWindow) or (
+        isinstance(policy, Hybrid) and policy.lambda_win > 0)
+    if scores_rows and policy.obs > cache.window:
+        raise ConfigError(f"observation window {policy.obs} exceeds the cache's "
+                          f"{cache.window}-row window")
     reports = []
     for li, ls in enumerate(cache.layers):
         n = ls.kept
@@ -328,35 +327,3 @@ def eviction_ratio(report: EvictionReport) -> float:
         raise ValueError("eviction ratio undefined for an empty cache")
     return evicted / (kept + evicted)
 
-
-# --- attention trace export / replay ----------------------------------------
-
-def export_trace(path, records):
-    """JSON-lines trace: one record per (layer, step) with the attention row."""
-    with open(path, "w") as f:
-        for layer, step, row in records:
-            f.write(json.dumps({"layer": layer, "step": step,
-                                "row": [float(x) for x in row]}) + "\n")
-
-
-def import_trace(path):
-    records = []
-    with open(path) as f:
-        for line in f:
-            if line.strip():
-                d = json.loads(line)
-                records.append((d["layer"], d["step"], np.asarray(d["row"])))
-    return records
-
-
-def replay_trace(records, n_layers: int, policy: EvictionPolicy, budget: int,
-                 window: int = 32) -> EvictionReport:
-    """Rebuild score state from a trace (zero K/V) and run one eviction."""
-    cache = KvCache(n_layers=n_layers, n_kv_heads=1, head_dim=1, window=window)
-    by_layer: dict[int, list] = {l: [] for l in range(n_layers)}
-    for layer, step, row in records:
-        by_layer[layer].append((step, row))
-    for layer, items in by_layer.items():
-        for step, row in sorted(items, key=lambda t: t[0]):
-            cache.append(layer, np.zeros((1, 1)), np.zeros((1, 1)), step, row)
-    return evict(cache, policy, budget)

@@ -12,7 +12,7 @@ eviction policies can score positions.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -50,6 +50,8 @@ class ModelConfig:
         if self.d_model != self.n_heads * self.head_dim:
             raise ConfigError(
                 f"d_model ({self.d_model}) != n_heads * head_dim ({self.n_heads * self.head_dim})")
+        if self.head_dim % 2 != 0:
+            raise ConfigError(f"head_dim ({self.head_dim}) must be even: rope rotates pairs")
         if self.rope_theta <= 0:
             raise ConfigError("rope_theta must be positive")
 
@@ -79,13 +81,7 @@ class ModelConfig:
         return shapes
 
     def to_dict(self) -> dict:
-        return {
-            "vocab_size": self.vocab_size, "d_model": self.d_model,
-            "n_layers": self.n_layers, "n_heads": self.n_heads,
-            "n_kv_heads": self.n_kv_heads, "head_dim": self.head_dim,
-            "ffn_mult": self.ffn_mult, "rope_theta": self.rope_theta,
-            "tie_embeddings": self.tie_embeddings, "max_seq": self.max_seq,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

@@ -183,10 +183,6 @@ def quantize(tensor: np.ndarray, spec: QuantSpec,
                        spec=spec, group_index=group_index, mask=mask)
 
 
-def dequantize(qt: QuantTensor) -> np.ndarray:
-    return qt.dequantize()
-
-
 def fake_quant(x: np.ndarray, bits: int, scheme: str = "symmetric") -> np.ndarray:
     """Quantize-then-dequantize in one pass, per-tensor dynamic range."""
     if bits not in (8, 16):
@@ -266,7 +262,6 @@ def bpw(qt: QuantTensor, sparsity: Optional[SparsitySpec] = None) -> float:
 class PrecisionPlan:
     specs: dict[str, QuantSpec]
     sparsity: dict[str, SparsitySpec] = field(default_factory=dict)
-    bpw_budget: Optional[float] = None
 
     def validate_for(self, model: TinyLM):
         slots = set(model.config.slot_shapes())
@@ -361,17 +356,17 @@ def assign_precision(model: TinyLM, calibration, bpw_budget: float,
     calibration = [list(s) for s in calibration]
     if not calibration:
         raise ValueError("calibration set must be nonempty")
+    base = uniform_plan(model, 8, scheme=scheme, group_size=group_size).specs
+    slots = list(base)
 
     def make_plan(levels: dict[str, int]) -> PrecisionPlan:
-        base = uniform_plan(model, 8, scheme=scheme, group_size=group_size)
-        specs = {name: replace(spec, bits=levels[name])
-                 for name, spec in base.specs.items()}
-        return PrecisionPlan(specs=specs)
+        return PrecisionPlan(specs={s: replace(base[s], bits=levels[s]) for s in slots})
 
-    slots = list(model.config.slot_shapes())
-    lo = plan_bpw(model, make_plan({s: 2 for s in slots}))
-    hi = plan_bpw(model, make_plan({s: 8 for s in slots}))
-    if bpw_budget < lo:
+    def fits(levels: dict[str, int]) -> bool:
+        return plan_bpw(model, make_plan(levels)) <= bpw_budget
+
+    lo = plan_bpw(model, make_plan(dict.fromkeys(slots, 2)))
+    if not bpw_budget >= lo:  # a NaN budget fails here too
         raise ConfigError(f"budget {bpw_budget} below minimum achievable {lo}")
 
     ref_preds = [np.argmax(forward(model, seq).logits, axis=-1) for seq in calibration]
@@ -380,9 +375,8 @@ def assign_precision(model: TinyLM, calibration, bpw_budget: float,
     def quantized_slot(name: str, bits: int) -> QuantTensor:
         key = (name, bits)
         if key not in qt_cache:
-            plan = uniform_plan(model, bits, scheme=scheme, group_size=group_size)
             qt_cache[key] = quantize(np.asarray(model.weight(name), dtype=np.float64),
-                                     plan.specs[name])
+                                     replace(base[name], bits=bits))
         return qt_cache[key]
 
     def overlap_for(levels: dict[str, int]) -> float:
@@ -395,46 +389,30 @@ def assign_precision(model: TinyLM, calibration, bpw_budget: float,
             total += len(seq)
         return agree / total
 
-    levels = {s: 8 for s in slots}
-    while plan_bpw(model, make_plan(levels)) > bpw_budget:
-        best = None
+    def best_step(levels: dict[str, int], step: int):
+        """Levels with the one-rung move (+1 demotes, -1 promotes within the
+        budget) that keeps the most overlap, first slot on ties; None if none."""
+        best, best_ov = None, None
         for s in slots:
-            i = _LADDER.index(levels[s])
-            if i + 1 >= len(_LADDER):
+            i = _LADDER.index(levels[s]) + step
+            if not 0 <= i < len(_LADDER):
                 continue
-            trial = dict(levels)
-            trial[s] = _LADDER[i + 1]
+            trial = {**levels, s: _LADDER[i]}
+            if step < 0 and not fits(trial):
+                continue
             ov = overlap_for(trial)
-            if best is None or ov > best[1]:
-                best = (s, ov)
-        if best is None:
-            raise ConfigError("cannot demote further; budget infeasible")
-        s = best[0]
-        levels[s] = _LADDER[_LADDER.index(levels[s]) + 1]
+            if best is None or ov > best_ov:
+                best, best_ov = trial, ov
+        return best
 
+    # every slot at 2 bits fits (checked above), so demotion always finds a move
+    levels = dict.fromkeys(slots, 8)
+    while not fits(levels):
+        levels = best_step(levels, +1)
     # local maximality: promote back anything that still fits the budget
-    improved = True
-    while improved:
-        improved = False
-        best = None
-        for s in slots:
-            i = _LADDER.index(levels[s])
-            if i == 0:
-                continue
-            trial = dict(levels)
-            trial[s] = _LADDER[i - 1]
-            if plan_bpw(model, make_plan(trial)) <= bpw_budget:
-                ov = overlap_for(trial)
-                if best is None or ov > best[1]:
-                    best = (s, ov)
-        if best is not None:
-            s = best[0]
-            levels[s] = _LADDER[_LADDER.index(levels[s]) - 1]
-            improved = True
-
-    plan = make_plan(levels)
-    plan.bpw_budget = bpw_budget
-    return plan
+    while (promoted := best_step(levels, -1)) is not None:
+        levels = promoted
+    return make_plan(levels)
 
 
 # --- packed manifest ----------------------------------------------------------
@@ -512,8 +490,14 @@ def load_quant_model(path) -> TinyLM:
         packed = _blob(blobs, entry, "codes", np.uint8, [(count * spec.bits + 7) // 8])
         codes = unpack_bits(packed, spec.bits, count)
         if spec.scheme == "symmetric":
-            codes = codes - (2 ** (spec.bits - 1) - 1)
+            qmax = 2 ** (spec.bits - 1) - 1
+            codes = codes - qmax
+            if codes.max() > qmax:
+                raise ManifestError(f"slot {entry['name']}: symmetric code "
+                                    f"{int(codes.max())} exceeds qmax {qmax}")
         scales = _blob(blobs, entry, "scales", "<f8", [n_groups])
+        if not (scales > 0).all():
+            raise ManifestError(f"slot {entry['name']}: scales must be positive")
         zps = None
         if spec.scheme == "asymmetric":
             zps = _blob(blobs, entry, "zero_points", "<i4", [n_groups])

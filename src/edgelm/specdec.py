@@ -7,7 +7,7 @@ stream is token-identical to plain greedy decoding regardless of draft quality.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
@@ -113,25 +113,11 @@ def propose(draft_cfg: DraftConfig, target: TinyLM, context, k: int,
 
 def _accept(draft: list[int], preds: np.ndarray, base: int) -> tuple[int, int]:
     """Longest prefix of the draft matching the target argmax ``preds[base:]``:
-    (accepted length, target token after it)."""
+    (accepted length, the target's correction or bonus token after it)."""
     acc = 0
     while acc < len(draft) and draft[acc] == int(preds[base + acc]):
         acc += 1
     return acc, int(preds[base + acc])
-
-
-def verify(target: TinyLM, context, draft_tokens) -> tuple[int, int]:
-    """One batched target pass over context+draft; longest matching prefix.
-
-    Returns (accepted_len, next_token) where next_token is the target argmax
-    at the first mismatch, or the bonus token when the whole draft matches.
-    """
-    context = list(int(t) for t in context)
-    draft_tokens = list(int(t) for t in draft_tokens)
-    if not draft_tokens:
-        raise ValueError("draft must be nonempty")
-    fo = forward(target, context + draft_tokens)
-    return _accept(draft_tokens, np.argmax(fo.logits, axis=-1), len(context) - 1)
 
 
 def _check_draft(target: TinyLM, draft: Union[IndependentDraft, FeatureReuseDraft]):

@@ -1,4 +1,4 @@
-"""Synthetic corpora for the benchmarks: needle retrieval, copy, dialogue.
+"""Synthetic corpora for the benchmarks: needle retrieval and copy.
 
 The needle task builds a long low-entropy filler context with one planted
 key/value fact and a trailing query that repeats the key. The value span is a
@@ -59,31 +59,3 @@ def gen_copy(length: int, seed: int) -> dict:
     payload = [int(t) for t in rng.integers(*FILLER_RANGE, size=length)]
     return {"prompt": payload + [QUERY_MARKER], "expected": payload}
 
-
-DEMO_ENTITY_LEXICON = (
-    "dog", "cat", "car", "tree", "house", "phone", "river", "mountain",
-    "red", "blue", "green", "yellow",
-)
-DEMO_COLOR_WORDS = ("red", "blue", "green", "yellow", "orange", "pink")
-
-_FILLER_WORDS = ("the", "a", "was", "near", "and", "with", "very", "then",
-                 "saw", "old", "small", "big")
-
-
-def gen_dialogue(turns: int, seed: int,
-                 lexicon=DEMO_ENTITY_LEXICON) -> dict:
-    """Tiny dialogue transcript plus an entity-bearing reference summary."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed & (2**64 - 1), 0xD1]))
-    lines = []
-    entities = []
-    for t in range(turns):
-        ent = lexicon[int(rng.integers(0, len(lexicon)))]
-        entities.append(ent)
-        words = [_FILLER_WORDS[int(rng.integers(0, len(_FILLER_WORDS)))]
-                 for _ in range(int(rng.integers(3, 7)))]
-        words.insert(int(rng.integers(0, len(words) + 1)), ent)
-        speaker = "A" if t % 2 == 0 else "B"
-        lines.append(f"{speaker}: " + " ".join(words))
-    summary = " ".join(dict.fromkeys(entities))  # unique entities, in order
-    return {"dialogue": "\n".join(lines), "summary": summary,
-            "entities": entities}

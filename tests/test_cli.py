@@ -91,6 +91,12 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert len(out["tokens"]) == len(out["prompt"]) + 4
 
+    @pytest.mark.parametrize("prompt", ["[1.5, 2.9, true]", "[1, true]", '{"a": 1}', "7"])
+    def test_gen_prompt_must_be_a_list_of_ints(self, prompt, capsys):
+        assert main(["gen", "--prompt", prompt, "--max-new", "2"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "--prompt" in err["message"]
+
     def test_evict_with_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({

@@ -67,6 +67,13 @@ class TestPolicyValidation:
         with pytest.raises(ConfigError):
             E.ObsWindow(obs=4, pool_kernel=4)
 
+    def test_observation_window_beyond_row_window_rejected(self):
+        c = make_cache(20, window=8)
+        for pol in (E.ObsWindow(obs=16), E.Hybrid(obs=16)):
+            with pytest.raises(ConfigError, match="observation window 16 .* 8-row"):
+                E.evict(c, pol, 18)
+        E.evict(c, E.Hybrid(lambda_win=0, obs=16), 18)  # the rows go unused
+
     def test_hybrid_weights_validated(self):
         with pytest.raises(ConfigError):
             E.Hybrid(lambda_sink=0, lambda_recent=0, lambda_acc=0, lambda_win=0)
@@ -184,38 +191,6 @@ class TestHybridScore:
         np.testing.assert_allclose(s, [0.0, 0.25 * 0.5 + 0.25 * 0.5, 0.75])
 
 
-class TestTrace:
-    def test_export_import_replay(self, tmp_path):
-        rng = np.random.default_rng(0)
-        records = []
-        for layer in range(2):
-            for step in range(10):
-                row = rng.random(step + 1)
-                records.append((layer, step, row / row.sum()))
-        p = tmp_path / "trace.jsonl"
-        kvc.export_trace(p, records)
-        back = kvc.import_trace(p)
-        assert len(back) == len(records)
-        np.testing.assert_allclose(back[3][2], records[3][2])
-        report = kvc.replay_trace(back, 2, E.HeavyHitter(recent=1), 4)
-        assert all(len(l.kept_indices) <= 4 for l in report.layers)
-
-    def test_replay_matches_live_eviction(self, tmp_path):
-        # the same rows through a live cache and through replay agree
-        rng = np.random.default_rng(5)
-        records = []
-        live = E.KvCache(1, 1, 1, window=32)
-        for step in range(12):
-            row = rng.random(step + 1)
-            row /= row.sum()
-            records.append((0, step, row))
-            live.append(0, np.zeros((1, 1)), np.zeros((1, 1)), step, row)
-        live_report = E.evict(live, E.HeavyHitter(recent=2), 5)
-        replay_report = kvc.replay_trace(records, 1, E.HeavyHitter(recent=2), 5)
-        assert live_report.layers[0].kept_indices == \
-            replay_report.layers[0].kept_indices
-
-
 def _split(data, n):
     """Random consecutive blocks covering range(n)."""
     cuts = sorted(data.draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
@@ -280,3 +255,53 @@ def test_append_block_rejects_wrong_attention_shape():
     with pytest.raises(ValueError):
         c.append_block(0, np.zeros((2, 1, 2)), np.zeros((2, 1, 2)), [3, 4],
                        np.zeros((2, 4)))
+
+
+def _draw_policy(data, window):
+    """A random policy of each kind, with the entries it must keep: the
+    first ``head`` and the last ``tail`` indices."""
+    kind = data.draw(st.sampled_from(["sink", "heavy", "obs", "hybrid", "random"]))
+    obs = st.integers(1, window)
+    kernel = st.sampled_from([1, 3, 5])
+    if kind == "sink":
+        p = E.AttentionSink(sinks=data.draw(st.integers(0, 4)),
+                            window=data.draw(st.integers(1, 6)))
+        return p, p.sinks, p.window
+    if kind == "heavy":
+        p = E.HeavyHitter(recent=data.draw(st.integers(1, 6)))
+        return p, 0, p.recent
+    if kind == "obs":
+        p = E.ObsWindow(obs=data.draw(obs), pool_kernel=data.draw(kernel))
+        return p, 0, p.obs
+    if kind == "hybrid":
+        lams = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=4,
+                                  max_size=4).filter(any))
+        p = E.Hybrid(*lams, sinks=data.draw(st.integers(0, 4)), obs=data.draw(obs),
+                     pool_kernel=data.draw(kernel))
+        return p, 0, p.obs if p.lambda_win > 0 else 1
+    return E.RandomPolicy(seed=data.draw(st.integers(0, 2**32))), 0, 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_eviction_invariants_hold_for_every_policy(data):
+    n = data.draw(st.integers(1, 40))
+    window = data.draw(st.integers(1, 12))
+    policy, head, tail = _draw_policy(data, window)
+    budget = data.draw(st.integers(policy.floor(), max(policy.floor(), n + 2)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    # positions with gaps, so kept indices and kept positions differ
+    positions = np.cumsum(rng.integers(1, 4, n))
+    cache = E.KvCache(2, 1, 1, window=window)
+    for li in range(2):
+        attn = np.tril(rng.integers(0, 17, (n, n))) / 16
+        cache.append_block(li, rng.normal(size=(n, 1, 1)), rng.normal(size=(n, 1, 1)),
+                           positions, attn)
+    report = E.evict(cache, policy, budget)
+    mandatory = set(range(min(head, n))) | set(range(max(0, n - tail), n))
+    for li, lr in enumerate(report.layers):
+        kept = cache.kept_positions(li)
+        assert kept.size == len(lr.kept_indices) == n - lr.evicted_count <= budget
+        assert mandatory <= set(lr.kept_indices)
+        assert np.all(np.diff(kept) > 0)
+        np.testing.assert_array_equal(kept, positions[lr.kept_indices])

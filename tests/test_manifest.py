@@ -123,6 +123,48 @@ def test_missing_or_mistyped_field_named(name, mutate, field, files, tmp_path):
         load(path)
 
 
+def _nan_weight(m):
+    m.weights["token_embed"][0, 0] = np.nan
+
+
+def _inf_adapter(a):
+    a.A["layers.0.wq"][0, 0] = np.inf
+
+
+def _scale(value):
+    def poison(m):
+        qt = m.weights["layers.0.wq"]
+        qt.scales = np.full_like(qt.scales, value)
+    return poison
+
+
+def _top_code(m):
+    # the largest packed value, 2^b - 1, decodes to qmax + 1
+    qt = m.weights["layers.0.wq"]
+    qt.codes = qt.codes.copy()
+    qt.codes.flat[0] = 2 ** (qt.spec.bits - 1)
+
+
+@pytest.mark.parametrize("name, poison, match", [
+    ("float.edgelm", _nan_weight, "non-finite"),
+    ("adapter.edgelma", _inf_adapter, "non-finite"),
+    ("sym.edgelmq", _scale(np.inf), "non-finite"),
+    ("asym_sparse.edgelmq", _scale(0.0), "positive"),
+    ("sym.edgelmq", _scale(-1.0), "positive"),
+    ("sym.edgelmq", _top_code, "qmax"),
+], ids=["model-nan", "adapter-inf", "scale-inf", "scale-zero", "scale-negative",
+        "code-above-qmax"])
+def test_values_the_writer_never_stores_rejected(name, poison, match, files, tmp_path):
+    load, save, _ = FORMATS[name]
+    path = tmp_path / name
+    path.write_bytes(files[name])
+    obj = load(path)
+    poison(obj)
+    save(obj, path)
+    with pytest.raises(ManifestError, match=match):
+        load(path)
+
+
 @pytest.mark.parametrize("raw", [
     b"EDGELM02" + struct.pack("<I", 2) + b"{}",    # wrong magic
     b"EDGELM01" + struct.pack("<I", 3) + b"{x}",   # header is not JSON

@@ -26,6 +26,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(d_model=48)
 
+    def test_odd_head_dim_rejected(self):
+        # rope rotates pairs, so forward could not run on it
+        with pytest.raises(ConfigError, match="head_dim"):
+            E.ModelConfig(d_model=12, n_heads=4, n_kv_heads=2, head_dim=3)
+
     def test_positive_fields_enforced(self):
         with pytest.raises(ConfigError):
             small_config(n_layers=0)

@@ -266,8 +266,9 @@ class TestAssignPrecision:
 
     def test_infeasible_budget_rejected(self):
         m = small_model(7)
-        with pytest.raises(ConfigError):
-            E.assign_precision(m, [[1, 2]], 1.0, group_size=8)
+        for budget in (1.0, float("nan")):
+            with pytest.raises(ConfigError):
+                E.assign_precision(m, [[1, 2]], budget, group_size=8)
 
     def test_generous_budget_keeps_8_bits(self):
         m = small_model(7)

@@ -3,7 +3,7 @@ import pytest
 
 import edgelm as E
 from edgelm.errors import ConfigError
-from edgelm.specdec import SpecStats, propose, verify
+from edgelm.specdec import SpecStats, propose
 
 
 def small_model(seed=0, **kw):
@@ -55,25 +55,6 @@ class TestPropose:
             fr.load_head(np.zeros((3, 3)), np.zeros((8, 8)))
 
 
-class TestVerify:
-    def test_perfect_draft_full_accept(self):
-        target = small_model(3)
-        ctx = [4, 9]
-        ref = E.greedy_decode(target, ctx, 5)[len(ctx):]
-        acc, nxt = verify(target, ctx, ref[:4])
-        assert acc == 4
-        assert nxt == ref[4]  # bonus token
-
-    def test_first_token_mismatch(self):
-        target = small_model(3)
-        ctx = [4, 9]
-        ref = E.greedy_decode(target, ctx, 1)[-1]
-        wrong = (ref + 1) % target.config.vocab_size
-        acc, nxt = verify(target, ctx, [wrong, 0, 0])
-        assert acc == 0
-        assert nxt == ref
-
-
 class TestDecodeSpeculative:
     @pytest.mark.parametrize("k", [1, 3, 5])
     def test_lossless_independent(self, k):
@@ -102,6 +83,24 @@ class TestDecodeSpeculative:
                                               [1], max_new)
             assert len(out) == 1 + max_new
             assert stats.emitted == max_new
+
+    def test_self_draft_accepts_the_whole_draft(self):
+        target = small_model(3)
+        prompt = [4, 9]
+        out, stats = E.decode_speculative(
+            target, E.DraftConfig(E.IndependentDraft(target), 4), prompt, 5)
+        assert (stats.rounds, stats.accepted) == (1, 4)  # 4 drafted + bonus
+        assert out == E.greedy_decode(target, prompt, 5)
+
+    def test_first_token_mismatch_every_round(self):
+        target = small_model(3)
+        prompt = [4, 9]
+        ref = E.greedy_decode(target, prompt, 6)
+        assert 0 not in ref[len(prompt):]  # the zero head always proposes 0
+        draft = E.FeatureReuseDraft.zero_init(target.config.d_model)
+        out, stats = E.decode_speculative(target, E.DraftConfig(draft, 4), prompt, 6)
+        assert (stats.rounds, stats.accepted) == (6, 0)
+        assert out == ref
 
     def test_self_draft_attains_k_plus_1(self):
         target = small_model(8)

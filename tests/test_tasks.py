@@ -44,21 +44,3 @@ class TestCopy:
         assert c["prompt"][-1] == tasks.QUERY_MARKER
         assert c["prompt"][:-1] == c["expected"]
 
-
-class TestDialogue:
-    def test_structure(self):
-        d = E.gen_dialogue(6, seed=0)
-        lines = d["dialogue"].split("\n")
-        assert len(lines) == 6
-        assert all(l.startswith(("A: ", "B: ")) for l in lines)
-        assert len(d["entities"]) == 6
-
-    def test_summary_has_unique_entities_in_order(self):
-        d = E.gen_dialogue(10, seed=3)
-        summary = d["summary"].split()
-        assert summary == list(dict.fromkeys(d["entities"]))
-
-    def test_entities_appear_in_their_turns(self):
-        d = E.gen_dialogue(5, seed=7)
-        for line, ent in zip(d["dialogue"].split("\n"), d["entities"]):
-            assert ent in line.split()
