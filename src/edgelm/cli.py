@@ -111,14 +111,12 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="toy LLM serving lab")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def config_args(sp):
         sp.add_argument("--config", help="experiment config JSON")
         sp.add_argument("--seed", type=int, help="override the config seed")
-        sp.add_argument("--out", help="report output directory")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
 
     sp = sub.add_parser("gen", help="greedy generation from a fresh model")
-    common(sp)
+    config_args(sp)
     sp.add_argument("--prompt", help="JSON list of token ids")
     sp.add_argument("--max-new", type=int, default=16)
     sp.set_defaults(func=cmd_gen)
@@ -129,7 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
             ("quant", cmd_quant, "quantization bpw/overlap benchmark"),
             ("lora-demo", cmd_lora_demo, "adapter registry + fitting demo")):
         sp = sub.add_parser(name, help=help_text)
-        common(sp)
+        config_args(sp)
+        sp.add_argument("--out", help="report output directory")
+        sp.add_argument("--format", choices=["json", "csv"], default="json")
         sp.set_defaults(func=fn)
 
     sp = sub.add_parser("losses", help="evaluate alignment losses on a batch")

@@ -4,6 +4,13 @@ Policies: attention-sink (positional), heavy-hitter (accumulated attention
 mass), observation-window (pooled attention of the last W queries), a
 weighted hybrid over all four signal types, and a random control.
 
+Each layer keeps its entries in capacity-doubling buffers (a single-sequence
+take on PagedAttention's KV blocks): ``forward`` stages its new keys and
+values in spare capacity and attends over one view of the layer,
+``append_block`` commits them, ``truncate`` shortens the kept length and
+``evict`` gathers the kept entries in place. The arrays a layer exposes are
+views, valid until the next append, truncate or evict.
+
 Score state lives with the cache: an accumulated-mass vector and a ring
 buffer of recent head-averaged attention rows. Both are built by
 ``append_block`` from the one attention block each forward hands over per
@@ -103,16 +110,40 @@ class EvictionReport:
 # --- cache -------------------------------------------------------------------
 
 class _LayerStore:
+    """One layer's entries in the first ``kept`` slots of capacity-doubling
+    buffers. ``keys``, ``values``, ``positions`` and ``acc`` are views over
+    those slots, valid until the next append, truncate or evict."""
+
     def __init__(self, n_kv_heads: int, head_dim: int, window: int):
-        self.keys = np.zeros((0, n_kv_heads, head_dim))
-        self.values = np.zeros((0, n_kv_heads, head_dim))
-        self.positions = np.zeros(0, dtype=np.int64)
-        self.acc = np.zeros(0)                       # accumulated attention mass
+        self.kept = 0
+        self._keys = np.zeros((0, n_kv_heads, head_dim))
+        self._values = np.zeros((0, n_kv_heads, head_dim))
+        self._positions = np.zeros(0, dtype=np.int64)
+        self._acc = np.zeros(0)                      # accumulated attention mass
         self.rows: deque[np.ndarray] = deque(maxlen=window)
 
-    @property
-    def kept(self) -> int:
-        return self.positions.size
+    keys = property(lambda self: self._keys[:self.kept])
+    values = property(lambda self: self._values[:self.kept])
+    positions = property(lambda self: self._positions[:self.kept])
+    acc = property(lambda self: self._acc[:self.kept])
+
+    def reserve(self, n: int):
+        """Make room for n more entries, doubling the capacity when it grows."""
+        need = self.kept + n
+        if need <= self._positions.size:
+            return
+        cap = max(need, 2 * self._positions.size, 16)
+        for name in ("_keys", "_values", "_positions", "_acc"):
+            old = getattr(self, name)
+            new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
+            new[:self.kept] = old[:self.kept]
+            setattr(self, name, new)
+
+    def gather(self, idx: np.ndarray):
+        """Keep only the entries at the sorted indices idx, in place."""
+        for buf in (self._keys, self._values, self._positions, self._acc):
+            buf[:idx.size] = buf[idx]
+        self.kept = idx.size
 
 
 class KvCache:
@@ -130,13 +161,26 @@ class KvCache:
     def next_position(self) -> int:
         mx = -1
         for ls in self.layers:
-            if ls.positions.size:
+            if ls.kept:
                 mx = max(mx, int(ls.positions[-1]))
         return mx + 1
 
     def layer_kv(self, layer: int):
+        """Views of the layer's keys, values and positions (see _LayerStore)."""
         ls = self.layers[layer]
         return ls.keys, ls.values, ls.positions
+
+    def stage(self, layer: int, k: np.ndarray, v: np.ndarray):
+        """Write n new keys and values [n, n_kv_heads, head_dim] into the
+        layer's spare capacity, uncommitted until :meth:`append_block`, and
+        return the keys and values of the kept+n entries as views; the kept
+        entries are not copied."""
+        ls = self.layers[layer]
+        ls.reserve(k.shape[0])
+        end = ls.kept + k.shape[0]
+        ls._keys[ls.kept:end] = k
+        ls._values[ls.kept:end] = v
+        return ls._keys[:end], ls._values[:end]
 
     def kept(self, layer: int) -> int:
         return self.layers[layer].kept
@@ -155,7 +199,8 @@ class KvCache:
         ``attn`` is the head-averaged attention of the n new queries over the
         kept+n keys, shape [n, kept+n], zero above the causal diagonal. Its
         column sums extend the accumulated mass, and its last rows (each cut
-        at its own query) enter the window of recent rows.
+        at its own query) enter the window of recent rows. Only the n new
+        rows are written; the kept entries are not copied.
         """
         ls = self.layers[layer]
         positions = np.asarray(positions, dtype=np.int64)
@@ -169,27 +214,29 @@ class KvCache:
                 raise ValueError(f"attention block shape {attn.shape} != "
                                  f"(n, kept+n) = {(n, kept + n)}")
         shape = (n, self.n_kv_heads, self.head_dim)
-        ls.keys = np.concatenate([ls.keys, np.asarray(k, np.float64).reshape(shape)])
-        ls.values = np.concatenate([ls.values, np.asarray(v, np.float64).reshape(shape)])
-        ls.positions = np.concatenate([ls.positions, positions])
-        acc = np.zeros(kept + n) if attn is None else attn.sum(axis=0)
-        acc[:kept] += ls.acc
-        ls.acc = acc
+        self.stage(layer, np.reshape(k, shape), np.reshape(v, shape))
+        end = kept + n
+        ls._positions[kept:end] = positions
+        ls._acc[kept:end] = 0.0
         if attn is not None:
+            ls._acc[:end] += attn.sum(axis=0)
             ls.rows.extend(attn[i, :kept + i + 1].copy()
                            for i in range(max(0, n - self.window), n))
+        ls.kept = end
 
     def truncate(self, drop: int):
-        """Drop the newest `drop` entries from every layer (speculative rollback)."""
+        """Drop the newest `drop` entries from every layer (speculative
+        rollback); a drop beyond some layer's kept count is a ValueError."""
         if drop <= 0:
             return
+        for li, ls in enumerate(self.layers):
+            if drop > ls.kept:
+                raise ValueError(f"cannot drop {drop} entries: layer {li} keeps "
+                                 f"{ls.kept}")
         for ls in self.layers:
-            keep = ls.kept - drop
-            ls.keys = ls.keys[:keep]
-            ls.values = ls.values[:keep]
-            ls.positions = ls.positions[:keep]
-            ls.acc = ls.acc[:keep]
-            ls.rows = deque((r for r in ls.rows if r.size <= keep), maxlen=self.window)
+            ls.kept -= drop
+            ls.rows = deque((r for r in ls.rows if r.size <= ls.kept),
+                            maxlen=self.window)
 
     def total_kept(self) -> int:
         return sum(ls.kept for ls in self.layers)
@@ -309,10 +356,7 @@ def evict(cache: KvCache, policy: EvictionPolicy, budget: int) -> EvictionReport
         kept = _layer_kept_indices(ls, policy, budget, li)
         evicted = n - kept.size
         if evicted > 0:
-            ls.keys = ls.keys[kept]
-            ls.values = ls.values[kept]
-            ls.positions = ls.positions[kept]
-            ls.acc = ls.acc[kept]
+            ls.gather(kept)
             ls.rows = deque((row[kept[kept < row.size]] for row in ls.rows),
                             maxlen=cache.window)
         reports.append(LayerReport(kept_indices=kept.tolist(),

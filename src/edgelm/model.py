@@ -5,9 +5,12 @@ MLP, optionally tied embeddings. Weights are stored as float32; all compute
 runs in float64 so that blockwise and token-by-token decoding agree to well
 inside the 1e-5 contract.
 
-The forward pass can attach to a :class:`~edgelm.kvcache.KvCache`; each layer
-hands the cache its head-averaged attention block over the new positions, so
-eviction policies can score positions.
+Attention is one batched matmul per KV head over the queries of its group.
+The forward pass can attach to a :class:`~edgelm.kvcache.KvCache`: each layer
+writes its new keys and values into the cache's spare capacity, attends over
+one view of the cached and new entries, then hands the cache its
+head-averaged attention block over the new positions, so eviction policies
+can score positions.
 """
 from __future__ import annotations
 
@@ -201,42 +204,42 @@ def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
         raise ValueError(f"sequence exceeds max_seq ({cfg.max_seq})")
 
     model.stats["forwards"] += 1
-    group = cfg.n_heads // cfg.n_kv_heads
-    inv_sqrt = 1.0 / np.sqrt(cfg.head_dim)
+    n_kv, hd = cfg.n_kv_heads, cfg.head_dim
+    group = cfg.n_heads // n_kv
+    inv_sqrt = 1.0 / np.sqrt(hd)
+    causal = np.triu(np.ones((n, n), dtype=bool), 1)
 
     x = model.weight("token_embed").astype(np.float64)[tokens]
 
     for li in range(cfg.n_layers):
         p = f"layers.{li}."
         h = rms_norm(x, model.weight(p + "attn_norm").astype(np.float64))
-        q = _proj(h, model, p + "wq", adapter).reshape(n, cfg.n_heads, cfg.head_dim)
-        k = _proj(h, model, p + "wk", adapter).reshape(n, cfg.n_kv_heads, cfg.head_dim)
-        v = _proj(h, model, p + "wv", adapter).reshape(n, cfg.n_kv_heads, cfg.head_dim)
+        q = _proj(h, model, p + "wq", adapter).reshape(n, cfg.n_heads, hd)
+        k = _proj(h, model, p + "wk", adapter).reshape(n, n_kv, hd)
+        v = _proj(h, model, p + "wv", adapter).reshape(n, n_kv, hd)
         q = _rope_block(q, positions, cfg.rope_theta)
         k = _rope_block(k, positions, cfg.rope_theta)
 
         if cache is not None:
-            past_k, past_v, past_pos = cache.layer_kv(li)
-            m = past_k.shape[0]
-            K = np.concatenate([past_k, k], axis=0) if m else k
-            V = np.concatenate([past_v, v], axis=0) if m else v
+            K, V = cache.stage(li, k, v)                         # [m+n, kv, hd] views
+            m = K.shape[0] - n
         else:
             m = 0
             K, V = k, v
 
-        # scores[h_q, i, j] with causal mask: query i sees keys j <= m + i
-        kv_idx = np.arange(cfg.n_heads) // group
-        k_exp = K.take(kv_idx, axis=1)                           # [m+n, H, hd]
-        scores = np.einsum("nhd,mhd->hnm", q, k_exp) * inv_sqrt
-        key_slot = np.arange(m + n)
-        mask = key_slot[None, :] > (m + np.arange(n))[:, None]   # [n, m+n]
-        scores = np.where(mask[None, :, :], -np.inf, scores)
+        # one matmul per kv head over its group's queries; head h = kv*group + g
+        qg = q.reshape(n, n_kv, group, hd).transpose(1, 2, 0, 3).reshape(n_kv, group * n, hd)
+        scores = (qg @ K.transpose(1, 2, 0)).reshape(cfg.n_heads, n, m + n)
+        scores *= inv_sqrt
+        scores[:, :, m:][:, causal] = -np.inf    # query i sees keys j <= m + i
         scores -= scores.max(axis=-1, keepdims=True)
-        ex = np.exp(scores)
-        probs = ex / ex.sum(axis=-1, keepdims=True)              # [H, n, m+n]
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        probs = scores                                           # [H, n, m+n]
 
-        out = np.einsum("hnm,mhd->nhd", probs, V.take(kv_idx, axis=1))
-        attn = _proj(out.reshape(n, cfg.n_heads * cfg.head_dim), model, p + "wo", adapter)
+        out = probs.reshape(n_kv, group * n, m + n) @ V.transpose(1, 0, 2)
+        out = out.reshape(n_kv, group, n, hd).transpose(2, 0, 1, 3)
+        attn = _proj(out.reshape(n, cfg.n_heads * hd), model, p + "wo", adapter)
         x = x + attn
 
         if cache is not None:

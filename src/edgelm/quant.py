@@ -76,7 +76,12 @@ SparsitySpec = Union[Unstructured, Structured]
 
 
 class QuantTensor:
-    """Bit-coded weight tensor; freezing makes every encoding array immutable."""
+    """Bit-coded weight tensor; freezing makes every encoding array immutable.
+
+    A frozen tensor dequantizes once: its first :meth:`dequantize` result is
+    kept as a read-only array and returned by every later call. An unfrozen
+    tensor decodes its current encodings on every call.
+    """
 
     def __init__(self, codes: np.ndarray, scales: np.ndarray,
                  zero_points: Optional[np.ndarray], shape: tuple,
@@ -91,6 +96,7 @@ class QuantTensor:
         self.group_index = np.asarray(group_index, dtype=np.int64)  # per element
         self.mask = None if mask is None else np.asarray(mask, dtype=bool)
         self.frozen = False
+        self._dense: Optional[np.ndarray] = None
         if frozen:
             self.freeze()
 
@@ -112,6 +118,8 @@ class QuantTensor:
         self.zero_points = np.asarray(zero_points, dtype=np.int32)
 
     def dequantize(self) -> np.ndarray:
+        if self._dense is not None:
+            return self._dense
         flat_scales = self.scales[self.group_index]
         if self.spec.scheme == "symmetric":
             deq = self.codes.ravel().astype(np.float64) * flat_scales
@@ -121,7 +129,11 @@ class QuantTensor:
         deq = deq.reshape(self.shape)
         if self.mask is not None:
             deq = deq * self.mask
-        return deq.astype(np.float32)
+        deq = deq.astype(np.float32)
+        if self.frozen:
+            deq.setflags(write=False)
+            self._dense = deq
+        return deq
 
     def encoding_bytes(self) -> bytes:
         parts = [self.codes.astype("<i4").tobytes(),

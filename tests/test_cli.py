@@ -97,6 +97,16 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and "--prompt" in err["message"]
 
+    def test_gen_rejects_report_options(self, tmp_path, capsys):
+        # gen prints tokens and writes no report, so --out/--format are not its options
+        out = tmp_path / "DIR"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--seed", "1", "--max-new", "2", "--out", str(out),
+                  "--format", "csv"])
+        assert exc.value.code == 2
+        assert "--out" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_evict_with_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({

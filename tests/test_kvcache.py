@@ -1,11 +1,12 @@
 import copy
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import edgelm as E
-from edgelm import kvcache as kvc
+from edgelm import bench, kvcache as kvc
 from edgelm.errors import ConfigError
 
 
@@ -44,6 +45,14 @@ class TestCacheBasics:
         c.truncate(2)
         assert c.kept(0) == 4
         np.testing.assert_array_equal(c.kept_positions(0), np.arange(4))
+
+    def test_truncate_beyond_kept_rejected(self):
+        c = make_cache(3, n_layers=2)
+        with pytest.raises(ValueError, match=r"drop 5 .* keeps 3"):
+            c.truncate(5)
+        assert [c.kept(li) for li in range(2)] == [3, 3]
+        c.truncate(3)
+        assert c.total_kept() == 0 and c.next_position() == 0
 
     def test_acc_accumulates_mass(self):
         c = E.KvCache(1, 1, 2, window=8)
@@ -248,6 +257,104 @@ def test_block_append_equals_single_appends_and_oracles(data):
     pooled = np.array([win[max(0, j - h):j + h + 1].mean() for j in range(n)])
     assert c.kept_positions(0).tolist() == _kept_by_score(
         pooled, set(range(n - obs, n)), budget)
+
+
+class _ConcatStore:
+    """One cache layer that rebuilds its whole arrays on every operation."""
+
+    def __init__(self, n_kv_heads, head_dim, window):
+        self.keys = np.zeros((0, n_kv_heads, head_dim))
+        self.values = np.zeros((0, n_kv_heads, head_dim))
+        self.positions = np.zeros(0, dtype=np.int64)
+        self.acc = np.zeros(0)
+        self.rows = deque(maxlen=window)
+
+    def append_block(self, k, v, positions, attn):
+        kept, n = self.positions.size, len(positions)
+        self.keys = np.concatenate([self.keys, k])
+        self.values = np.concatenate([self.values, v])
+        self.positions = np.concatenate([self.positions, positions])
+        acc = attn.sum(axis=0)
+        acc[:kept] += self.acc
+        self.acc = acc
+        self.rows.extend(attn[i, :kept + i + 1].copy()
+                         for i in range(max(0, n - self.rows.maxlen), n))
+
+    def truncate(self, drop):
+        keep = self.positions.size - drop
+        for name in ("keys", "values", "positions", "acc"):
+            setattr(self, name, getattr(self, name)[:keep])
+        self.rows = deque((r for r in self.rows if r.size <= keep),
+                          maxlen=self.rows.maxlen)
+
+    def gather(self, idx):
+        for name in ("keys", "values", "positions", "acc"):
+            setattr(self, name, getattr(self, name)[idx])
+        self.rows = deque((r[idx[idx < r.size]] for r in self.rows),
+                          maxlen=self.rows.maxlen)
+
+
+def _layer_state(ls):
+    return [ls.keys.copy(), ls.values.copy(), ls.positions.copy(), ls.acc.copy(),
+            [r.copy() for r in ls.rows]]
+
+
+def _assert_same_layer(a, b):
+    for x, y in zip(a[:4], b[:4]):
+        np.testing.assert_array_equal(x, y)
+    assert len(a[4]) == len(b[4])
+    for x, y in zip(a[4], b[4]):
+        np.testing.assert_array_equal(x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_arena_matches_concatenating_store(data):
+    n_layers, n_kv, hd = 2, 2, 3
+    window = data.draw(st.integers(1, 8))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cache = E.KvCache(n_layers, n_kv, hd, window=window)
+    refs = [_ConcatStore(n_kv, hd, window) for _ in range(n_layers)]
+    ops = ["append"] + data.draw(st.lists(st.sampled_from(["append", "truncate", "evict"]),
+                                          max_size=12))
+    for op in ops:
+        kept = cache.kept(0)
+        if op == "append":
+            # first blocks often pass the initial capacity of 16
+            n = data.draw(st.integers(1, 24))
+            start = cache.next_position() + data.draw(st.integers(0, 3))
+            positions = np.arange(start, start + n)
+            for li in range(n_layers):
+                k, v = rng.normal(size=(2, n, n_kv, hd))
+                attn = np.tril(rng.random((n, kept + n)), kept)
+                cache.append_block(li, k, v, positions, attn)
+                refs[li].append_block(k, v, positions, attn)
+        elif op == "truncate":
+            drop = data.draw(st.integers(0, kept))
+            cache.truncate(drop)
+            for ref in refs:
+                ref.truncate(drop)
+        else:
+            policy = data.draw(st.sampled_from([
+                E.HeavyHitter(recent=1), E.RandomPolicy(seed=3),
+                E.ObsWindow(obs=1, pool_kernel=3)]))
+            report = E.evict(cache, policy, data.draw(st.integers(1, max(1, kept))))
+            for ref, layer in zip(refs, report.layers):
+                ref.gather(np.array(layer.kept_indices, dtype=np.int64))
+        for ls, ref in zip(cache.layers, refs):
+            _assert_same_layer(_layer_state(ls), _layer_state(ref))
+        assert cache.layer_kv(0)[0].shape == (cache.kept(0), n_kv, hd)
+
+    # a clone owns its buffers: evicting and extending it leaves the original as it was
+    before = [_layer_state(ls) for ls in cache.layers]
+    clone = bench._clone_cache(cache)
+    E.evict(clone, E.HeavyHitter(recent=1), 1)
+    position = clone.next_position()
+    for li in range(n_layers):
+        clone.append_block(li, np.ones((1, n_kv, hd)), np.ones((1, n_kv, hd)),
+                           [position], np.full((1, clone.kept(li) + 1), 0.5))
+    for ls, state in zip(cache.layers, before):
+        _assert_same_layer(_layer_state(ls), state)
 
 
 def test_append_block_rejects_wrong_attention_shape():

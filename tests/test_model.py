@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import edgelm as E
+from edgelm import model as M
 from edgelm.errors import ConfigError, ShapeError
 
 
@@ -174,6 +175,42 @@ class TestForward:
         np.testing.assert_allclose(E.forward(m, more, cache=blocks).logits,
                                    one_by_one(more), rtol=0, atol=1e-9)
 
+    @settings(max_examples=30, deadline=None)
+    @given(heads=st.sampled_from([(2, 2), (4, 2), (4, 1), (8, 2)]),
+           scale=st.sampled_from([1.0, 8.0]), data=st.data())
+    def test_matches_per_head_reference(self, heads, scale, data):
+        n_heads, n_kv = heads
+        m = E.init_model(small_config(n_heads=n_heads, n_kv_heads=n_kv,
+                                      d_model=8 * n_heads), 7)
+        for name, w in m.weights.items():   # sharper attention, so heads differ
+            if name.startswith("layers.") and not name.endswith("norm"):
+                m.weights[name] = w * np.float32(scale)
+        cache = E.KvCache.for_model(m.config, window=8)
+        prefix = data.draw(st.lists(st.integers(0, 63), min_size=2, max_size=40))
+        cut = data.draw(st.integers(1, len(prefix)))
+        E.forward(m, prefix[:cut], cache=cache)
+        if cut < len(prefix):
+            E.forward(m, prefix[cut:], cache=cache)
+        cache.truncate(data.draw(st.integers(0, len(prefix) - 1)))
+        E.evict(cache, E.HeavyHitter(recent=1),
+                data.draw(st.integers(1, len(prefix))))
+        tokens = data.draw(st.lists(st.integers(0, 63), min_size=1, max_size=6))
+
+        past = [(k.copy(), v.copy())
+                for k, v, _ in map(cache.layer_kv, range(m.config.n_layers))]
+        want_logits, want_blocks = _reference_forward(m, tokens, past,
+                                                      cache.next_position())
+        handed, append_block = [], cache.append_block
+        def record(li, k, v, positions, attn):
+            handed.append(np.array(attn))
+            append_block(li, k, v, positions, attn)
+        cache.append_block = record
+        logits = E.forward(m, tokens, cache=cache).logits
+        np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-10)
+        assert len(handed) == len(want_blocks)
+        for got, want in zip(handed, want_blocks):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_attention_rows_are_distributions(self):
         m = E.init_model(small_config(), 5)
         c = E.KvCache.for_model(m.config)
@@ -196,6 +233,43 @@ class TestForward:
         m = E.init_model(small_config(max_seq=4), 0)
         with pytest.raises(ValueError):
             E.forward(m, [0, 1, 2, 3, 0])
+
+
+def _reference_forward(model, tokens, past, start):
+    """Logits and each layer's head-averaged attention block of ``tokens`` at
+    positions from ``start`` over the cached (keys, values) of ``past``,
+    attending one query head and one query at a time; head h reads kv head
+    h // group."""
+    cfg, n, hd = model.config, len(tokens), model.config.head_dim
+    group = cfg.n_heads // cfg.n_kv_heads
+    positions = np.arange(start, start + n)
+    w = lambda name: model.weight(name).astype(np.float64)
+    x = w("token_embed")[tokens]
+    blocks = []
+    for li, (past_k, past_v) in enumerate(past):
+        p = f"layers.{li}."
+        h = M.rms_norm(x, w(p + "attn_norm"))
+        q = M._rope_block((h @ w(p + "wq")).reshape(n, cfg.n_heads, hd), positions,
+                          cfg.rope_theta)
+        k = M._rope_block((h @ w(p + "wk")).reshape(n, cfg.n_kv_heads, hd), positions,
+                          cfg.rope_theta)
+        keys = np.concatenate([past_k, k])
+        values = np.concatenate([past_v, (h @ w(p + "wv")).reshape(n, cfg.n_kv_heads, hd)])
+        m = past_k.shape[0]
+        out = np.zeros((n, cfg.n_heads, hd))
+        block = np.zeros((n, m + n))
+        for head in range(cfg.n_heads):
+            kv = head // group
+            for i in range(n):
+                s = keys[:m + i + 1, kv] @ q[i, head] / np.sqrt(hd)
+                e = np.exp(s - s.max())
+                out[i, head] = (e / e.sum()) @ values[:m + i + 1, kv]
+                block[i, :m + i + 1] += (e / e.sum()) / cfg.n_heads
+        blocks.append(block)
+        x = x + out.reshape(n, -1) @ w(p + "wo")
+        h2 = M.rms_norm(x, w(p + "ffn_norm"))
+        x = x + (M._silu(h2 @ w(p + "w_gate")) * (h2 @ w(p + "w_up"))) @ w(p + "w_down")
+    return M.rms_norm(x, w("final_norm")) @ w("token_embed").T, blocks
 
 
 class TestGreedyDecode:

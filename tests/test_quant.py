@@ -146,6 +146,27 @@ class TestFrozen:
         qt = E.quantize(np.ones((2, 2)) * 0.5, E.QuantSpec(granularity="per-tensor"))
         qt.set_scales(qt.scales * 2)  # no error
 
+    @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
+    def test_frozen_dequantizes_once_read_only(self, scheme):
+        x = np.random.default_rng(5).normal(size=(6, 16))
+        spec = E.QuantSpec(bits=4, scheme=scheme, group_size=8)
+        qt = E.quantize(x, spec, mask=np.abs(x) > 0.3)
+        fresh = qt.dequantize()
+        assert fresh is not qt.dequantize()     # unfrozen: decoded on every call
+        qt.freeze()
+        d = qt.dequantize()
+        np.testing.assert_array_equal(d, fresh)
+        assert d.dtype == np.float32 and d is qt.dequantize()
+        with pytest.raises(ValueError):
+            d[0, 0] = 1.0
+
+    def test_unfrozen_dequantize_follows_set_scales(self):
+        x = np.random.default_rng(6).normal(size=(4, 8))
+        qt = E.quantize(x, E.QuantSpec(bits=4, granularity="per-row"))
+        before = qt.dequantize()
+        qt.set_scales(qt.scales * 2)
+        np.testing.assert_array_equal(qt.dequantize(), before * 2)
+
 
 class TestFakeQuant:
     def test_shape_and_dtype(self):
