@@ -277,24 +277,20 @@ def score_hybrid(sink_ind, recency, acc, win, weights: Hybrid) -> np.ndarray:
 
 
 def _pooled_window_score(ls: _LayerStore, obs: int, kernel: int) -> np.ndarray:
-    """Mean attention over the last `obs` rows, then 1-D mean pooling."""
-    n = ls.kept
+    """Mean attention over the last `obs` rows, then clipped 1-D mean pooling:
+    each position averages the entries of its `kernel`-wide window that lie
+    inside the cache. The padding adds exact zeros and numpy sums fewer than
+    8 terms in order, so for kernels up to 7 every mean is bit-identical to
+    the mean of the clipped slice."""
+    n, h = ls.kept, kernel // 2
     rows = list(ls.rows)[-obs:]
-    m = np.zeros(n)
-    if rows:
-        for row in rows:
-            sz = min(row.size, n)
-            m[:sz] += row[:sz]
-        m /= len(rows)
-    if kernel <= 1:
-        return m
-    h = kernel // 2
-    pooled = np.empty(n)
-    if n >= kernel:
-        pooled[h:n - h] = sliding_window_view(m, kernel).mean(-1)
-    for j in (*range(min(h, n)), *range(max(h, n - h), n)):   # clipped edges
-        pooled[j] = m[max(0, j - h):j + h + 1].mean()
-    return pooled
+    m = np.zeros(h + n + h)             # the mean row, zero-padded by h
+    for row in rows:                    # no row is longer than the kept entries
+        m[h:h + row.size] += row
+    m /= max(len(rows), 1)
+    j = np.arange(n)
+    width = np.minimum(j + h, n - 1) - np.maximum(j - h, 0) + 1
+    return sliding_window_view(m, kernel).sum(-1) / width
 
 
 def _layer_kept_indices(ls: _LayerStore, policy: EvictionPolicy, budget: int,
@@ -303,39 +299,33 @@ def _layer_kept_indices(ls: _LayerStore, policy: EvictionPolicy, budget: int,
     if n <= budget:
         return np.arange(n)
     idx = np.arange(n)
-
+    keep = np.zeros(n, dtype=bool)                 # the mandatory entries
     if isinstance(policy, AttentionSink):
-        mandatory = np.concatenate([np.arange(policy.sinks),
-                                    np.arange(n - policy.window, n)])
+        keep[:policy.sinks] = keep[n - policy.window:] = True
         scores = idx.astype(np.float64)            # fill spare budget by recency
-    elif isinstance(policy, HeavyHitter):
-        mandatory = np.arange(n - policy.recent, n)
-        scores = ls.acc.copy()
+    else:
+        keep[n - policy.floor():] = True
+    if isinstance(policy, HeavyHitter):
+        scores = ls.acc
     elif isinstance(policy, ObsWindow):
-        mandatory = np.arange(n - policy.obs, n)
         scores = _pooled_window_score(ls, policy.obs, policy.pool_kernel)
     elif isinstance(policy, Hybrid):
-        mandatory = np.arange(n - (policy.obs if policy.lambda_win > 0 else 1), n)
         sink_ind = (idx < policy.sinks).astype(np.float64)
         recency = idx.astype(np.float64)
         win = _pooled_window_score(ls, policy.obs, policy.pool_kernel)
         scores = score_hybrid(sink_ind, recency, ls.acc, win, policy)
     elif isinstance(policy, RandomPolicy):
-        mandatory = idx[-1:]
         rng = np.random.default_rng(
             np.random.SeedSequence([policy.seed & (2**64 - 1), layer, n]))
         scores = rng.random(n)
-    else:
+    elif not isinstance(policy, AttentionSink):
         raise ConfigError(f"unknown policy {policy!r}")
 
-    mandatory = np.unique(mandatory[(mandatory >= 0) & (mandatory < n)])
-    free = budget - mandatory.size
-    if free <= 0:
-        return mandatory
-    cand = np.setdiff1d(idx, mandatory, assume_unique=True)
+    cand = np.flatnonzero(~keep)
     # highest score first; ties toward more recent (larger index)
     order = np.lexsort((-cand, -scores[cand]))
-    return np.union1d(mandatory, cand[order[:free]])
+    keep[cand[order[:budget - keep.sum()]]] = True
+    return np.flatnonzero(keep)
 
 
 def evict(cache: KvCache, policy: EvictionPolicy, budget: int) -> EvictionReport:

@@ -78,6 +78,13 @@ class AdapterRegistry:
         self.active: Optional[str] = None
 
     def register(self, adapter: LoraAdapter):
+        """Add an adapter whose every delta has its base slot's shape."""
+        shapes = self.base.config.slot_shapes()
+        for slot in adapter.target_slots:
+            delta = (adapter.A[slot].shape[1], adapter.B[slot].shape[0])
+            if shapes.get(slot) != delta:
+                raise ConfigError(f"adapter {adapter.name} slot {slot!r}: delta "
+                                  f"shape {delta}, base shape {shapes.get(slot)}")
         self.adapters[adapter.name] = adapter
 
     def activate(self, name: Optional[str]):
@@ -240,6 +247,9 @@ def load_adapter(path) -> LoraAdapter:
     header, blobs = _manifest.read(path, _MAGIC)
     name, r, alpha, slots = _manifest.fields(header, "header", name=str, r=int,
                                              alpha=(int, float), slots=list)
+    if r < 1 or not np.isfinite(alpha):
+        raise ManifestError(f"adapter {name}: rank {r} must be >= 1 and alpha "
+                            f"{alpha} finite")
     A, B = {}, {}
     for i, s in enumerate(slots):
         _manifest.fields(s, f"slots[{i}]", slot=str, a_shape=list, a_offset=int,

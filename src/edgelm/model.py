@@ -55,8 +55,8 @@ class ModelConfig:
                 f"d_model ({self.d_model}) != n_heads * head_dim ({self.n_heads * self.head_dim})")
         if self.head_dim % 2 != 0:
             raise ConfigError(f"head_dim ({self.head_dim}) must be even: rope rotates pairs")
-        if self.rope_theta <= 0:
-            raise ConfigError("rope_theta must be positive")
+        if not 0 < self.rope_theta < np.inf:
+            raise ConfigError(f"rope_theta ({self.rope_theta}) must be finite and positive")
 
     @property
     def ffn_dim(self) -> int:

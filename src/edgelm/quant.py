@@ -8,7 +8,7 @@ code, scale, zero-point, and mask bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Union
 
@@ -111,11 +111,6 @@ class QuantTensor:
         if self.frozen:
             raise FrozenEncodingError("quantization encodings are frozen")
         self.scales = np.asarray(scales, dtype=np.float64)
-
-    def set_zero_points(self, zero_points):
-        if self.frozen:
-            raise FrozenEncodingError("quantization encodings are frozen")
-        self.zero_points = np.asarray(zero_points, dtype=np.int32)
 
     def dequantize(self) -> np.ndarray:
         if self._dense is not None:
@@ -225,20 +220,14 @@ def sparsify(tensor: np.ndarray, spec: SparsitySpec
     tensor = np.asarray(tensor, dtype=np.float64)
     mask = np.zeros(tensor.shape, dtype=bool)
     if isinstance(spec, Unstructured):
-        flat = tensor.ravel()
-        keep = spec.kept(flat.size)
-        order = np.lexsort((np.arange(flat.size), -np.abs(flat)))
-        mask.ravel()[order[:keep]] = True
+        blocks, keep = tensor.reshape(1, -1), spec.kept(tensor.size)
     else:
         rowlen = tensor.shape[-1] if tensor.ndim > 1 else tensor.size
         if rowlen % spec.m != 0:
             raise ShapeError(f"row length {rowlen} not divisible by m={spec.m}")
-        flat = tensor.reshape(-1, spec.m)
-        mflat = mask.reshape(-1, spec.m)
-        for bi in range(flat.shape[0]):
-            block = flat[bi]
-            order = np.lexsort((np.arange(spec.m), -np.abs(block)))
-            mflat[bi, order[:spec.n]] = True
+        blocks, keep = tensor.reshape(-1, spec.m), spec.n
+    order = np.argsort(-np.abs(blocks), axis=1, kind="stable")
+    np.put_along_axis(mask.reshape(blocks.shape), order[:, :keep], True, axis=1)
     return (tensor * mask).astype(tensor.dtype), mask
 
 
@@ -462,11 +451,7 @@ def save_quant_model(model: TinyLM, path):
             raw = raw + qmax  # shift to nonnegative for packing
         entry = {
             "name": name, "shape": list(qt.shape), "frozen": qt.frozen,
-            "spec": {"bits": qt.spec.bits, "scheme": qt.spec.scheme,
-                     "granularity": qt.spec.granularity,
-                     "group_size": qt.spec.group_size,
-                     "scale_bits": qt.spec.scale_bits,
-                     "zero_point_bits": qt.spec.zero_point_bits},
+            "spec": asdict(qt.spec),
             "codes": blobs.add(pack_bits(raw, qt.spec.bits)),
             "scales": blobs.add(np.asarray(qt.scales, dtype="<f8").tobytes()),
         }

@@ -12,7 +12,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractViolation
 from .kvcache import KvCache
 from .model import TinyLM, forward, greedy_continue, slot_rng
 
@@ -71,8 +71,9 @@ class SpecStats:
     emitted: int = 0
 
     def check(self):
-        assert 0 <= self.accepted <= self.proposed
-        assert self.emitted == self.accepted + self.rounds
+        if not (0 <= self.accepted <= self.proposed
+                and self.emitted == self.accepted + self.rounds):
+            raise ContractViolation(f"inconsistent speculation counts: {self}")
 
 
 def block_efficiency(stats: SpecStats) -> float:

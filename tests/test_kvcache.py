@@ -412,3 +412,37 @@ def test_eviction_invariants_hold_for_every_policy(data):
         assert mandatory <= set(lr.kept_indices)
         assert np.all(np.diff(kept) > 0)
         np.testing.assert_array_equal(kept, positions[lr.kept_indices])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_pooling_is_the_clipped_window_mean(data):
+    n = data.draw(st.integers(1, 40))
+    kernel = data.draw(st.sampled_from([1, 3, 5, 7, 9, 11, 33]))
+    # full-mantissa floats: unlike sixteenths, their sums depend on the order
+    row = np.random.default_rng(data.draw(st.integers(0, 2**32))).random(n)
+    c = E.KvCache(1, 1, 1, window=1)
+    c.append_block(0, np.zeros((n, 1, 1)), np.zeros((n, 1, 1)), np.arange(n),
+                   np.tril(np.ones((n, n))) * row)
+    pooled = kvc._pooled_window_score(c.layers[0], 1, kernel)
+    h = kernel // 2
+    clipped = np.array([row[max(0, j - h):j + h + 1].mean() for j in range(n)])
+    if kernel <= 7:
+        np.testing.assert_array_equal(pooled, clipped)
+    else:
+        np.testing.assert_allclose(pooled, clipped, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("policy", [E.HeavyHitter(recent=0),
+                                    E.AttentionSink(sinks=2, window=0)])
+def test_zero_tail_keeps_only_what_the_oracle_keeps(policy):
+    # `keep[-0:]` would mark every entry mandatory and evict nothing
+    n, budget = 20, 7
+    c = make_cache(n, seed=6)
+    acc = c.layers[0].acc.copy()
+    E.evict(c, policy, budget)
+    if isinstance(policy, E.HeavyHitter):
+        expected = _kept_by_score(acc, set(), budget)
+    else:
+        expected = [0, 1, *range(n - budget + 2, n)]
+    assert c.kept_positions(0).tolist() == expected

@@ -89,6 +89,23 @@ class TestRegistry:
         b = E.AdapterRegistry(small_model(2))
         assert a.base_hash() != b.base_hash()
 
+    def test_adapter_for_another_width_rejected(self):
+        wide = E.init_model(E.ModelConfig(vocab_size=32, d_model=32, n_layers=1,
+                                          n_heads=4, n_kv_heads=1, head_dim=8,
+                                          max_seq=128), 0)
+        reg = E.AdapterRegistry(small_model())
+        with pytest.raises(ConfigError, match=r"layers\.0\.wq.*\(32, 32\).*\(16, 16\)"):
+            reg.register(E.create_adapter(wide, TARGETS, r=2, alpha=4.0, seed=0))
+        assert reg.adapters == {}
+
+    def test_slot_missing_from_base_rejected(self):
+        deep = E.init_model(E.ModelConfig(vocab_size=32, d_model=16, n_layers=2,
+                                          n_heads=2, n_kv_heads=1, head_dim=8,
+                                          max_seq=128), 0)
+        ad = E.create_adapter(deep, ("layers.1.wq",), r=2, alpha=4.0, seed=0)
+        with pytest.raises(ConfigError, match=r"layers\.1\.wq.*None"):
+            E.AdapterRegistry(small_model()).register(ad)
+
     def test_quantized_base_supported(self):
         m = small_model(4)
         qbase = E.ptq_model(m, E.uniform_plan(m, 4, group_size=8), freeze=True)

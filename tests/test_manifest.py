@@ -79,6 +79,18 @@ def _first(h):
     return h["slots"][0]
 
 
+def _nan_alpha(h):
+    # a NaN alpha turns every logit into NaN
+    h["alpha"] = float("nan")
+
+
+def _rank_zero(h):
+    # empty A and B of rank 0: forward would divide alpha by r = 0
+    h["r"] = 0
+    for s in h["slots"]:
+        s.update(a_shape=[0, 16], b_shape=[16, 0])
+
+
 @pytest.mark.parametrize("name, mutate", [
     # a slot shape the config does not have
     ("float.edgelm", lambda h: _first(h).update(shape=[1, 2])),
@@ -90,6 +102,8 @@ def _first(h):
     ("asym_sparse.edgelmq", lambda h: _first(h).update(zero_points=[-4, 4])),
     # A is [r, in]: a rank-1 A under a rank-2 adapter
     ("adapter.edgelma", lambda h: _first(h).update(a_shape=[1, 16])),
+    ("adapter.edgelma", _nan_alpha),
+    ("adapter.edgelma", _rank_zero),
 ])
 def test_inconsistent_header_rejected(name, mutate, files, tmp_path):
     load, _, magic = FORMATS[name]

@@ -36,6 +36,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(n_layers=0)
 
+    @pytest.mark.parametrize("theta", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rope_theta_finite_and_positive(self, theta):
+        # a NaN base makes every rotation, and so every logit, NaN
+        with pytest.raises(ConfigError, match="rope_theta"):
+            small_config(rope_theta=theta)
+
     def test_slot_shapes_cover_all_layers(self):
         cfg = small_config(n_layers=3)
         shapes = cfg.slot_shapes()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import edgelm as E
-from edgelm.errors import ConfigError
+from edgelm.errors import ConfigError, ContractViolation
 from edgelm.specdec import SpecStats, propose
 
 
@@ -25,6 +25,16 @@ class TestStats:
     def test_accounting_identity(self):
         st = SpecStats(rounds=3, proposed=12, accepted=5, emitted=8)
         st.check()  # emitted == accepted + rounds
+
+    @pytest.mark.parametrize("st", [
+        SpecStats(rounds=1, proposed=0, accepted=5, emitted=6),   # accepted > proposed
+        SpecStats(rounds=1, proposed=4, accepted=-1, emitted=0),  # accepted < 0
+        SpecStats(rounds=1, proposed=4, accepted=2, emitted=4),   # emitted off by one
+    ])
+    def test_inconsistent_counts_raise(self, st):
+        # a raised error, not an assert, so the check also holds under python -O
+        with pytest.raises(ContractViolation):
+            st.check()
 
 
 class TestPropose:
