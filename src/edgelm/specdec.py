@@ -83,24 +83,43 @@ def block_efficiency(stats: SpecStats) -> float:
     return stats.emitted / stats.rounds
 
 
+def _draft_state(draft: Union[IndependentDraft, FeatureReuseDraft], target: TinyLM):
+    """What a draft keeps for one request: an independent draft's KV cache,
+    or a feature-reuse head's float64 (embed, w1, w2)."""
+    if isinstance(draft, IndependentDraft):
+        return KvCache.for_model(draft.model.config)
+    return (target.weight("token_embed").astype(np.float64),
+            draft.w1.astype(np.float64), draft.w2.astype(np.float64))
+
+
 def propose(draft_cfg: DraftConfig, target: TinyLM, context, k: int,
-            last_hidden: Optional[np.ndarray] = None) -> list[int]:
-    """Greedy auto-regression of the draft for k tokens."""
+            last_hidden: Optional[np.ndarray] = None, cache=None) -> list[int]:
+    """Greedy auto-regression of the draft for k tokens after ``context``.
+
+    ``cache`` is the draft's state for the request (see ``_draft_state``);
+    ``None`` builds a fresh one. An independent draft forwards only the
+    tokens of ``context`` its cache has not seen, then k-1 single tokens, so
+    with one cache kept across rounds a round costs O(k) draft tokens, not
+    O(context). Its k-th token is never forwarded.
+    """
     context = list(int(t) for t in context)
     if not context:
         raise ValueError("context must be nonempty")
     if k < 1:
         return []
     draft = draft_cfg.draft
+    if cache is None:
+        cache = _draft_state(draft, target)
     if isinstance(draft, IndependentDraft):
-        return greedy_continue(draft.model, KvCache.for_model(draft.model.config),
-                               context, k)
+        seen = cache.next_position()
+        if seen >= len(context):
+            raise ValueError(f"draft cache has seen {seen} tokens, context has "
+                             f"only {len(context)}: nothing new to forward")
+        return greedy_continue(draft.model, cache, context[seen:], k)
     # feature reuse: roll the predicted hidden forward through the shared head
+    embed, w1, w2 = cache
     d = target.config.d_model
     h = np.zeros(d) if last_hidden is None else np.asarray(last_hidden, dtype=np.float64)
-    embed = target.weight("token_embed").astype(np.float64)
-    w1 = draft.w1.astype(np.float64)
-    w2 = draft.w2.astype(np.float64)
     tok = context[-1]
     out = []
     for _ in range(k):
@@ -121,13 +140,19 @@ def _accept(draft: list[int], preds: np.ndarray, base: int) -> tuple[int, int]:
     return acc, int(preds[base + acc])
 
 
-def _check_draft(target: TinyLM, draft: Union[IndependentDraft, FeatureReuseDraft]):
-    """Reject a draft whose vocabulary or head shapes do not fit the target."""
+def _check_draft(target: TinyLM, draft: Union[IndependentDraft, FeatureReuseDraft],
+                 top: int):
+    """Reject a draft whose vocabulary or head shapes do not fit the target,
+    or an independent draft whose max_seq does not reach position ``top``."""
     d, vocab = target.config.d_model, target.config.vocab_size
     if isinstance(draft, IndependentDraft):
-        if draft.model.config.vocab_size != vocab:
-            raise ConfigError(f"draft vocab_size {draft.model.config.vocab_size} "
+        dc = draft.model.config
+        if dc.vocab_size != vocab:
+            raise ConfigError(f"draft vocab_size {dc.vocab_size} "
                               f"!= target vocab_size {vocab}")
+        if top >= dc.max_seq:
+            raise ConfigError(f"draft max_seq {dc.max_seq} is too short: "
+                              f"decoding may need draft position {top}")
     elif (draft.w1.shape, draft.w2.shape) != ((2 * d, d), (d, d)):
         raise ConfigError(f"feature-reuse head w1 {draft.w1.shape}, w2 "
                           f"{draft.w2.shape} does not fit target d_model {d}")
@@ -141,15 +166,26 @@ def decode_speculative(target: TinyLM, draft_cfg: DraftConfig, prompt,
     The target cache always lags one token behind the committed stream (the
     correction/bonus token is emitted before it is forwarded), so each round
     costs exactly one target forward.
+
+    An independent draft keeps one KV cache for the whole call. After each
+    round it drops its unaccepted tail, ``k - 1 - acc`` entries (its k-th
+    token was never forwarded), so the next round feeds it only the
+    committed tokens it has not seen: 1 after a partial accept (the
+    correction), 2 after a full one (the last draft token and the bonus).
     """
     prompt = list(int(t) for t in prompt)
     if not prompt:
         raise ValueError("prompt must be nonempty")
     if max_new < 1:
         raise ValueError("max_new must be >= 1")
-    _check_draft(target, draft_cfg.draft)
+    # A round drafting k tokens after n committed ones forwards the draft up
+    # to position n + k - 2, with n + k <= len(prompt) + max_new - 1; with
+    # max_new 1 no round drafts.
+    _check_draft(target, draft_cfg.draft,
+                 len(prompt) + max_new - 3 if max_new > 1 else -1)
 
     cache = KvCache.for_model(target.config)
+    draft_state = _draft_state(draft_cfg.draft, target)
     stats = SpecStats()
     out = list(prompt)
     pending = list(prompt)          # committed tokens not yet in the cache
@@ -157,7 +193,8 @@ def decode_speculative(target: TinyLM, draft_cfg: DraftConfig, prompt,
     emitted = 0
     while emitted < max_new:
         k = min(draft_cfg.k, max_new - emitted - 1)
-        draft_tokens = propose(draft_cfg, target, out, k, last_hidden) if k > 0 else []
+        draft_tokens = (propose(draft_cfg, target, out, k, last_hidden, draft_state)
+                        if k > 0 else [])
         block = pending + draft_tokens
         fo = forward(target, block, cache=cache)
         preds = np.argmax(fo.logits, axis=-1)
@@ -167,6 +204,8 @@ def decode_speculative(target: TinyLM, draft_cfg: DraftConfig, prompt,
         out.append(next_tok)
         emitted += acc + 1
         cache.truncate(len(draft_tokens) - acc)
+        if isinstance(draft_state, KvCache):
+            draft_state.truncate(len(draft_tokens) - 1 - acc)
         last_hidden = fo.final_hidden[base + acc]
         pending = [next_tok]
         stats.rounds += 1

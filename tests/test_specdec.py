@@ -1,7 +1,12 @@
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import edgelm as E
+from edgelm import specdec
 from edgelm.errors import ConfigError, ContractViolation
 from edgelm.specdec import SpecStats, propose
 
@@ -45,6 +50,16 @@ class TestPropose:
         toks = propose(E.DraftConfig(E.IndependentDraft(draft), 4), target, ctx, 4)
         ref = E.greedy_decode(draft, ctx, 4)[len(ctx):]
         assert toks == ref
+
+    def test_cache_that_has_seen_the_context_is_rejected(self):
+        target, draft = small_model(0), small_model(1)
+        cfg = E.DraftConfig(E.IndependentDraft(draft), 2)
+        cache = E.KvCache.for_model(draft.config)
+        propose(cfg, target, [3, 7, 11], 2, cache=cache)   # forwards 3 + 1 tokens
+        draft.reset_counters()
+        with pytest.raises(ValueError, match="seen 4 tokens, context has only 4"):
+            propose(cfg, target, [3, 7, 11, 5], 2, cache=cache)
+        assert draft.stats["forwards"] == 0
 
     def test_feature_reuse_zero_init_constant(self):
         target = small_model(0)
@@ -169,3 +184,147 @@ class TestDecodeSpeculative:
         with pytest.raises(ConfigError, match="d_model"):
             E.decode_speculative(target, E.DraftConfig(head, 2), [1], 4)
         assert target.stats["forwards"] == 0
+
+    def test_draft_max_seq_checked_up_front(self):
+        # the draft forwards positions up to len(prompt) + max_new - 3 = 25
+        target = small_model(13, max_seq=64)
+        prompt, max_new = [1] * 8, 20
+        enough = small_model(14, n_layers=1, max_seq=26)
+        out, _ = E.decode_speculative(
+            target, E.DraftConfig(E.IndependentDraft(enough), 4), prompt, max_new)
+        assert out == E.greedy_decode(target, prompt, max_new)
+
+        short = small_model(14, n_layers=1, max_seq=25)
+        target.reset_counters()
+        with pytest.raises(ConfigError, match="max_seq 25 .* position 25"):
+            E.decode_speculative(
+                target, E.DraftConfig(E.IndependentDraft(short), 4), prompt, max_new)
+        assert target.stats["forwards"] == short.stats["forwards"] == 0
+
+
+# --- partial accepts ----------------------------------------------------------
+# init_model's N(0, 0.02) weights make greedy decoding repeat the last token,
+# so a draft almost never loses a round. Scaling the target's non-embedding,
+# non-norm weights x5 makes its output vary; its own 1-layer truncation and
+# its 4-bit PTQ copy then draft with many partial and some full accepts.
+
+def _scaled(model, factor=5.0):
+    return E.TinyLM(model.config, {
+        n: w if n == "token_embed" or n.endswith("norm") else w * factor
+        for n, w in model.weights.items()})
+
+
+def _truncated(model, n_layers):
+    cfg = replace(model.config, n_layers=n_layers)
+    return E.TinyLM(cfg, {n: model.weights[n] for n in cfg.slot_shapes()})
+
+
+VARIED = _scaled(small_model(15))
+DRAFTS = {"truncated": _truncated(VARIED, 1),
+          "ptq4": E.ptq_model(VARIED, E.uniform_plan(VARIED, 4), freeze=True)}
+
+
+def _reprefill_reference(target, draft_cfg, prompt, max_new):
+    """decode_speculative with a fresh draft cache, prefilled over the whole
+    committed stream, in every round: (tokens, stats, trace)."""
+    cache = E.KvCache.for_model(target.config)
+    stats, trace = SpecStats(), []
+    out, pending = list(prompt), list(prompt)
+    while stats.emitted < max_new:
+        k = min(draft_cfg.k, max_new - stats.emitted - 1)
+        drafted = propose(draft_cfg, target, out, k) if k > 0 else []
+        preds = np.argmax(E.forward(target, pending + drafted, cache=cache).logits,
+                          axis=-1)[len(pending) - 1:]
+        acc = 0
+        while acc < len(drafted) and drafted[acc] == preds[acc]:
+            acc += 1
+        out += drafted[:acc] + [int(preds[acc])]
+        cache.truncate(len(drafted) - acc)
+        pending = out[-1:]
+        stats.rounds += 1
+        stats.proposed += len(drafted)
+        stats.accepted += acc
+        stats.emitted += acc + 1
+        trace.append({"round": stats.rounds, "proposed": len(drafted),
+                      "accepted": acc, "emitted": acc + 1})
+    return out, stats, trace
+
+
+def _assert_same_entries(cache, ref, n):
+    """cache holds the n positions 0..n-1 in every layer, with ref's keys and
+    values to within 1e-12."""
+    for li in range(ref.n_layers):
+        k, v, pos = cache.layer_kv(li)
+        rk, rv, rpos = ref.layer_kv(li)
+        assert pos.tolist() == rpos.tolist() == list(range(n))
+        np.testing.assert_allclose(k, rk, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(v, rv, rtol=0, atol=1e-12)
+
+
+def _decode_spying(target, draft_cfg, prompt, max_new):
+    """decode_speculative, recording every KvCache it builds and, for every
+    draft catch-up forward (greedy_continue's first), its token count and cache."""
+    made, feeds = [], []
+    for_model, greedy_continue = E.KvCache.for_model, specdec.greedy_continue
+
+    def spy_for_model(config, *args, **kwargs):
+        made.append(for_model(config, *args, **kwargs))
+        return made[-1]
+
+    def spy_continue(model, cache, tokens, n):
+        feeds.append((len(tokens), cache))
+        return greedy_continue(model, cache, tokens, n)
+
+    trace: list = []
+    with mock.patch.object(specdec.KvCache, "for_model", spy_for_model), \
+            mock.patch.object(specdec, "greedy_continue", spy_continue):
+        out, stats = E.decode_speculative(target, draft_cfg, prompt, max_new,
+                                          trace=trace)
+    return out, stats, trace, made, feeds
+
+
+PARTIAL_ACCEPT_CASES = dict(
+    draft=st.sampled_from(sorted(DRAFTS)), k=st.sampled_from([1, 2, 4, 6]),
+    prompt=st.lists(st.integers(0, VARIED.config.vocab_size - 1),
+                    min_size=1, max_size=12),
+    max_new=st.integers(1, 24))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**PARTIAL_ACCEPT_CASES)
+def test_one_draft_cache_matches_a_fresh_prefill_every_round(draft, k, prompt, max_new):
+    draft_cfg = E.DraftConfig(E.IndependentDraft(DRAFTS[draft]), k)
+    out, stats, trace, _, feeds = _decode_spying(VARIED, draft_cfg, prompt, max_new)
+
+    ref_out, ref_stats, ref_trace = _reprefill_reference(VARIED, draft_cfg, prompt, max_new)
+    assert out == ref_out == E.greedy_decode(VARIED, prompt, max_new)
+    assert (stats, trace) == (ref_stats, ref_trace)
+
+    # the draft sees the prompt once, then only what the target committed: the
+    # correction after a partial accept, the last draft token and the bonus
+    # after a full one
+    drafted = [r for r in trace if r["proposed"]]
+    if not drafted:
+        assert feeds == []
+        return
+    assert [n for n, _ in feeds] == [len(prompt)] + [
+        1 if r["accepted"] < r["proposed"] else 2 for r in drafted[:-1]]
+    committed = len(prompt)
+    for r in trace:
+        if r["proposed"]:    # the k-th draft token is never forwarded
+            kept = committed + min(r["accepted"], r["proposed"] - 1)
+        committed += r["emitted"]
+    fresh = E.KvCache.for_model(DRAFTS[draft].config)
+    E.forward(DRAFTS[draft], out[:kept], cache=fresh)
+    _assert_same_entries(feeds[-1][1], fresh, kept)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**PARTIAL_ACCEPT_CASES)
+def test_target_cache_rolls_back_to_the_greedy_cache(draft, k, prompt, max_new):
+    draft_cfg = E.DraftConfig(E.IndependentDraft(DRAFTS[draft]), k)
+    out, _, _, made, _ = _decode_spying(VARIED, draft_cfg, prompt, max_new)
+    greedy = E.KvCache.for_model(VARIED.config)
+    assert prompt + specdec.greedy_continue(VARIED, greedy, prompt, max_new) == out
+    # decode_speculative builds the target's cache first; it lags the stream by one
+    _assert_same_entries(made[0], greedy, len(out) - 1)
