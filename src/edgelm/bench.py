@@ -54,13 +54,6 @@ def validate_config(config: dict):
     _js_validate(config, CONFIG_SCHEMA)
 
 
-def load_config(path) -> dict:
-    with open(path) as f:
-        config = json.load(f)
-    validate_config(config)
-    return config
-
-
 def model_from_config(config: dict, seed: int) -> TinyLM:
     return init_model(ModelConfig(**config.get("model", {})), seed)
 
@@ -69,12 +62,16 @@ def trial_seed(master: int, trial: int) -> int:
     return (master * 1_000_003 + trial) & (2**63 - 1)
 
 
-def prefill(model: TinyLM, tokens, cache, chunk: int = 512):
-    """Cache-extending block forward in chunks (bounds attention memory)."""
+PREFILL_CHUNK = 512
+
+
+def prefill(model: TinyLM, tokens, cache):
+    """Cache-extending block forward in chunks of ``PREFILL_CHUNK`` tokens
+    (bounds attention memory)."""
     tokens = list(tokens)
     fo = None
-    for start in range(0, len(tokens), chunk):
-        fo = forward(model, tokens[start:start + chunk], cache=cache)
+    for start in range(0, len(tokens), PREFILL_CHUNK):
+        fo = forward(model, tokens[start:start + PREFILL_CHUNK], cache=cache)
     return fo
 
 

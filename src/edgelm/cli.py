@@ -18,10 +18,10 @@ from .trainmath import MpoWeights, PrefBatch, mpo_joint_loss
 
 
 def _load_config(args) -> dict:
+    config = {"seed": 0}
     if args.config:
-        config = bench.load_config(args.config)
-    else:
-        config = {"seed": 0}
+        with open(args.config) as f:
+            config = json.load(f)
     if args.seed is not None:
         config["seed"] = args.seed
     bench.validate_config(config)
@@ -52,23 +52,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_evict(args) -> int:
-    _emit(args, bench.run_evict_bench(_load_config(args)), "evict")
-    return 0
-
-
-def cmd_spec(args) -> int:
-    _emit(args, bench.run_spec_bench(_load_config(args)), "spec")
-    return 0
-
-
-def cmd_quant(args) -> int:
-    _emit(args, bench.run_quant_bench(_load_config(args)), "quant")
-    return 0
-
-
-def cmd_lora_demo(args) -> int:
-    _emit(args, bench.run_lora_demo(_load_config(args)), "lora_demo")
+def cmd_experiment(args) -> int:
+    _emit(args, args.runner(_load_config(args)), args.report)
     return 0
 
 
@@ -121,16 +106,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-new", type=int, default=16)
     sp.set_defaults(func=cmd_gen)
 
-    for name, fn, help_text in (
-            ("evict", cmd_evict, "KV eviction policy benchmark"),
-            ("spec", cmd_spec, "speculative decoding benchmark"),
-            ("quant", cmd_quant, "quantization bpw/overlap benchmark"),
-            ("lora-demo", cmd_lora_demo, "adapter registry + fitting demo")):
+    for name, runner, help_text in (
+            ("evict", bench.run_evict_bench, "KV eviction policy benchmark"),
+            ("spec", bench.run_spec_bench, "speculative decoding benchmark"),
+            ("quant", bench.run_quant_bench, "quantization bpw/overlap benchmark"),
+            ("lora-demo", bench.run_lora_demo, "adapter registry + fitting demo")):
         sp = sub.add_parser(name, help=help_text)
         config_args(sp)
         sp.add_argument("--out", help="report output directory")
         sp.add_argument("--format", choices=["json", "csv"], default="json")
-        sp.set_defaults(func=fn)
+        sp.set_defaults(func=cmd_experiment, runner=runner,
+                        report=name.replace("-", "_"))
 
     sp = sub.add_parser("losses", help="evaluate alignment losses on a batch")
     sp.add_argument("input", help="JSON file with log-prob arrays")

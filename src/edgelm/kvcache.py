@@ -99,7 +99,6 @@ EvictionPolicy = Union[AttentionSink, HeavyHitter, ObsWindow, Hybrid, RandomPoli
 class LayerReport:
     kept_indices: list[int]
     evicted_count: int
-    budget: int
 
 
 @dataclass
@@ -349,8 +348,7 @@ def evict(cache: KvCache, policy: EvictionPolicy, budget: int) -> EvictionReport
             ls.gather(kept)
             ls.rows = deque((row[kept[kept < row.size]] for row in ls.rows),
                             maxlen=cache.window)
-        reports.append(LayerReport(kept_indices=kept.tolist(),
-                                   evicted_count=evicted, budget=budget))
+        reports.append(LayerReport(kept_indices=kept.tolist(), evicted_count=evicted))
     return EvictionReport(layers=reports)
 
 

@@ -273,6 +273,16 @@ def greedy_continue(model: TinyLM, cache, tokens, n: int, adapter=None) -> list[
     return out
 
 
+def check_decode_fits(config: ModelConfig, prompt_len: int, max_new: int, role: str):
+    """Reject, before any forward, a decode of ``max_new`` tokens after
+    ``prompt_len`` that would pass ``max_seq``. The last token emitted is never
+    forwarded, so the last position forwarded is prompt_len + max_new - 2."""
+    top = prompt_len + max_new - 2
+    if max_new >= 1 and top >= config.max_seq:
+        raise ConfigError(f"{role} max_seq {config.max_seq} is too short: "
+                          f"decoding needs {role} position {top}")
+
+
 def greedy_decode(model: TinyLM, prompt, max_new: int, adapter=None) -> list[int]:
     """Argmax decoding with a full (non-evicting) cache; ties go to the lowest id."""
     from .kvcache import KvCache
@@ -282,6 +292,7 @@ def greedy_decode(model: TinyLM, prompt, max_new: int, adapter=None) -> list[int
         raise ValueError("prompt must be nonempty")
     if max_new < 0:
         raise ValueError("max_new must be nonnegative")
+    check_decode_fits(model.config, len(prompt), max_new, "model")
     cache = KvCache.for_model(model.config)
     return prompt + greedy_continue(model, cache, prompt, max_new, adapter)
 

@@ -7,6 +7,7 @@ code, scale, zero-point, and mask bits.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
@@ -19,6 +20,7 @@ from .errors import ConfigError, FrozenEncodingError, ManifestError, ShapeError
 from .model import TinyLM, forward, read_slots
 
 _ALLOWED_BITS = (2, 3, 4, 8)
+_SCHEMES = ("symmetric", "asymmetric")
 
 
 @dataclass(frozen=True)
@@ -33,7 +35,7 @@ class QuantSpec:
     def __post_init__(self):
         if self.bits not in _ALLOWED_BITS:
             raise ConfigError(f"bits must be one of {_ALLOWED_BITS}")
-        if self.scheme not in ("symmetric", "asymmetric"):
+        if self.scheme not in _SCHEMES:
             raise ConfigError("scheme must be symmetric or asymmetric")
         if self.granularity not in ("per-tensor", "per-row", "per-group"):
             raise ConfigError("granularity must be per-tensor, per-row, or per-group")
@@ -78,20 +80,20 @@ SparsitySpec = Union[Unstructured, Structured]
 class QuantTensor:
     """Bit-coded weight tensor; freezing makes every encoding array immutable.
 
-    A frozen tensor dequantizes once: its first :meth:`dequantize` result is
-    kept as a read-only array and returned by every later call. An unfrozen
-    tensor decodes its current encodings on every call.
+    The tensor's shape is ``codes.shape``. A frozen tensor dequantizes once:
+    its first :meth:`dequantize` result is kept as a read-only array and
+    returned by every later call. An unfrozen tensor decodes its current
+    encodings on every call.
     """
 
     def __init__(self, codes: np.ndarray, scales: np.ndarray,
-                 zero_points: Optional[np.ndarray], shape: tuple,
+                 zero_points: Optional[np.ndarray],
                  spec: QuantSpec, group_index: np.ndarray,
                  mask: Optional[np.ndarray] = None, frozen: bool = False):
         self.codes = np.asarray(codes, dtype=np.int32)
         self.scales = np.asarray(scales, dtype=np.float64)
         self.zero_points = None if zero_points is None else np.asarray(
             zero_points, dtype=np.int32)
-        self.shape = tuple(shape)
         self.spec = spec
         self.group_index = np.asarray(group_index, dtype=np.int64)  # per element
         self.mask = None if mask is None else np.asarray(mask, dtype=bool)
@@ -99,6 +101,10 @@ class QuantTensor:
         self._dense: Optional[np.ndarray] = None
         if frozen:
             self.freeze()
+
+    @property
+    def shape(self) -> tuple:
+        return self.codes.shape
 
     def freeze(self):
         for arr in (self.codes, self.scales, self.zero_points, self.mask,
@@ -115,13 +121,8 @@ class QuantTensor:
     def dequantize(self) -> np.ndarray:
         if self._dense is not None:
             return self._dense
-        flat_scales = self.scales[self.group_index]
-        if self.spec.scheme == "symmetric":
-            deq = self.codes.ravel().astype(np.float64) * flat_scales
-        else:
-            zps = self.zero_points[self.group_index]
-            deq = (self.codes.ravel().astype(np.float64) - zps) * flat_scales
-        deq = deq.reshape(self.shape)
+        deq = _decode(self.codes, self.scales, self.zero_points,
+                      self.group_index).reshape(self.shape)
         if self.mask is not None:
             deq = deq * self.mask
         deq = deq.astype(np.float32)
@@ -155,63 +156,65 @@ def _group_index(shape: tuple, spec: QuantSpec) -> tuple[np.ndarray, int]:
     return index.ravel(), total // rowlen * per_row
 
 
+def _encode(flat: np.ndarray, group_index: np.ndarray, bits: int, scheme: str):
+    """(codes, scales, zero points or None) of a flat float64 array, one scale
+    per group; codes and zero points are integer-valued floats."""
+    if not np.isfinite(flat).all():
+        raise ShapeError("cannot quantize non-finite values")
+    starts = np.flatnonzero(np.diff(group_index, prepend=-1))
+    if scheme == "symmetric":
+        qmax = 2 ** (bits - 1) - 1
+        amax = np.maximum.reduceat(np.abs(flat), starts)
+        scales = np.where(amax > 0, amax / qmax, 1.0)
+        return np.clip(np.rint(flat / scales[group_index]), -qmax, qmax), scales, None
+    hi = 2 ** bits - 1
+    mn = np.minimum.reduceat(flat, starts)
+    mx = np.maximum.reduceat(flat, starts)
+    spread = mx > mn
+    # a constant group c stores scale |c| (1 when c = 0) and a code that
+    # decodes to c exactly: 1 with zero point 0 for c > 0, 0 with zero point 1
+    # for c < 0, and c itself (a signed zero) for c = 0
+    scales = np.where(spread, (mx - mn) / hi, np.where(mn == 0, 1.0, np.abs(mn)))
+    zps = np.where(spread, np.rint(-mn / scales), mn < 0)
+    codes = np.where(spread[group_index],
+                     np.clip(np.rint(flat / scales[group_index]) + zps[group_index],
+                             0, hi),
+                     np.heaviside(flat, flat))
+    return codes, scales, zps
+
+
+def _decode(codes: np.ndarray, scales: np.ndarray, zero_points: Optional[np.ndarray],
+            group_index: np.ndarray) -> np.ndarray:
+    """Flat float64 values of the codes, per their group's scale and zero point."""
+    deq = codes.ravel().astype(np.float64)
+    if zero_points is not None:
+        deq = deq - zero_points[group_index]
+    return deq * scales[group_index]
+
+
 def quantize(tensor: np.ndarray, spec: QuantSpec,
              mask: Optional[np.ndarray] = None) -> QuantTensor:
     tensor = np.asarray(tensor, dtype=np.float64)
     if tensor.size == 0:
         raise ShapeError("cannot quantize an empty tensor")
-    if not np.isfinite(tensor).all():
-        raise ShapeError("cannot quantize non-finite values")
-    flat = tensor.ravel()
     group_index, _ = _group_index(tensor.shape, spec)
-    starts = np.flatnonzero(np.diff(group_index, prepend=-1))
-    if spec.scheme == "symmetric":
-        qmax = 2 ** (spec.bits - 1) - 1
-        amax = np.maximum.reduceat(np.abs(flat), starts)
-        scales = np.where(amax > 0, amax / qmax, 1.0)
-        codes = np.clip(np.rint(flat / scales[group_index]), -qmax, qmax)
-        zps = None
-    else:
-        hi = 2 ** spec.bits - 1
-        mn = np.minimum.reduceat(flat, starts)
-        mx = np.maximum.reduceat(flat, starts)
-        spread = mx > mn
-        # a constant group c stores scale |c| (1 when c = 0) and a code that
-        # decodes to c exactly: 1 with zero point 0 for c > 0, 0 with zero
-        # point 1 for c < 0
-        scales = np.where(spread, (mx - mn) / hi, np.where(mn == 0, 1.0, np.abs(mn)))
-        zps = np.where(spread, np.rint(-mn / scales), mn < 0).astype(np.int64)
-        codes = np.where(spread[group_index],
-                         np.clip(np.rint(flat / scales[group_index]) + zps[group_index],
-                                 0, hi),
-                         (mn > 0)[group_index])
-    return QuantTensor(codes=codes.astype(np.int64).reshape(tensor.shape),
-                       scales=scales, zero_points=zps, shape=tensor.shape,
+    codes, scales, zps = _encode(tensor.ravel(), group_index, spec.bits, spec.scheme)
+    return QuantTensor(codes=codes.astype(np.int64).reshape(tensor.shape), scales=scales,
+                       zero_points=None if zps is None else zps.astype(np.int64),
                        spec=spec, group_index=group_index, mask=mask)
 
 
 def fake_quant(x: np.ndarray, bits: int, scheme: str = "symmetric") -> np.ndarray:
-    """Quantize-then-dequantize in one pass, per-tensor dynamic range."""
-    if bits not in (8, 16):
-        raise ConfigError("fake_quant supports 8 or 16 bits")
+    """Quantize-then-dequantize in one pass, per-tensor dynamic range, with
+    :func:`quantize`'s rule at 8 or 16 bits."""
+    if bits not in (8, 16) or scheme not in _SCHEMES:
+        raise ConfigError("fake_quant supports 8 or 16 bits, symmetric or asymmetric")
     x = np.asarray(x, dtype=np.float64)
     if x.size == 0:
         return x.astype(np.float32)
-    if scheme == "symmetric":
-        qmax = 2 ** (bits - 1) - 1
-        amax = np.max(np.abs(x))
-        scale = amax / qmax if amax > 0 else 1.0
-        return (np.clip(np.rint(x / scale), -qmax, qmax) * scale).astype(np.float32)
-    if scheme != "asymmetric":
-        raise ConfigError("scheme must be symmetric or asymmetric")
-    hi = 2 ** bits - 1
-    mn, mx = x.min(), x.max()
-    if mx == mn:
-        return x.astype(np.float32)
-    scale = (mx - mn) / hi
-    zp = int(np.rint(-mn / scale))
-    c = np.clip(np.rint(x / scale) + zp, 0, hi)
-    return ((c - zp) * scale).astype(np.float32)
+    group_index = np.zeros(x.size, dtype=np.int64)
+    codes, scales, zps = _encode(x.ravel(), group_index, bits, scheme)
+    return _decode(codes, scales, zps, group_index).reshape(x.shape).astype(np.float32)
 
 
 def sparsify(tensor: np.ndarray, spec: SparsitySpec
@@ -231,28 +234,28 @@ def sparsify(tensor: np.ndarray, spec: SparsitySpec
     return (tensor * mask).astype(tensor.dtype), mask
 
 
-def _tensor_bits(shape: tuple, qspec: QuantSpec, stored: int,
-                 mask_bits_per_weight: Fraction = Fraction(0)) -> Fraction:
+def _tensor_bits(shape: tuple, qspec: QuantSpec,
+                 sparsity: Optional[SparsitySpec] = None,
+                 mask: Optional[np.ndarray] = None) -> Fraction:
     """Code bits of the stored weights, per-group scale (and zero-point) bits,
-    and mask bits over every weight."""
+    and mask bits over every weight. A stored mask counts what it keeps, at 1
+    bit per weight unless a declared scheme encodes it more compactly."""
+    total = int(np.prod(shape))
+    stored = total if sparsity is None else sparsity.kept(total)
+    if mask is not None:
+        stored = int(mask.sum())
+    mask_bpw = (Fraction(int(mask is not None)) if sparsity is None
+                else sparsity.mask_bits_per_weight())
     n_groups = _group_index(shape, qspec)[1]
     group_bits = qspec.scale_bits
     if qspec.scheme == "asymmetric":
         group_bits += qspec.zero_point_bits
-    return (Fraction(stored * qspec.bits + n_groups * group_bits)
-            + mask_bits_per_weight * int(np.prod(shape)))
+    return Fraction(stored * qspec.bits + n_groups * group_bits) + mask_bpw * total
 
 
 def bpw_exact(qt: QuantTensor,
               sparsity: Optional[SparsitySpec] = None) -> Fraction:
-    total = int(np.prod(qt.shape))
-    if qt.mask is None and sparsity is None:
-        return _tensor_bits(qt.shape, qt.spec, total) / total
-    # a stored mask counts what it keeps, at 1 bit per weight unless a
-    # declared scheme encodes it more compactly
-    stored = int(qt.mask.sum()) if qt.mask is not None else sparsity.kept(total)
-    mask_bpw = sparsity.mask_bits_per_weight() if sparsity is not None else Fraction(1)
-    return _tensor_bits(qt.shape, qt.spec, stored, mask_bpw) / total
+    return _tensor_bits(qt.shape, qt.spec, sparsity, qt.mask) / qt.codes.size
 
 
 def bpw(qt: QuantTensor, sparsity: Optional[SparsitySpec] = None) -> float:
@@ -275,33 +278,23 @@ class PrecisionPlan:
 
 
 def uniform_plan(model: TinyLM, bits: int, scheme: str = "symmetric",
-                 group_size: int = 128, scale_bits: int = 16) -> PrecisionPlan:
+                 group_size: int = 128) -> PrecisionPlan:
     """Per-group specs for matrices, per-tensor for 1-D norm scales."""
     specs = {}
     for name, shape in model.config.slot_shapes().items():
         if len(shape) > 1 and shape[-1] >= group_size:
             specs[name] = QuantSpec(bits=bits, scheme=scheme,
-                                    granularity="per-group", group_size=group_size,
-                                    scale_bits=scale_bits)
+                                    granularity="per-group", group_size=group_size)
         else:
-            specs[name] = QuantSpec(bits=bits, scheme=scheme,
-                                    granularity="per-tensor", scale_bits=scale_bits)
+            specs[name] = QuantSpec(bits=bits, scheme=scheme, granularity="per-tensor")
     return PrecisionPlan(specs=specs)
 
 
 def plan_bpw_exact(model: TinyLM, plan: PrecisionPlan) -> Fraction:
-    total_bits = Fraction(0)
-    total_weights = 0
-    for name, shape in model.config.slot_shapes().items():
-        total = int(np.prod(shape))
-        sspec = plan.sparsity.get(name)
-        if sspec is None:
-            total_bits += _tensor_bits(shape, plan.specs[name], total)
-        else:
-            total_bits += _tensor_bits(shape, plan.specs[name], sspec.kept(total),
-                                       sspec.mask_bits_per_weight())
-        total_weights += total
-    return total_bits / total_weights
+    shapes = model.config.slot_shapes()
+    total_bits = sum(_tensor_bits(shape, plan.specs[name], plan.sparsity.get(name))
+                     for name, shape in shapes.items())
+    return total_bits / sum(int(np.prod(shape)) for shape in shapes.values())
 
 
 def plan_bpw(model: TinyLM, plan: PrecisionPlan) -> float:
@@ -325,21 +318,24 @@ def ptq_model(model: TinyLM, plan: PrecisionPlan, freeze: bool = False) -> TinyL
     return TinyLM(config=model.config, weights=weights)
 
 
+def _argmaxes(model: TinyLM, sequences) -> list[np.ndarray]:
+    return [np.argmax(forward(model, seq).logits, axis=-1) for seq in sequences]
+
+
+def _agreement(model: TinyLM, sequences, ref_preds) -> float:
+    """Teacher-forced share of positions where the model's argmax equals the
+    reference argmaxes ``ref_preds`` (one array per sequence)."""
+    agree = sum(int(np.sum(preds == ref))
+                for preds, ref in zip(_argmaxes(model, sequences), ref_preds))
+    return agree / sum(len(seq) for seq in sequences)
+
+
 def top1_overlap(model_a: TinyLM, model_b: TinyLM, sequences) -> float:
     """Teacher-forced argmax agreement over the supplied token sequences."""
-    agree = 0
-    total = 0
-    for seq in sequences:
-        seq = list(seq)
-        if not seq:
-            continue
-        pa = np.argmax(forward(model_a, seq).logits, axis=-1)
-        pb = np.argmax(forward(model_b, seq).logits, axis=-1)
-        agree += int(np.sum(pa == pb))
-        total += len(seq)
-    if total == 0:
+    sequences = [seq for seq in map(list, sequences) if seq]
+    if not sequences:
         raise ValueError("top1_overlap needs at least one scoreable position")
-    return agree / total
+    return _agreement(model_b, sequences, _argmaxes(model_a, sequences))
 
 
 _LADDER = (8, 4, 3, 2)
@@ -370,25 +366,17 @@ def assign_precision(model: TinyLM, calibration, bpw_budget: float,
     if not bpw_budget >= lo:  # a NaN budget fails here too
         raise ConfigError(f"budget {bpw_budget} below minimum achievable {lo}")
 
-    ref_preds = [np.argmax(forward(model, seq).logits, axis=-1) for seq in calibration]
-    qt_cache: dict[tuple[str, int], QuantTensor] = {}
+    ref_preds = _argmaxes(model, calibration)
 
+    @functools.cache
     def quantized_slot(name: str, bits: int) -> QuantTensor:
-        key = (name, bits)
-        if key not in qt_cache:
-            qt_cache[key] = quantize(np.asarray(model.weight(name), dtype=np.float64),
-                                     replace(base[name], bits=bits))
-        return qt_cache[key]
+        return quantize(np.asarray(model.weight(name), dtype=np.float64),
+                        replace(base[name], bits=bits))
 
     def overlap_for(levels: dict[str, int]) -> float:
         qm = TinyLM(config=model.config,
                     weights={s: quantized_slot(s, levels[s]) for s in slots})
-        agree = total = 0
-        for seq, ref in zip(calibration, ref_preds):
-            preds = np.argmax(forward(qm, seq).logits, axis=-1)
-            agree += int(np.sum(preds == ref))
-            total += len(seq)
-        return agree / total
+        return _agreement(qm, calibration, ref_preds)
 
     def best_step(levels: dict[str, int], step: int):
         """Levels with the one-rung move (+1 demotes, -1 promotes within the
@@ -503,6 +491,6 @@ def load_quant_model(path) -> TinyLM:
             packed = _blob(blobs, entry, "mask", np.uint8, [(count + 7) // 8])
             mask = np.unpackbits(packed, count=count).astype(bool).reshape(shape)
         weights[entry["name"]] = QuantTensor(
-            codes=codes.reshape(shape), scales=scales, zero_points=zps, shape=shape,
+            codes=codes.reshape(shape), scales=scales, zero_points=zps,
             spec=spec, group_index=gidx, mask=mask, frozen=entry["frozen"])
     return TinyLM(config=config, weights=weights)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolation
 from .kvcache import KvCache
-from .model import TinyLM, forward, greedy_continue, slot_rng
+from .model import TinyLM, check_decode_fits, forward, greedy_continue, slot_rng
 
 
 @dataclass
@@ -141,18 +141,18 @@ def _accept(draft: list[int], preds: np.ndarray, base: int) -> tuple[int, int]:
 
 
 def _check_draft(target: TinyLM, draft: Union[IndependentDraft, FeatureReuseDraft],
-                 top: int):
+                 prompt_len: int, max_new: int):
     """Reject a draft whose vocabulary or head shapes do not fit the target,
-    or an independent draft whose max_seq does not reach position ``top``."""
+    or an independent draft too short for the request. The draft decodes at
+    most ``max_new - 1`` tokens after the prompt: the request's last token
+    always comes from the target."""
     d, vocab = target.config.d_model, target.config.vocab_size
     if isinstance(draft, IndependentDraft):
         dc = draft.model.config
         if dc.vocab_size != vocab:
             raise ConfigError(f"draft vocab_size {dc.vocab_size} "
                               f"!= target vocab_size {vocab}")
-        if top >= dc.max_seq:
-            raise ConfigError(f"draft max_seq {dc.max_seq} is too short: "
-                              f"decoding may need draft position {top}")
+        check_decode_fits(dc, prompt_len, max_new - 1, "draft")
     elif (draft.w1.shape, draft.w2.shape) != ((2 * d, d), (d, d)):
         raise ConfigError(f"feature-reuse head w1 {draft.w1.shape}, w2 "
                           f"{draft.w2.shape} does not fit target d_model {d}")
@@ -178,11 +178,8 @@ def decode_speculative(target: TinyLM, draft_cfg: DraftConfig, prompt,
         raise ValueError("prompt must be nonempty")
     if max_new < 1:
         raise ValueError("max_new must be >= 1")
-    # A round drafting k tokens after n committed ones forwards the draft up
-    # to position n + k - 2, with n + k <= len(prompt) + max_new - 1; with
-    # max_new 1 no round drafts.
-    _check_draft(target, draft_cfg.draft,
-                 len(prompt) + max_new - 3 if max_new > 1 else -1)
+    check_decode_fits(target.config, len(prompt), max_new, "target")
+    _check_draft(target, draft_cfg.draft, len(prompt), max_new)
 
     cache = KvCache.for_model(target.config)
     draft_state = _draft_state(draft_cfg.draft, target)

@@ -86,6 +86,8 @@ def generation_loss(token_logprobs) -> float:
     lps = np.asarray(token_logprobs, dtype=np.float64)
     if lps.size == 0:
         raise ValueError("token_logprobs must be nonempty")
+    if not np.isfinite(lps).all():
+        raise ValueError("token_logprobs must be finite")
     return float(-np.sum(lps))
 
 
@@ -123,6 +125,8 @@ def entity_weighted_ce(sequences) -> float:
         alphas = np.asarray(alphas, dtype=np.float64)
         if lps.shape != alphas.shape:
             raise ValueError("logprobs and alphas must have matching lengths")
+        if not (np.isfinite(lps).all() and np.isfinite(alphas).all()):
+            raise ValueError("logprobs and entity weights must be finite")
         if np.any(alphas < 1):
             raise ValueError("entity weights must be >= 1")
         total += -np.sum(alphas * lps)

@@ -150,6 +150,17 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["breakdown"]["preference"] == pytest.approx(math.log(2))
 
+    def test_losses_reject_non_finite_logprobs(self, tmp_path, capsys):
+        payload = {"lp_theta_c": [0.0], "lp_0_c": [0.0],
+                   "lp_theta_r": [0.0], "lp_0_r": [0.0], "token_logprobs": [math.nan]}
+        p = tmp_path / "b.json"
+        p.write_text(json.dumps(payload))
+        assert main(["losses", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and "finite" in err["message"]
+
     def test_rouge(self, tmp_path, capsys):
         (tmp_path / "ref.txt").write_text("a b c d")
         (tmp_path / "hyp.txt").write_text("a b e f")

@@ -240,6 +240,18 @@ class TestForward:
         with pytest.raises(ValueError):
             E.forward(m, [0, 1, 2, 3, 0])
 
+    def test_greedy_decode_checks_max_seq_before_the_first_forward(self):
+        # the last forward covers position len(prompt) + max_new - 2 = 26
+        prompt, max_new = [1] * 8, 20
+        enough = E.init_model(small_config(max_seq=27), 0)
+        assert len(E.greedy_decode(enough, prompt, max_new)) == 28
+        short = E.init_model(small_config(max_seq=26), 0)
+        with pytest.raises(ConfigError, match="model max_seq 26 .* position 26"):
+            E.greedy_decode(short, prompt, max_new)
+        assert short.stats["forwards"] == 0
+        assert E.greedy_decode(short, [1] * 30, 0) == [1] * 30
+        assert short.stats["forwards"] == 0
+
 
 def _reference_forward(model, tokens, past, start):
     """Logits and each layer's head-averaged attention block of ``tokens`` at

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import edgelm as E
 from edgelm import quant as Q
@@ -183,6 +183,60 @@ class TestFakeQuant:
     def test_bad_bits_rejected(self):
         with pytest.raises(ConfigError):
             E.fake_quant(np.ones(4), 4)
+
+    def test_bad_scheme_rejected_and_empty_input_passes(self):
+        with pytest.raises(ConfigError):
+            E.fake_quant(np.ones(4), 8, "ternary")
+        out = E.fake_quant(np.zeros((0, 3)), 16, "asymmetric")
+        assert out.shape == (0, 3) and out.dtype == np.float32
+
+    @pytest.mark.parametrize("x, scheme", [
+        ([1.0, 2.0, np.inf], "symmetric"),
+        ([1.0, np.nan, 2.0], "symmetric"),
+        ([1.0, np.nan, 2.0], "asymmetric"),
+        ([1.0, -np.inf], "asymmetric")])
+    def test_non_finite_rejected(self, x, scheme):
+        with pytest.raises(ShapeError, match="non-finite"):
+            E.fake_quant(np.array(x), 8, scheme)
+
+
+def closed_form_fake_quant(x, bits, scheme):
+    """Per-tensor quantize-then-dequantize written out in one expression per
+    scheme: the reference for fake_quant."""
+    if scheme == "symmetric":
+        qmax = 2 ** (bits - 1) - 1
+        amax = np.max(np.abs(x))
+        scale = amax / qmax if amax > 0 else 1.0
+        return (np.clip(np.rint(x / scale), -qmax, qmax) * scale).astype(np.float32)
+    hi = 2 ** bits - 1
+    mn, mx = x.min(), x.max()
+    if mx == mn:
+        return x.astype(np.float32)
+    scale = (mx - mn) / hi
+    zp = int(np.rint(-mn / scale))
+    return ((np.clip(np.rint(x / scale) + zp, 0, hi) - zp) * scale).astype(np.float32)
+
+
+# Magnitudes below 1e-30 become signed zeros: a range that small can underflow
+# to a zero scale, where the closed form's int(zero point) overflows.
+_FQ_VALUES = st.floats(-1e30, 1e30, allow_subnormal=False).map(
+    lambda v: v if abs(v) >= 1e-30 else 0.0 * v)
+
+
+@pytest.mark.parametrize("bits", [8, 16])
+@pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
+@settings(max_examples=150, deadline=None)
+@given(values=st.one_of(
+    st.lists(_FQ_VALUES, min_size=1, max_size=48),
+    st.tuples(_FQ_VALUES, st.integers(1, 12)).map(lambda t: [t[0]] * t[1])))
+@example(values=[0.0] * 6)
+@example(values=[-0.0, 0.0, -0.0])
+@example(values=[1.0, float(np.nextafter(1.0, 2.0))])
+def test_fake_quant_matches_closed_form_bit_for_bit(bits, scheme, values):
+    x = np.array(values)
+    got = E.fake_quant(x.reshape(1, -1), bits, scheme)
+    want = closed_form_fake_quant(x, bits, scheme).reshape(1, -1)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestSparsify:

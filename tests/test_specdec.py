@@ -201,6 +201,21 @@ class TestDecodeSpeculative:
                 target, E.DraftConfig(E.IndependentDraft(short), 4), prompt, max_new)
         assert target.stats["forwards"] == short.stats["forwards"] == 0
 
+    def test_target_max_seq_checked_up_front(self):
+        # the target forwards positions up to len(prompt) + max_new - 2 = 26
+        prompt, max_new = [1] * 8, 20
+        draft = small_model(14, n_layers=1, max_seq=64)
+        draft_cfg = E.DraftConfig(E.IndependentDraft(draft), 4)
+        enough = small_model(13, max_seq=27)
+        out, _ = E.decode_speculative(enough, draft_cfg, prompt, max_new)
+        assert out == E.greedy_decode(enough, prompt, max_new)
+
+        short = small_model(13, max_seq=26)
+        draft.reset_counters()
+        with pytest.raises(ConfigError, match="target max_seq 26 .* position 26"):
+            E.decode_speculative(short, draft_cfg, prompt, max_new)
+        assert short.stats["forwards"] == draft.stats["forwards"] == 0
+
 
 # --- partial accepts ----------------------------------------------------------
 # init_model's N(0, 0.02) weights make greedy decoding repeat the last token,

@@ -73,6 +73,11 @@ class TestGenerationLoss:
         with pytest.raises(ValueError):
             E.generation_loss([])
 
+    @pytest.mark.parametrize("lps", [[np.nan], [-1.0, -np.inf], [np.inf]])
+    def test_non_finite_rejected(self, lps):
+        with pytest.raises(ValueError, match="finite"):
+            E.generation_loss(lps)
+
 
 class TestJointLoss:
     def test_weighted_combination(self):
@@ -122,6 +127,12 @@ class TestEntityCe:
     def test_alpha_below_one_rejected(self):
         with pytest.raises(ValueError):
             E.entity_weighted_ce([([-1.0], [0.5])])
+
+    @pytest.mark.parametrize("lps, alphas", [([np.nan], [1.0]), ([-np.inf], [1.0]),
+                                             ([-1.0], [np.nan]), ([-1.0], [np.inf])])
+    def test_non_finite_rejected(self, lps, alphas):
+        with pytest.raises(ValueError, match="finite"):
+            E.entity_weighted_ce([([-1.0], [1.0]), (lps, alphas)])
 
 
 class TestRewards:
