@@ -11,6 +11,8 @@ import copy
 import csv
 import dataclasses
 import json
+import os
+import platform
 import time
 from pathlib import Path
 
@@ -341,6 +343,10 @@ def _summary(rows: list, field: str):
             "max": float(np.max(vals))}
 
 
+# BLAS and OpenMP thread settings, recorded so timings can be compared
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _make_report(config: dict, rows: list, agg_fields=(), extra_meta=None) -> dict:
     aggregates = {}
     for field in agg_fields:
@@ -348,7 +354,11 @@ def _make_report(config: dict, rows: list, agg_fields=(), extra_meta=None) -> di
         if summary is not None:
             aggregates[field] = summary
     meta = {"artifact_version": ARTIFACT_VERSION,
-            "generated_ns": time.time_ns()}
+            "generated_ns": time.time_ns(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "cpu_count": os.cpu_count(),
+            "threads": {var: os.environ.get(var) for var in _THREAD_VARS}}
     if extra_meta:
         meta.update(extra_meta)
     return {"config": config, "trials": rows, "aggregates": aggregates,

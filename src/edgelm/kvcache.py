@@ -11,19 +11,20 @@ values in spare capacity and attends over one view of the layer,
 ``evict`` gathers the kept entries in place. The arrays a layer exposes are
 views, valid until the next append, truncate or evict.
 
-Score state lives with the cache: an accumulated-mass vector and a ring
-buffer of recent head-averaged attention rows. Both are built by
-``append_block`` from the one attention block each forward hands over per
-layer, and pruned on eviction.
+Score state lives with the cache: an accumulated-mass vector and a ring of
+the last ``window`` head-averaged attention rows. The ring is one
+[window, capacity] buffer in the same arena, one slot per row with its
+length, and every slot is zero past the kept count. ``append_block`` builds
+both from the one attention block each forward hands over per layer,
+``truncate`` zeros the dropped columns and pops the newest rows, and
+``evict`` gathers the kept columns of every slot.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError
 
@@ -111,7 +112,13 @@ class EvictionReport:
 class _LayerStore:
     """One layer's entries in the first ``kept`` slots of capacity-doubling
     buffers. ``keys``, ``values``, ``positions`` and ``acc`` are views over
-    those slots, valid until the next append, truncate or evict."""
+    those slots, valid until the next append, truncate or evict.
+
+    The window of recent attention rows is a ring: ``_rows[s, :_lens[s]]``
+    is the row in slot s, the newest row sits just before ``_head`` and
+    ``_count`` slots are live. Every slot, live or not, is zero past
+    ``kept``, so writing a new row's ``[:kept + n]`` overwrites all a reused
+    slot held, and a sum over slots needs no per-row cut."""
 
     def __init__(self, n_kv_heads: int, head_dim: int, window: int):
         self.kept = 0
@@ -119,12 +126,23 @@ class _LayerStore:
         self._values = np.zeros((0, n_kv_heads, head_dim))
         self._positions = np.zeros(0, dtype=np.int64)
         self._acc = np.zeros(0)                      # accumulated attention mass
-        self.rows: deque[np.ndarray] = deque(maxlen=window)
+        self._rows = np.zeros((window, 0))
+        self._lens = np.zeros(window, dtype=np.int64)
+        self._head = self._count = 0
 
     keys = property(lambda self: self._keys[:self.kept])
     values = property(lambda self: self._values[:self.kept])
     positions = property(lambda self: self._positions[:self.kept])
     acc = property(lambda self: self._acc[:self.kept])
+
+    def slots(self) -> range:
+        """The live ring slots, oldest row first; a negative slot wraps."""
+        return range(self._head - self._count, self._head)
+
+    @property
+    def rows(self) -> list[np.ndarray]:
+        """The window's rows, oldest first, each cut at its own length (views)."""
+        return [self._rows[s, :self._lens[s]] for s in self.slots()]
 
     def reserve(self, n: int):
         """Make room for n more entries, doubling the capacity when it grows."""
@@ -137,11 +155,37 @@ class _LayerStore:
             new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
             new[:self.kept] = old[:self.kept]
             setattr(self, name, new)
+        rows = np.zeros((self._lens.size, cap))
+        rows[:, :self.kept] = self._rows[:, :self.kept]
+        self._rows = rows
+
+    def push_rows(self, attn: np.ndarray, end: int):
+        """Write the last ``window`` rows of a [n, end] attention block into
+        the ring, row i with length end - n + i + 1; the block is zero past
+        each row's length."""
+        w, n = self._lens.size, attn.shape[0]
+        for i in range(max(0, n - w), n):
+            self._rows[self._head, :end] = attn[i]
+            self._lens[self._head] = end - n + i + 1
+            self._head = (self._head + 1) % w
+        self._count = min(self._count + n, w)
+
+    def truncate(self, kept: int):
+        """Shorten to the first ``kept`` entries: zero the dropped columns and
+        pop the newest rows longer than ``kept``."""
+        self._rows[:, kept:self.kept] = 0.0
+        while self._count and self._lens[self._head - 1] > kept:
+            self._head = (self._head - 1) % self._lens.size
+            self._count -= 1
+        self.kept = kept
 
     def gather(self, idx: np.ndarray):
         """Keep only the entries at the sorted indices idx, in place."""
         for buf in (self._keys, self._values, self._positions, self._acc):
             buf[:idx.size] = buf[idx]
+        self._rows[:, :idx.size] = self._rows[:, idx]
+        self._rows[:, idx.size:self.kept] = 0.0
+        self._lens = np.searchsorted(idx, self._lens)
         self.kept = idx.size
 
 
@@ -219,8 +263,7 @@ class KvCache:
         ls._acc[kept:end] = 0.0
         if attn is not None:
             ls._acc[:end] += attn.sum(axis=0)
-            ls.rows.extend(attn[i, :kept + i + 1].copy()
-                           for i in range(max(0, n - self.window), n))
+            ls.push_rows(attn, end)
         ls.kept = end
 
     def truncate(self, drop: int):
@@ -233,9 +276,7 @@ class KvCache:
                 raise ValueError(f"cannot drop {drop} entries: layer {li} keeps "
                                  f"{ls.kept}")
         for ls in self.layers:
-            ls.kept -= drop
-            ls.rows = deque((r for r in ls.rows if r.size <= ls.kept),
-                            maxlen=self.window)
+            ls.truncate(ls.kept - drop)
 
     def total_kept(self) -> int:
         return sum(ls.kept for ls in self.layers)
@@ -278,18 +319,20 @@ def score_hybrid(sink_ind, recency, acc, win, weights: Hybrid) -> np.ndarray:
 def _pooled_window_score(ls: _LayerStore, obs: int, kernel: int) -> np.ndarray:
     """Mean attention over the last `obs` rows, then clipped 1-D mean pooling:
     each position averages the entries of its `kernel`-wide window that lie
-    inside the cache. The padding adds exact zeros and numpy sums fewer than
+    inside the cache. The rows are summed oldest first, and their zeros past
+    each row's length and the padding add exact zeros; numpy sums fewer than
     8 terms in order, so for kernels up to 7 every mean is bit-identical to
     the mean of the clipped slice."""
     n, h = ls.kept, kernel // 2
-    rows = list(ls.rows)[-obs:]
+    slots = ls.slots()[-obs:]
     m = np.zeros(h + n + h)             # the mean row, zero-padded by h
-    for row in rows:                    # no row is longer than the kept entries
-        m[h:h + row.size] += row
-    m /= max(len(rows), 1)
+    if slots:
+        # numpy adds the rows in order only when it sums two columns or more;
+        # past n every slot is zero, and the capacity is at least 16
+        m[h:h + n] = ls._rows[slots, :max(n, 2)].sum(axis=0)[:n] / len(slots)
     j = np.arange(n)
     width = np.minimum(j + h, n - 1) - np.maximum(j - h, 0) + 1
-    return sliding_window_view(m, kernel).sum(-1) / width
+    return m[j[:, None] + np.arange(kernel)].sum(-1) / width
 
 
 def _layer_kept_indices(ls: _LayerStore, policy: EvictionPolicy, budget: int,
@@ -346,8 +389,6 @@ def evict(cache: KvCache, policy: EvictionPolicy, budget: int) -> EvictionReport
         evicted = n - kept.size
         if evicted > 0:
             ls.gather(kept)
-            ls.rows = deque((row[kept[kept < row.size]] for row in ls.rows),
-                            maxlen=cache.window)
         reports.append(LayerReport(kept_indices=kept.tolist(), evicted_count=evicted))
     return EvictionReport(layers=reports)
 

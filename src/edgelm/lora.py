@@ -29,6 +29,16 @@ class LoraAdapter:
     target_slots: tuple[str, ...]
     A: dict[str, np.ndarray]  # slot -> [r, in_dim]
     B: dict[str, np.ndarray]  # slot -> [out_dim, r]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def factors(self, slot: str) -> tuple[np.ndarray, np.ndarray]:
+        """A and B of a slot as float64, memoised while ``A[slot]`` and
+        ``B[slot]`` hold the same objects (as :meth:`TinyLM.resolve`)."""
+        a, b = self.A[slot], self.B[slot]
+        entry = self._memo.get(slot)
+        if entry is None or entry[0] is not a or entry[1] is not b:
+            entry = self._memo[slot] = (a, b, a.astype(np.float64), b.astype(np.float64))
+        return entry[2], entry[3]
 
     def delta(self, slot: str) -> np.ndarray:
         """Effective delta, shaped like the stored [in_dim, out_dim] weight."""

@@ -93,9 +93,18 @@ class ModelConfig:
 
 @dataclass
 class TinyLM:
+    """Config plus weights; ``forward`` reads the weights as float64.
+
+    The float64 copies are made once and memoised per group of slots. An
+    entry is used only while every one of its slots still holds the object it
+    was built from, so rebinding ``weights[name]`` is picked up; an unfrozen
+    ``QuantTensor`` is never memoised, so :meth:`QuantTensor.set_scales` is
+    seen. An array mutated in place after the first forward is not seen.
+    """
     config: ModelConfig
     weights: dict  # slot name -> np.ndarray (float32) or QuantTensor
     stats: dict = field(default_factory=lambda: {"forwards": 0})
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def weight(self, name: str) -> np.ndarray:
         """Resolve a slot to a dense float array, dequantizing if needed."""
@@ -103,6 +112,24 @@ class TinyLM:
         if isinstance(w, np.ndarray):
             return w
         return w.dequantize()  # QuantTensor
+
+    def resolve(self, *names: str) -> np.ndarray:
+        """The named slots as one float64 array, side by side along the last
+        axis, memoised (see the class docstring)."""
+        entry = self._memo.get(names)
+        if entry is not None:
+            for name, source in zip(names, entry[0]):
+                if self.weights[name] is not source:
+                    break
+            else:
+                return entry[1]
+        sources = tuple(self.weights[n] for n in names)
+        parts = [self.weight(n).astype(np.float64) for n in names]
+        out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+        if all(getattr(w, "frozen", True) for w in sources):
+            out.setflags(write=False)
+            self._memo[names] = (sources, out)
+        return out
 
     def reset_counters(self):
         self.stats["forwards"] = 0
@@ -143,7 +170,7 @@ def init_model(config: ModelConfig, seed: int) -> TinyLM:
 
 
 def rms_norm(x: np.ndarray, scale: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps)
+    rms = np.sqrt((x * x).sum(axis=-1, keepdims=True) / x.shape[-1] + eps)
     return (x / rms) * scale
 
 
@@ -154,17 +181,18 @@ def apply_rope(vec: np.ndarray, position: int, theta: float) -> np.ndarray:
     if d % 2 != 0:
         raise ShapeError("apply_rope requires an even-length vector")
     rows = vec.reshape(1, -1, d)
-    return _rope_block(rows, np.array([position]), theta).reshape(vec.shape)
+    return _rope_block(rows, *_rope_table(np.array([position]), d, theta)).reshape(vec.shape)
 
 
-def _rope_block(x: np.ndarray, positions: np.ndarray, theta: float) -> np.ndarray:
-    """Vectorized rope over x[n, heads, head_dim] at absolute positions[n]."""
-    d = x.shape[-1]
-    half = d // 2
-    freqs = theta ** (-2.0 * np.arange(half) / d)
+def _rope_table(positions: np.ndarray, d: int, theta: float):
+    """cos and sin of the rope angles at positions[n], shaped [n, 1, d/2]."""
+    freqs = theta ** (-2.0 * np.arange(d // 2) / d)
     ang = positions[:, None] * freqs[None, :]          # [n, half]
-    cos = np.cos(ang)[:, None, :]
-    sin = np.sin(ang)[:, None, :]
+    return np.cos(ang)[:, None, :], np.sin(ang)[:, None, :]
+
+
+def _rope_block(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Vectorized rope over x[n, heads, head_dim] with a :func:`_rope_table`."""
     x0, x1 = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)
     out[..., 0::2] = x0 * cos - x1 * sin
@@ -176,12 +204,18 @@ def _silu(x: np.ndarray) -> np.ndarray:
     return x / (1.0 + np.exp(-x))
 
 
-def _proj(h: np.ndarray, model: TinyLM, slot: str, adapter=None) -> np.ndarray:
-    y = h @ model.weight(slot).astype(np.float64)
-    if adapter is not None and slot in adapter.target_slots:
-        a = adapter.A[slot].astype(np.float64)   # [r, in]
-        b = adapter.B[slot].astype(np.float64)   # [out, r]
-        y = y + (adapter.alpha / adapter.r) * ((h @ a.T) @ b.T)
+def _proj(h: np.ndarray, model: TinyLM, slots: tuple[str, ...], adapter=None) -> np.ndarray:
+    """h @ the slots side by side; each slot's columns add its adapter delta."""
+    y = h @ model.resolve(*slots)
+    if adapter is None:
+        return y
+    col = 0
+    for slot in slots:
+        width = model.weights[slot].shape[-1]
+        if slot in adapter.target_slots:
+            a, b = adapter.factors(slot)             # [r, in], [out, r]
+            y[:, col:col + width] += (adapter.alpha / adapter.r) * ((h @ a.T) @ b.T)
+        col += width
     return y
 
 
@@ -205,20 +239,21 @@ def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
 
     model.stats["forwards"] += 1
     n_kv, hd = cfg.n_kv_heads, cfg.head_dim
+    n_qk = cfg.n_heads + n_kv
     group = cfg.n_heads // n_kv
     inv_sqrt = 1.0 / np.sqrt(hd)
     causal = np.triu(np.ones((n, n), dtype=bool), 1)
+    cos, sin = _rope_table(positions, hd, cfg.rope_theta)
 
-    x = model.weight("token_embed").astype(np.float64)[tokens]
+    x = model.resolve("token_embed")[tokens]
 
     for li in range(cfg.n_layers):
         p = f"layers.{li}."
-        h = rms_norm(x, model.weight(p + "attn_norm").astype(np.float64))
-        q = _proj(h, model, p + "wq", adapter).reshape(n, cfg.n_heads, hd)
-        k = _proj(h, model, p + "wk", adapter).reshape(n, n_kv, hd)
-        v = _proj(h, model, p + "wv", adapter).reshape(n, n_kv, hd)
-        q = _rope_block(q, positions, cfg.rope_theta)
-        k = _rope_block(k, positions, cfg.rope_theta)
+        h = rms_norm(x, model.resolve(p + "attn_norm"))
+        qkv = _proj(h, model, (p + "wq", p + "wk", p + "wv"), adapter)
+        qk = _rope_block(qkv[:, :n_qk * hd].reshape(n, n_qk, hd), cos, sin)
+        q, k = qk[:, :cfg.n_heads], qk[:, cfg.n_heads:]
+        v = qkv[:, n_qk * hd:].reshape(n, n_kv, hd)
 
         if cache is not None:
             K, V = cache.stage(li, k, v)                         # [m+n, kv, hd] views
@@ -239,22 +274,22 @@ def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
 
         out = probs.reshape(n_kv, group * n, m + n) @ V.transpose(1, 0, 2)
         out = out.reshape(n_kv, group, n, hd).transpose(2, 0, 1, 3)
-        attn = _proj(out.reshape(n, cfg.n_heads * hd), model, p + "wo", adapter)
+        attn = _proj(out.reshape(n, cfg.n_heads * hd), model, (p + "wo",), adapter)
         x = x + attn
 
         if cache is not None:
-            cache.append_block(li, k, v, positions, probs.mean(axis=0))
+            cache.append_block(li, k, v, positions, probs.sum(axis=0) / cfg.n_heads)
 
-        h2 = rms_norm(x, model.weight(p + "ffn_norm").astype(np.float64))
-        gate = _silu(_proj(h2, model, p + "w_gate", adapter))
-        up = _proj(h2, model, p + "w_up", adapter)
-        x = x + _proj(gate * up, model, p + "w_down", adapter)
+        h2 = rms_norm(x, model.resolve(p + "ffn_norm"))
+        gate_up = _proj(h2, model, (p + "w_gate", p + "w_up"), adapter)
+        gate, up = _silu(gate_up[:, :cfg.ffn_dim]), gate_up[:, cfg.ffn_dim:]
+        x = x + _proj(gate * up, model, (p + "w_down",), adapter)
 
-    fh = rms_norm(x, model.weight("final_norm").astype(np.float64))
+    fh = rms_norm(x, model.resolve("final_norm"))
     if cfg.tie_embeddings:
-        logits = fh @ model.weight("token_embed").astype(np.float64).T
+        logits = fh @ model.resolve("token_embed").T
     else:
-        logits = _proj(fh, model, "lm_head", adapter)
+        logits = _proj(fh, model, ("lm_head",), adapter)
     return ForwardOutput(logits=logits, final_hidden=fh)
 
 

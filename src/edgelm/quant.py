@@ -156,6 +156,14 @@ def _group_index(shape: tuple, spec: QuantSpec) -> tuple[np.ndarray, int]:
     return index.ravel(), total // rowlen * per_row
 
 
+def _checked_scales(scales: np.ndarray) -> np.ndarray:
+    """The scales, if each is positive and finite: a group's range can
+    underflow to a zero scale or overflow to an infinite one."""
+    if not ((scales > 0) & (scales < np.inf)).all():
+        raise ShapeError("a group's range underflows or overflows its scale")
+    return scales
+
+
 def _encode(flat: np.ndarray, group_index: np.ndarray, bits: int, scheme: str):
     """(codes, scales, zero points or None) of a flat float64 array, one scale
     per group; codes and zero points are integer-valued floats."""
@@ -165,7 +173,7 @@ def _encode(flat: np.ndarray, group_index: np.ndarray, bits: int, scheme: str):
     if scheme == "symmetric":
         qmax = 2 ** (bits - 1) - 1
         amax = np.maximum.reduceat(np.abs(flat), starts)
-        scales = np.where(amax > 0, amax / qmax, 1.0)
+        scales = _checked_scales(np.where(amax > 0, amax / qmax, 1.0))
         return np.clip(np.rint(flat / scales[group_index]), -qmax, qmax), scales, None
     hi = 2 ** bits - 1
     mn = np.minimum.reduceat(flat, starts)
@@ -174,7 +182,9 @@ def _encode(flat: np.ndarray, group_index: np.ndarray, bits: int, scheme: str):
     # a constant group c stores scale |c| (1 when c = 0) and a code that
     # decodes to c exactly: 1 with zero point 0 for c > 0, 0 with zero point 1
     # for c < 0, and c itself (a signed zero) for c = 0
-    scales = np.where(spread, (mx - mn) / hi, np.where(mn == 0, 1.0, np.abs(mn)))
+    with np.errstate(over="ignore"):      # an infinite scale is rejected below
+        scales = np.where(spread, (mx - mn) / hi, np.where(mn == 0, 1.0, np.abs(mn)))
+    scales = _checked_scales(scales)
     zps = np.where(spread, np.rint(-mn / scales), mn < 0)
     codes = np.where(spread[group_index],
                      np.clip(np.rint(flat / scales[group_index]) + zps[group_index],
@@ -199,6 +209,9 @@ def quantize(tensor: np.ndarray, spec: QuantSpec,
         raise ShapeError("cannot quantize an empty tensor")
     group_index, _ = _group_index(tensor.shape, spec)
     codes, scales, zps = _encode(tensor.ravel(), group_index, spec.bits, spec.scheme)
+    if zps is not None and not ((zps >= -2**31) & (zps < 2**31)).all():
+        raise ShapeError("a zero point falls outside int32: a group's range is too "
+                         "narrow for its distance from zero")
     return QuantTensor(codes=codes.astype(np.int64).reshape(tensor.shape), scales=scales,
                        zero_points=None if zps is None else zps.astype(np.int64),
                        spec=spec, group_index=group_index, mask=mask)

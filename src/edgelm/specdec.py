@@ -88,7 +88,7 @@ def _draft_state(draft: Union[IndependentDraft, FeatureReuseDraft], target: Tiny
     or a feature-reuse head's float64 (embed, w1, w2)."""
     if isinstance(draft, IndependentDraft):
         return KvCache.for_model(draft.model.config)
-    return (target.weight("token_embed").astype(np.float64),
+    return (target.resolve("token_embed"),
             draft.w1.astype(np.float64), draft.w2.astype(np.float64))
 
 

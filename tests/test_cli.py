@@ -2,7 +2,10 @@ import copy
 import csv
 import json
 import math
+import os
+import platform
 
+import numpy as np
 import pytest
 
 from edgelm import bench
@@ -139,6 +142,26 @@ class TestCli:
         assert main(["report", str(tmp_path / "spec.json")]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["verified"]
+
+    def test_report_records_environment(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "seed": 6, "trials": 1, "model": TINY,
+            "task": {"max_new": 4, "prompt_len": 3}, "method": {"k": [2]}}))
+        assert main(["spec", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        meta = json.loads((tmp_path / "spec.json").read_text())["meta"]
+        assert meta["python"] == platform.python_version()
+        assert meta["numpy"] == np.__version__
+        assert meta["cpu_count"] == os.cpu_count()
+        assert meta["threads"]["OPENBLAS_NUM_THREADS"] == "1"
+        assert meta["threads"]["MKL_NUM_THREADS"] is None
+        assert set(meta["threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS"}
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "spec.json")]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"]
 
     def test_losses(self, tmp_path, capsys):
         payload = {"lp_theta_c": [0.0], "lp_0_c": [0.0],

@@ -307,6 +307,18 @@ def _assert_same_layer(a, b):
         np.testing.assert_array_equal(x, y)
 
 
+def _pooled_reference(ref, obs, kernel):
+    """The mean of the last obs rows, added one at a time, then each
+    position's mean over the part of its kernel window inside the cache."""
+    n, h = ref.positions.size, kernel // 2
+    rows = list(ref.rows)[-obs:]
+    win = np.zeros(n)
+    for r in rows:
+        win[:r.size] += r
+    win /= max(len(rows), 1)
+    return np.array([win[max(0, j - h):j + h + 1].mean() for j in range(n)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_arena_matches_concatenating_store(data):
@@ -341,8 +353,14 @@ def test_arena_matches_concatenating_store(data):
             report = E.evict(cache, policy, data.draw(st.integers(1, max(1, kept))))
             for ref, layer in zip(refs, report.layers):
                 ref.gather(np.array(layer.kept_indices, dtype=np.int64))
+        obs = data.draw(st.integers(1, window))
+        kernel = data.draw(st.sampled_from([1, 3, 5, 7]))
         for ls, ref in zip(cache.layers, refs):
             _assert_same_layer(_layer_state(ls), _layer_state(ref))
+            # every ring slot, live or not, is zero past the kept count
+            assert not ls._rows[:, ls.kept:].any()
+            np.testing.assert_array_equal(kvc._pooled_window_score(ls, obs, kernel),
+                                          _pooled_reference(ref, obs, kernel))
         assert cache.layer_kv(0)[0].shape == (cache.kept(0), n_kv, hd)
 
     # a clone owns its buffers: evicting and extending it leaves the original as it was
@@ -431,6 +449,21 @@ def test_pooling_is_the_clipped_window_mean(data):
         np.testing.assert_array_equal(pooled, clipped)
     else:
         np.testing.assert_allclose(pooled, clipped, rtol=1e-15, atol=0)
+
+
+def test_pooled_rows_add_in_order_on_a_one_entry_cache():
+    # numpy pairs the terms of a one-column sum over 8 rows or more
+    for seed in range(8):
+        c = E.KvCache(1, 1, 1, window=8)
+        c.append_block(0, np.zeros((8, 1, 1)), np.zeros((8, 1, 1)), np.arange(8),
+                       np.tril(np.random.default_rng(seed).random((8, 8))))
+        E.evict(c, E.AttentionSink(sinks=1, window=0), 1)
+        rows = c.layers[0].rows
+        assert [r.size for r in rows] == [1] * 8
+        mean = 0.0
+        for r in rows:
+            mean += r[0]
+        assert kvc._pooled_window_score(c.layers[0], 8, 1).tolist() == [mean / 8]
 
 
 @pytest.mark.parametrize("policy", [E.HeavyHitter(recent=0),

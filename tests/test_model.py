@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -253,6 +255,63 @@ class TestForward:
         assert short.stats["forwards"] == 0
 
 
+def _fresh(model, **weights):
+    """A new model, so a new memo, over the model's weights with some replaced."""
+    return E.TinyLM(model.config, {**model.weights, **weights})
+
+
+class TestWeightMemo:
+    TOKENS = [3, 17, 40, 8, 22]
+
+    def test_rebound_weight_is_seen(self):
+        # wk sits in the middle of the fused [wq|wk|wv] entry
+        m = E.init_model(small_config(), 1)
+        E.forward(m, self.TOKENS)
+        for name in ("layers.1.wk", "token_embed", "layers.0.ffn_norm"):
+            m.weights[name] = m.weights[name] * np.float32(3)
+            want = E.forward(_fresh(m), self.TOKENS).logits
+            np.testing.assert_array_equal(E.forward(m, self.TOKENS).logits, want)
+
+    def test_unfrozen_quant_tensor_follows_set_scales(self):
+        m = E.init_model(small_config(), 2)
+        qm = E.ptq_model(m, E.uniform_plan(m, 4))
+        E.forward(qm, self.TOKENS)
+        qt = qm.weights["layers.0.wv"]
+        qt.set_scales(qt.scales * 3)
+        want = E.forward(_fresh(qm, **{"layers.0.wv": qt.dequantize()}), self.TOKENS)
+        np.testing.assert_array_equal(E.forward(qm, self.TOKENS).logits, want.logits)
+
+    def test_adapter_swaps_on_one_model(self):
+        m = E.init_model(small_config(), 3)
+        adapters = []
+        for seed in (1, 2):
+            a = E.create_adapter(m, ["layers.0.wq", "layers.1.wv", "layers.1.w_up"],
+                                 r=2, alpha=4.0, seed=seed)
+            for slot, b in a.B.items():
+                a.B[slot] = np.random.default_rng(seed).normal(0, 0.5, b.shape)
+            adapters.append(a)
+        wants = [E.forward(_fresh(m), self.TOKENS, adapter=a).logits
+                 for a in (*adapters, None)]
+        assert not np.array_equal(wants[0], wants[1])
+        for a, want in zip((*adapters, None, adapters[0]), (*wants, wants[0])):
+            np.testing.assert_array_equal(E.forward(m, self.TOKENS, adapter=a).logits,
+                                          want)
+        a = adapters[0]                      # a rebound factor is seen too
+        a.B["layers.1.wv"] = a.B["layers.1.wv"] * 2
+        want = E.forward(_fresh(m), self.TOKENS, adapter=copy.deepcopy(a)).logits
+        assert not np.array_equal(want, wants[0])
+        np.testing.assert_array_equal(E.forward(m, self.TOKENS, adapter=a).logits, want)
+
+    def test_frozen_ptq_model_matches_its_float_copy(self):
+        m = E.init_model(small_config(), 4)
+        qm = E.ptq_model(m, E.uniform_plan(m, 4), freeze=True)
+        dense = E.TinyLM(m.config, {n: np.array(qm.weight(n)) for n in qm.weights})
+        cache_q, cache_f = E.KvCache.for_model(m.config), E.KvCache.for_model(m.config)
+        for part in (self.TOKENS, [9], [1, 2]):
+            np.testing.assert_array_equal(E.forward(qm, part, cache=cache_q).logits,
+                                          E.forward(dense, part, cache=cache_f).logits)
+
+
 def _reference_forward(model, tokens, past, start):
     """Logits and each layer's head-averaged attention block of ``tokens`` at
     positions from ``start`` over the cached (keys, values) of ``past``,
@@ -261,16 +320,15 @@ def _reference_forward(model, tokens, past, start):
     cfg, n, hd = model.config, len(tokens), model.config.head_dim
     group = cfg.n_heads // cfg.n_kv_heads
     positions = np.arange(start, start + n)
+    rope = M._rope_table(positions, hd, cfg.rope_theta)
     w = lambda name: model.weight(name).astype(np.float64)
     x = w("token_embed")[tokens]
     blocks = []
     for li, (past_k, past_v) in enumerate(past):
         p = f"layers.{li}."
         h = M.rms_norm(x, w(p + "attn_norm"))
-        q = M._rope_block((h @ w(p + "wq")).reshape(n, cfg.n_heads, hd), positions,
-                          cfg.rope_theta)
-        k = M._rope_block((h @ w(p + "wk")).reshape(n, cfg.n_kv_heads, hd), positions,
-                          cfg.rope_theta)
+        q = M._rope_block((h @ w(p + "wq")).reshape(n, cfg.n_heads, hd), *rope)
+        k = M._rope_block((h @ w(p + "wk")).reshape(n, cfg.n_kv_heads, hd), *rope)
         keys = np.concatenate([past_k, k])
         values = np.concatenate([past_v, (h @ w(p + "wv")).reshape(n, cfg.n_kv_heads, hd)])
         m = past_k.shape[0]

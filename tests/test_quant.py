@@ -84,6 +84,24 @@ class TestRoundTrip:
         with pytest.raises(ShapeError):
             E.quantize(x, E.QuantSpec(scheme=scheme, granularity="per-row"))
 
+    def test_zero_point_outside_int32_rejected(self):
+        # zero point about -2.55e14: an int32 cast would keep 1991094963
+        with pytest.raises(ShapeError, match="int32"):
+            E.quantize(np.array([[1.0, 1.0 + 1e-12]]),
+                       E.QuantSpec(bits=8, scheme="asymmetric", granularity="per-tensor"))
+        qt = E.quantize(np.array([[1.0, 1.0 + 1e-6]]),
+                        E.QuantSpec(bits=8, scheme="asymmetric", granularity="per-tensor"))
+        np.testing.assert_allclose(qt.dequantize(), [[1.0, 1.0 + 1e-6]], rtol=1e-7)
+
+    @pytest.mark.parametrize("x, scheme", [
+        ([0.0, 0.0, 0.0, 5e-324], "symmetric"),      # amax / 7 underflows to 0
+        ([0.0, 5e-324], "asymmetric"),               # range / 255 underflows to 0
+        ([-1e308, 1e308], "asymmetric")])            # range overflows to inf
+    def test_scale_out_of_range_rejected(self, x, scheme):
+        with pytest.raises(ShapeError, match="scale"):
+            E.quantize(np.array(x), E.QuantSpec(bits=4, scheme=scheme,
+                                                granularity="per-tensor"))
+
 
 def reference_quantize(x, spec):
     """Group-by-group loop over explicit slices: the reference for quantize."""
@@ -198,6 +216,12 @@ class TestFakeQuant:
     def test_non_finite_rejected(self, x, scheme):
         with pytest.raises(ShapeError, match="non-finite"):
             E.fake_quant(np.array(x), 8, scheme)
+
+    @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
+    def test_underflowing_scale_rejected(self, scheme):
+        # a zero scale used to decode 5e-324 / 0 to nan
+        with pytest.raises(ShapeError, match="scale"):
+            E.fake_quant(np.array([0.0, 5e-324]), 8, scheme)
 
 
 def closed_form_fake_quant(x, bits, scheme):
