@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .errors import ManifestError
+from .errors import ConfigError, ManifestError
 
 _HEADER_LEN = struct.Struct("<I")
 
@@ -99,11 +99,15 @@ def fields(obj, where: str, **kinds) -> list:
 
 def dataclass_from(cls, obj, where: str):
     """``cls(**obj)`` for a header object with exactly the dataclass's fields,
-    each of its default's type (an int passes for a float)."""
+    each of its default's type (an int passes for a float) and within the
+    range the dataclass accepts."""
     kinds = {f.name: (int, float) if type(f.default) is float else type(f.default)
              for f in dataclasses.fields(cls)}
     values = fields(obj, where, **kinds)
     unknown = sorted(set(obj) - set(kinds))
     if unknown:
         raise ManifestError(f"{where}: unknown fields {unknown}")
-    return cls(**dict(zip(kinds, values)))
+    try:
+        return cls(**dict(zip(kinds, values)))
+    except ConfigError as e:
+        raise ManifestError(f"{where}: {e}") from e

@@ -79,16 +79,28 @@ def prefill(model: TinyLM, tokens, cache):
 
 # --- policies from config ----------------------------------------------------
 
+_POLICY_KINDS = {
+    "attention_sink": kvc.AttentionSink,
+    "heavy_hitter": kvc.HeavyHitter,
+    "obs_window": kvc.ObsWindow,
+    "hybrid": kvc.Hybrid,
+    "random": kvc.RandomPolicy,
+}
+
+
 def policy_from_spec(spec: dict) -> kvc.EvictionPolicy:
-    kind = spec["kind"]
-    args = {k: v for k, v in spec.items() if k != "kind"}
-    return {
-        "attention_sink": kvc.AttentionSink,
-        "heavy_hitter": kvc.HeavyHitter,
-        "obs_window": kvc.ObsWindow,
-        "hybrid": kvc.Hybrid,
-        "random": kvc.RandomPolicy,
-    }[kind](**args)
+    """The policy a ``{"kind": ..., <field>: ...}`` config entry names."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"policy spec {spec!r} is not an object")
+    args = dict(spec)
+    kind = args.pop("kind", None)
+    if kind not in _POLICY_KINDS:
+        raise ConfigError(f"policy kind {kind!r} is not one of {sorted(_POLICY_KINDS)}")
+    cls = _POLICY_KINDS[kind]
+    unknown = sorted(set(args) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigError(f"policy {kind} has no fields {unknown}")
+    return cls(**args)
 
 
 DEFAULT_EVICT_POLICIES = (

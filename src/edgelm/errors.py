@@ -10,7 +10,7 @@ class ShapeError(ValueError):
 
 
 class FrozenEncodingError(RuntimeError):
-    """Attempted mutation of a frozen quantized tensor's encodings."""
+    """An operation that needs frozen quantized encodings got unfrozen ones."""
 
 
 class ContractViolation(RuntimeError):

@@ -69,10 +69,9 @@ def create_adapter(model: TinyLM, target_slots, r: int, alpha: float,
                        A=A, B=B)
 
 
-def merge(base_weight, adapter: LoraAdapter, slot: str) -> np.ndarray:
-    """W' = W + (alpha/r) * (B A)^T for our [in_dim, out_dim] storage."""
-    w = base_weight.dequantize() if isinstance(base_weight, QuantTensor) \
-        else np.asarray(base_weight)
+def merge(w: np.ndarray, adapter: LoraAdapter, slot: str) -> np.ndarray:
+    """W' = W + (alpha/r) * (B A)^T for the dense [in_dim, out_dim] weight W."""
+    w = np.asarray(w)
     d = adapter.delta(slot)
     if d.shape != w.shape:
         raise ConfigError(f"delta shape {d.shape} != weight shape {w.shape}")
@@ -117,7 +116,7 @@ class AdapterRegistry:
         for name in self.base.config.slot_shapes():
             w = self.base.weight(name)
             if adapter is not None and name in adapter.target_slots:
-                weights[name] = merge(self.base.weights[name], adapter, name)
+                weights[name] = merge(w, adapter, name)
             else:
                 weights[name] = np.array(w, copy=True)
         return TinyLM(config=self.base.config, weights=weights)

@@ -95,11 +95,11 @@ class ModelConfig:
 class TinyLM:
     """Config plus weights; ``forward`` reads the weights as float64.
 
-    The float64 copies are made once and memoised per group of slots. An
-    entry is used only while every one of its slots still holds the object it
-    was built from, so rebinding ``weights[name]`` is picked up; an unfrozen
-    ``QuantTensor`` is never memoised, so :meth:`QuantTensor.set_scales` is
-    seen. An array mutated in place after the first forward is not seen.
+    The float64 copies are the model's one dense copy of each weight: made
+    once, read-only, and memoised per group of slots. An entry is used only
+    while every one of its slots still holds the object it was built from, so
+    rebinding ``weights[name]`` to another array or ``QuantTensor`` is picked
+    up; an array or encoding mutated in place after the first forward is not.
     """
     config: ModelConfig
     weights: dict  # slot name -> np.ndarray (float32) or QuantTensor
@@ -123,12 +123,10 @@ class TinyLM:
                     break
             else:
                 return entry[1]
-        sources = tuple(self.weights[n] for n in names)
         parts = [self.weight(n).astype(np.float64) for n in names]
         out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
-        if all(getattr(w, "frozen", True) for w in sources):
-            out.setflags(write=False)
-            self._memo[names] = (sources, out)
+        out.setflags(write=False)
+        self._memo[names] = (tuple(self.weights[n] for n in names), out)
         return out
 
     def reset_counters(self):

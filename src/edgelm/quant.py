@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _manifest
-from .errors import ConfigError, FrozenEncodingError, ManifestError, ShapeError
+from .errors import ConfigError, ManifestError, ShapeError
 from .model import TinyLM, forward, read_slots
 
 _ALLOWED_BITS = (2, 3, 4, 8)
@@ -52,7 +52,8 @@ class Unstructured:
             raise ConfigError("keep_ratio must be in (0, 1]")
 
     def kept(self, total: int) -> int:
-        return int(math.ceil(self.keep_ratio * total))
+        # exact over the ratio as written: in floats 0.07 * 100 is 7.000000000000001
+        return math.ceil(Fraction(str(float(self.keep_ratio))) * total)
 
     def mask_bits_per_weight(self) -> Fraction:
         return Fraction(1)
@@ -78,27 +79,24 @@ SparsitySpec = Union[Unstructured, Structured]
 
 
 class QuantTensor:
-    """Bit-coded weight tensor; freezing makes every encoding array immutable.
+    """Bit-coded weight tensor: exactly the encodings its manifest stores.
 
-    The tensor's shape is ``codes.shape``. A frozen tensor dequantizes once:
-    its first :meth:`dequantize` result is kept as a read-only array and
-    returned by every later call. An unfrozen tensor decodes its current
-    encodings on every call.
+    The tensor's shape is ``codes.shape``; each element's group follows from
+    the shape and spec (:attr:`group_index`). :meth:`dequantize` decodes on
+    every call; a model keeps the one dense copy (:meth:`TinyLM.resolve`).
+    Freezing makes every encoding array read-only.
     """
 
     def __init__(self, codes: np.ndarray, scales: np.ndarray,
-                 zero_points: Optional[np.ndarray],
-                 spec: QuantSpec, group_index: np.ndarray,
+                 zero_points: Optional[np.ndarray], spec: QuantSpec,
                  mask: Optional[np.ndarray] = None, frozen: bool = False):
         self.codes = np.asarray(codes, dtype=np.int32)
         self.scales = np.asarray(scales, dtype=np.float64)
         self.zero_points = None if zero_points is None else np.asarray(
             zero_points, dtype=np.int32)
         self.spec = spec
-        self.group_index = np.asarray(group_index, dtype=np.int64)  # per element
         self.mask = None if mask is None else np.asarray(mask, dtype=bool)
         self.frozen = False
-        self._dense: Optional[np.ndarray] = None
         if frozen:
             self.freeze()
 
@@ -106,30 +104,24 @@ class QuantTensor:
     def shape(self) -> tuple:
         return self.codes.shape
 
+    @property
+    def group_index(self) -> np.ndarray:
+        """Group of each element of the flattened tensor (shared, read-only)."""
+        return _group_index(self.shape, self.spec)[0]
+
     def freeze(self):
-        for arr in (self.codes, self.scales, self.zero_points, self.mask,
-                    self.group_index):
+        for arr in (self.codes, self.scales, self.zero_points, self.mask):
             if arr is not None:
                 arr.setflags(write=False)
         self.frozen = True
 
-    def set_scales(self, scales):
-        if self.frozen:
-            raise FrozenEncodingError("quantization encodings are frozen")
-        self.scales = np.asarray(scales, dtype=np.float64)
-
     def dequantize(self) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense
+        """A new float32 array of the decoded (and masked) weights."""
         deq = _decode(self.codes, self.scales, self.zero_points,
                       self.group_index).reshape(self.shape)
         if self.mask is not None:
             deq = deq * self.mask
-        deq = deq.astype(np.float32)
-        if self.frozen:
-            deq.setflags(write=False)
-            self._dense = deq
-        return deq
+        return deq.astype(np.float32)
 
     def encoding_bytes(self) -> bytes:
         parts = [self.codes.astype("<i4").tobytes(),
@@ -141,10 +133,12 @@ class QuantTensor:
         return b"".join(parts)
 
 
+@functools.cache
 def _group_index(shape: tuple, spec: QuantSpec) -> tuple[np.ndarray, int]:
     """Quantization group of each element of the flattened (row-major) tensor,
-    and the number of groups. Groups tile each row from the left, so a row's
-    last group may be narrower than the group size."""
+    read-only and shared by every caller with the same shape and spec, and
+    the number of groups. Groups tile each row from the left, so a row's last
+    group may be narrower than the group size."""
     total = int(np.prod(shape))
     per_tensor = spec.granularity == "per-tensor" or len(shape) < 2
     rowlen = total if per_tensor else shape[-1]
@@ -152,8 +146,10 @@ def _group_index(shape: tuple, spec: QuantSpec) -> tuple[np.ndarray, int]:
     if width > rowlen:
         raise ConfigError(f"group size {width} exceeds row length {rowlen}")
     per_row = -(-rowlen // width)
-    index = np.arange(total // rowlen)[:, None] * per_row + np.arange(rowlen) // width
-    return index.ravel(), total // rowlen * per_row
+    index = (np.arange(total // rowlen)[:, None] * per_row
+             + np.arange(rowlen) // width).ravel()
+    index.setflags(write=False)
+    return index, total // rowlen * per_row
 
 
 def _checked_scales(scales: np.ndarray) -> np.ndarray:
@@ -212,9 +208,8 @@ def quantize(tensor: np.ndarray, spec: QuantSpec,
     if zps is not None and not ((zps >= -2**31) & (zps < 2**31)).all():
         raise ShapeError("a zero point falls outside int32: a group's range is too "
                          "narrow for its distance from zero")
-    return QuantTensor(codes=codes.astype(np.int64).reshape(tensor.shape), scales=scales,
-                       zero_points=None if zps is None else zps.astype(np.int64),
-                       spec=spec, group_index=group_index, mask=mask)
+    return QuantTensor(codes=codes.reshape(tensor.shape), scales=scales,
+                       zero_points=zps, spec=spec, mask=mask)
 
 
 def fake_quant(x: np.ndarray, bits: int, scheme: str = "symmetric") -> np.ndarray:
@@ -484,7 +479,10 @@ def load_quant_model(path) -> TinyLM:
                                         f"slot {entry['name']} spec")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape))
-        gidx, n_groups = _group_index(shape, spec)
+        try:
+            n_groups = _group_index(shape, spec)[1]
+        except ConfigError as e:
+            raise ManifestError(f"slot {entry['name']} spec: {e}") from e
         packed = _blob(blobs, entry, "codes", np.uint8, [(count * spec.bits + 7) // 8])
         codes = unpack_bits(packed, spec.bits, count)
         if spec.scheme == "symmetric":
@@ -505,5 +503,5 @@ def load_quant_model(path) -> TinyLM:
             mask = np.unpackbits(packed, count=count).astype(bool).reshape(shape)
         weights[entry["name"]] = QuantTensor(
             codes=codes.reshape(shape), scales=scales, zero_points=zps,
-            spec=spec, group_index=gidx, mask=mask, frozen=entry["frozen"])
+            spec=spec, mask=mask, frozen=entry["frozen"])
     return TinyLM(config=config, weights=weights)

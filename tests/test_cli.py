@@ -132,6 +132,19 @@ class TestCli:
         for part in ("attention_sink", "ratio 0.5", "budget 63"):
             assert part in err["message"]
 
+    @pytest.mark.parametrize("policy, named", [
+        ({"kind": "lru"}, "lru"), ({"recent": 4}, "None"),
+        ({"kind": "random", "sed": 0}, "sed")])
+    def test_evict_bad_policy_spec_named(self, tmp_path, capsys, policy, named):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "seed": 0, "trials": 1, "model": TINY,
+            "task": {"context_len": 80, "decode_len": 2},
+            "method": {"eviction_ratios": [0.25], "policies": [policy]}}))
+        assert main(["evict", "--config", str(cfg)]) != 0
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and named in err["message"]
+
     def test_report_verification_roundtrip(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({

@@ -91,6 +91,24 @@ def _rank_zero(h):
         s.update(a_shape=[0, 16], b_shape=[16, 0])
 
 
+def _five_bits(h):
+    _first(h)["spec"].update(bits=5)
+
+
+def _group_wider_than_row(h):
+    entry = next(s for s in h["slots"] if s["spec"]["granularity"] == "per-group")
+    entry["spec"].update(group_size=entry["shape"][-1] + 1)
+
+
+def _three_heads(h):
+    # d_model 16 is not 3 heads of head_dim 8
+    h["config"].update(n_heads=3)
+
+
+def _negative_rope_theta(h):
+    h["config"].update(rope_theta=-1.0)
+
+
 @pytest.mark.parametrize("name, mutate", [
     # a slot shape the config does not have
     ("float.edgelm", lambda h: _first(h).update(shape=[1, 2])),
@@ -104,6 +122,11 @@ def _rank_zero(h):
     ("adapter.edgelma", lambda h: _first(h).update(a_shape=[1, 16])),
     ("adapter.edgelma", _nan_alpha),
     ("adapter.edgelma", _rank_zero),
+    # in-type values that the spec or config rejects
+    ("sym.edgelmq", _five_bits),
+    ("sym.edgelmq", _group_wider_than_row),
+    ("float.edgelm", _three_heads),
+    ("float.edgelm", _negative_rope_theta),
 ])
 def test_inconsistent_header_rejected(name, mutate, files, tmp_path):
     load, _, magic = FORMATS[name]

@@ -267,19 +267,32 @@ class TestWeightMemo:
         # wk sits in the middle of the fused [wq|wk|wv] entry
         m = E.init_model(small_config(), 1)
         E.forward(m, self.TOKENS)
-        for name in ("layers.1.wk", "token_embed", "layers.0.ffn_norm"):
-            m.weights[name] = m.weights[name] * np.float32(3)
+        spec = E.QuantSpec(bits=4, granularity="per-row")
+        triple = lambda w: w * np.float32(3)
+        for name, rebind in (("layers.1.wk", triple), ("token_embed", triple),
+                             ("layers.0.ffn_norm", triple),
+                             # an array to a QuantTensor, then to another one
+                             ("layers.0.wv", lambda w: E.quantize(w, spec)),
+                             ("layers.0.wv", lambda qt: E.quantize(triple(qt.dequantize()),
+                                                                   spec))):
+            m.weights[name] = rebind(m.weights[name])
             want = E.forward(_fresh(m), self.TOKENS).logits
             np.testing.assert_array_equal(E.forward(m, self.TOKENS).logits, want)
 
-    def test_unfrozen_quant_tensor_follows_set_scales(self):
+    def test_unfrozen_ptq_model_dequantizes_each_slot_once(self, monkeypatch):
         m = E.init_model(small_config(), 2)
         qm = E.ptq_model(m, E.uniform_plan(m, 4))
-        E.forward(qm, self.TOKENS)
-        qt = qm.weights["layers.0.wv"]
-        qt.set_scales(qt.scales * 3)
-        want = E.forward(_fresh(qm, **{"layers.0.wv": qt.dequantize()}), self.TOKENS)
-        np.testing.assert_array_equal(E.forward(qm, self.TOKENS).logits, want.logits)
+        decoded = []
+        dequantize = E.QuantTensor.dequantize
+
+        def counted(qt):
+            decoded.append(qt)
+            return dequantize(qt)
+
+        monkeypatch.setattr(E.QuantTensor, "dequantize", counted)
+        for _ in range(3):
+            E.forward(qm, self.TOKENS)
+        assert sorted(map(id, decoded)) == sorted(map(id, qm.weights.values()))
 
     def test_adapter_swaps_on_one_model(self):
         m = E.init_model(small_config(), 3)

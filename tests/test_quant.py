@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import edgelm as E
 from edgelm import quant as Q
-from edgelm.errors import ConfigError, FrozenEncodingError, ShapeError
+from edgelm.errors import ConfigError, ShapeError
 
 
 def small_model(seed=0):
@@ -155,35 +155,34 @@ class TestFrozen:
     def test_freeze_blocks_writes(self):
         qt = E.quantize(np.ones((2, 2)) * 0.5, E.QuantSpec(granularity="per-tensor"))
         qt.freeze()
-        with pytest.raises(FrozenEncodingError):
-            qt.set_scales([1.0])
         with pytest.raises((ValueError, RuntimeError)):
             qt.codes[0, 0] = 3
 
-    def test_unfrozen_mutable(self):
-        qt = E.quantize(np.ones((2, 2)) * 0.5, E.QuantSpec(granularity="per-tensor"))
-        qt.set_scales(qt.scales * 2)  # no error
-
     @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
-    def test_frozen_dequantizes_once_read_only(self, scheme):
+    def test_dequantize_unchanged_by_freeze(self, scheme):
         x = np.random.default_rng(5).normal(size=(6, 16))
         spec = E.QuantSpec(bits=4, scheme=scheme, group_size=8)
         qt = E.quantize(x, spec, mask=np.abs(x) > 0.3)
-        fresh = qt.dequantize()
-        assert fresh is not qt.dequantize()     # unfrozen: decoded on every call
-        qt.freeze()
-        d = qt.dequantize()
-        np.testing.assert_array_equal(d, fresh)
-        assert d.dtype == np.float32 and d is qt.dequantize()
-        with pytest.raises(ValueError):
-            d[0, 0] = 1.0
-
-    def test_unfrozen_dequantize_follows_set_scales(self):
-        x = np.random.default_rng(6).normal(size=(4, 8))
-        qt = E.quantize(x, E.QuantSpec(bits=4, granularity="per-row"))
         before = qt.dequantize()
-        qt.set_scales(qt.scales * 2)
-        np.testing.assert_array_equal(qt.dequantize(), before * 2)
+        qt.freeze()
+        after = qt.dequantize()
+        assert before.dtype == after.dtype == np.float32
+        np.testing.assert_array_equal(after, before)
+        assert after is not qt.dequantize()     # decoded on every call
+
+    @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
+    def test_holds_only_its_encodings(self, scheme):
+        x = np.random.default_rng(7).normal(size=(6, 16))
+        spec = E.QuantSpec(bits=4, scheme=scheme, group_size=8)
+        qt = E.quantize(x, spec, mask=np.abs(x) > 0.3)
+        qt.freeze()
+        qt.dequantize()
+        held = sum(v.nbytes for v in vars(qt).values() if isinstance(v, np.ndarray))
+        assert held <= sum(a.nbytes for a in (qt.codes, qt.scales, qt.zero_points,
+                                              qt.mask) if a is not None)
+        # one read-only group index per shape and spec, shared by every tensor
+        assert qt.group_index is E.quantize(x * 2, spec).group_index
+        assert not qt.group_index.flags.writeable
 
 
 class TestFakeQuant:
@@ -281,6 +280,23 @@ class TestSparsify:
         x = np.array([1.0, -1.0, 1.0, 0.5])
         _, mask = E.sparsify(x, E.Unstructured(keep_ratio=0.5))
         np.testing.assert_array_equal(mask, [True, True, False, False])
+
+    @pytest.mark.parametrize("ratio, total, kept", [(0.07, 100, 7), (0.15, 20, 3),
+                                                     (0.5, 7, 4)])
+    def test_unstructured_kept_is_exact(self, ratio, total, kept):
+        # in floats 0.07 * 100 is 7.000000000000001, whose ceiling is 8
+        assert E.Unstructured(keep_ratio=ratio).kept(total) == kept
+
+    def test_unstructured_exact_count_reaches_sparsify_and_bpw(self):
+        x = np.random.default_rng(4).normal(size=(4, 25))
+        sparsity = E.Unstructured(keep_ratio=0.07)
+        pruned, mask = E.sparsify(x, sparsity)
+        assert mask.sum() == 7
+        spec = E.QuantSpec(bits=4, granularity="per-tensor")
+        # 7 codes of 4 bits, one 16-bit scale, 1 mask bit per weight
+        want = Fraction(7 * 4 + 16 + 100, 100)
+        assert E.bpw_exact(E.quantize(pruned, spec), sparsity) == want
+        assert E.bpw_exact(E.quantize(pruned, spec, mask=mask), sparsity) == want
 
     def test_structured_indivisible_rejected(self):
         with pytest.raises(ShapeError):
