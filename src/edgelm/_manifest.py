@@ -1,16 +1,21 @@
-"""The one binary envelope behind the model, quant and adapter files.
+"""The one binary envelope behind the model, quant and adapter files, and the
+one reader of typed fields from JSON objects (headers, configs, policy specs).
 
 Layout: ``magic (8 bytes) | header length (uint32 LE) | JSON header | blobs``.
 Blob offsets in the header count from the start of the blob region. Reading
 is bounds-checked, header fields are checked for presence and type, and every
-failure raises :class:`ManifestError`.
+failure raises :class:`ManifestError` (a config reader passes ``ConfigError``).
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import struct
+import sys
+import types
+import typing
 
 import numpy as np
 
@@ -83,31 +88,62 @@ def read(path, magic: bytes) -> tuple[dict, Blobs]:
     return header, Blobs(memoryview(data)[end:])
 
 
-def fields(obj, where: str, **kinds) -> list:
-    """The values of the named fields of the header object ``obj``, in order;
-    each must be present and an instance of its kind."""
+def _is(value, kind) -> bool:
+    """Whether a JSON value has a field's kind. An int or float takes no bool
+    and no value beyond the finite float range, an int no float either; a
+    dataclass takes an object, ``tuple[k, ...]`` a list of k and ``k | None``
+    also null."""
+    if kind in (int, float):
+        return type(value) in (int, kind) and abs(value) <= sys.float_info.max
+    if isinstance(kind, type):
+        return isinstance(value, dict if dataclasses.is_dataclass(kind) else kind)
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is tuple:
+        return isinstance(value, list) and all(_is(v, args[0]) for v in value)
+    return any(_is(value, k) for k in args)
+
+
+def fields(obj, where: str, error=ManifestError, **kinds) -> list:
+    """The values of the named fields of the JSON object ``obj``, in order;
+    each must be present and of its kind (see :func:`_is`)."""
     if not isinstance(obj, dict):
-        raise ManifestError(f"{where} is not a JSON object")
+        raise error(f"{where} is not a JSON object")
     for key, kind in kinds.items():
         if key not in obj:
-            raise ManifestError(f"{where}: missing field {key!r}")
-        if not isinstance(obj[key], kind):
-            raise ManifestError(f"{where}: field {key!r} has the wrong type "
-                                f"{type(obj[key]).__name__}")
+            raise error(f"{where}: missing field {key!r}")
+        if not _is(obj[key], kind):
+            raise error(f"{where}: field {key!r} has the wrong type or value "
+                        f"{obj[key]!r:.40}")
     return [obj[key] for key in kinds]
 
 
-def dataclass_from(cls, obj, where: str):
-    """``cls(**obj)`` for a header object with exactly the dataclass's fields,
-    each of its default's type (an int passes for a float) and within the
-    range the dataclass accepts."""
-    kinds = {f.name: (int, float) if type(f.default) is float else type(f.default)
-             for f in dataclasses.fields(cls)}
-    values = fields(obj, where, **kinds)
-    unknown = sorted(set(obj) - set(kinds))
+@functools.cache
+def _hints(cls) -> types.MappingProxyType:
+    """The annotated kind of each field of the dataclass ``cls``, resolved once."""
+    return types.MappingProxyType(typing.get_type_hints(cls))
+
+
+def dataclass_from(cls, obj, where: str, error=ManifestError, defaults=False):
+    """``cls(**obj)`` for a JSON object whose keys are fields of the dataclass,
+    each of its annotated kind (a list read as a tuple, an object under a
+    dataclass kind as that dataclass) and within the range the dataclass
+    accepts. With ``defaults`` an omitted field takes its default."""
+    if not isinstance(obj, dict):
+        raise error(f"{where} is not a JSON object")
+    hints = _hints(cls)
+    unknown = sorted(set(obj) - set(hints))
     if unknown:
-        raise ManifestError(f"{where}: unknown fields {unknown}")
+        raise error(f"{where}: unknown fields {unknown}")
+    kinds = {f.name: hints[f.name] for f in dataclasses.fields(cls) if f.name in obj
+             or not defaults or f.default is f.default_factory is dataclasses.MISSING}
+    values = dict(zip(kinds, fields(obj, where, error, **kinds)))
+    for key, value in values.items():
+        if isinstance(value, list):
+            values[key] = tuple(value)
+        elif isinstance(value, dict) and dataclasses.is_dataclass(kinds[key]):
+            values[key] = dataclass_from(kinds[key], value, f"{where}.{key}", error,
+                                         defaults)
     try:
-        return cls(**dict(zip(kinds, values)))
+        return cls(**values)
     except ConfigError as e:
-        raise ManifestError(f"{where}: {e}") from e
+        raise error(f"{where}: {e}") from e

@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import copy
 import csv
-import dataclasses
 import json
 import os
 import platform
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from jsonschema import validate as _js_validate
 
+from . import _manifest
 from . import kvcache as kvc
 from . import lora as lora_mod
 from . import quant as quant_mod
@@ -32,32 +32,34 @@ from .tasks import gen_needle
 
 ARTIFACT_VERSION = "0.1.0"
 
-_JSON_TYPES = {int: "integer", float: "number", bool: "boolean"}
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "seed": {"type": "integer"},
-        "trials": {"type": "integer", "minimum": 1},
-        "model": {
-            "type": "object",
-            "properties": {f.name: {"type": _JSON_TYPES[type(f.default)]}
-                           for f in dataclasses.fields(ModelConfig)},
-            "additionalProperties": False,
-        },
-        "task": {"type": "object"},
-        "method": {"type": "object"},
-    },
-    "required": ["seed"],
-}
+def read(cls, obj, where: str):
+    """A config object as a ``cls``, omitted fields at their defaults."""
+    return _manifest.dataclass_from(cls, obj, where, ConfigError, defaults=True)
 
 
-def validate_config(config: dict):
-    _js_validate(config, CONFIG_SCHEMA)
+@dataclass(frozen=True)
+class Experiment:
+    seed: int
+    trials: int = 20
+    model: ModelConfig = ModelConfig()
+    task: dict = field(default_factory=dict)
+    method: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ConfigError(f"trials ({self.trials}) must be >= 1")
 
 
-def model_from_config(config: dict, seed: int) -> TinyLM:
-    return init_model(ModelConfig(**config.get("model", {})), seed)
+def validate_config(config: dict) -> Experiment:
+    return read(Experiment, config, "config")
+
+
+def read_config(config: dict, task_cls, method_cls):
+    """The config's top level and the runner's ``task`` and ``method`` sections."""
+    exp = validate_config(config)
+    return (exp, read(task_cls, exp.task, "config.task"),
+            read(method_cls, exp.method, "config.method"))
 
 
 def trial_seed(master: int, trial: int) -> int:
@@ -90,27 +92,30 @@ _POLICY_KINDS = {
 
 def policy_from_spec(spec: dict) -> kvc.EvictionPolicy:
     """The policy a ``{"kind": ..., <field>: ...}`` config entry names."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"policy spec {spec!r} is not an object")
     args = dict(spec)
     kind = args.pop("kind", None)
-    if kind not in _POLICY_KINDS:
+    if type(kind) is not str or kind not in _POLICY_KINDS:
         raise ConfigError(f"policy kind {kind!r} is not one of {sorted(_POLICY_KINDS)}")
-    cls = _POLICY_KINDS[kind]
-    unknown = sorted(set(args) - {f.name for f in dataclasses.fields(cls)})
-    if unknown:
-        raise ConfigError(f"policy {kind} has no fields {unknown}")
-    return cls(**args)
+    return read(_POLICY_KINDS[kind], args, f"policy {kind}")
 
 
-DEFAULT_EVICT_POLICIES = (
-    {"kind": "heavy_hitter", "recent": 4},
-    {"kind": "obs_window", "obs": 16, "pool_kernel": 5},
-    {"kind": "hybrid", "lambda_sink": 0.0, "lambda_recent": 0.0,
-     "lambda_acc": 0.5, "lambda_win": 0.5, "obs": 16, "pool_kernel": 5},
-    {"kind": "attention_sink", "sinks": 4, "window": 64},
-    {"kind": "random", "seed": 0},
-)
+@dataclass(frozen=True)
+class EvictTask:
+    context_len: int = 512
+    decode_len: int = 16
+
+
+@dataclass(frozen=True)
+class EvictMethod:
+    eviction_ratios: tuple[float, ...] = (0.25, 0.5)
+    policies: tuple[dict, ...] = (
+        {"kind": "heavy_hitter", "recent": 4},
+        {"kind": "obs_window", "obs": 16, "pool_kernel": 5},
+        {"kind": "hybrid", "lambda_sink": 0.0, "lambda_recent": 0.0,
+         "lambda_acc": 0.5, "lambda_win": 0.5, "obs": 16, "pool_kernel": 5},
+        {"kind": "attention_sink", "sinks": 4, "window": 64},
+        {"kind": "random", "seed": 0},
+    )
 
 
 def _clone_cache(cache: kvc.KvCache) -> kvc.KvCache:
@@ -127,35 +132,28 @@ def needle_retained(cache: kvc.KvCache, answer_start: int, answer_end: int) -> b
 
 
 def run_evict_bench(config: dict) -> dict:
-    validate_config(config)
-    seed = config["seed"]
-    trials = config.get("trials", 20)
-    task = config.get("task", {})
-    context_len = task.get("context_len", 512)
-    decode_len = task.get("decode_len", 16)
-    ratios = config.get("method", {}).get("eviction_ratios", [0.25, 0.5])
-    policy_specs = config.get("method", {}).get("policies",
-                                                list(DEFAULT_EVICT_POLICIES))
-    policies = [policy_from_spec(p) for p in policy_specs]
-    kept = context_len - 1    # the prefill holds back the final query token
-    budgets = {ratio: kept - int(round(ratio * kept)) for ratio in ratios}
+    exp, task, method = read_config(config, EvictTask, EvictMethod)
+    policies = [policy_from_spec(p) for p in method.policies]
+    kept = task.context_len - 1    # the prefill holds back the final query token
+    budgets = {ratio: kept - int(round(ratio * kept))
+               for ratio in method.eviction_ratios}
     for ratio, budget in budgets.items():
-        for pspec, policy in zip(policy_specs, policies):
+        for pspec, policy in zip(method.policies, policies):
             if budget < max(1, policy.floor()):
                 raise ConfigError(
                     f"policy {pspec['kind']} at eviction ratio {ratio} gets budget "
-                    f"{budget} (context_len {context_len}), below its mandatory "
+                    f"{budget} (context_len {task.context_len}), below its mandatory "
                     f"floor {policy.floor()}")
 
     rows = []
-    for t in range(trials):
-        ts = trial_seed(seed, t)
-        model = model_from_config(config, ts)
+    for t in range(exp.trials):
+        ts = trial_seed(exp.seed, t)
+        model = init_model(exp.model, ts)
         rng = np.random.default_rng(ts)
         lo = 16
-        hi = max(lo + 1, context_len - 64)
+        hi = max(lo + 1, task.context_len - 64)
         needle_pos = int(rng.integers(lo, hi))
-        sample = gen_needle(context_len, needle_pos, ts)
+        sample = gen_needle(task.context_len, needle_pos, ts)
 
         # hold back the final query token: it seeds decoding after eviction
         cache = kvc.KvCache.for_model(model.config)
@@ -163,18 +161,18 @@ def run_evict_bench(config: dict) -> dict:
         baseline_bytes = kvc.cache_bytes(cache, 4)
         base_cache = _clone_cache(cache)
         baseline_out = greedy_continue(model, base_cache, sample.tokens[-1:],
-                                       decode_len)
+                                       task.decode_len)
 
-        for ratio in ratios:
+        for ratio in method.eviction_ratios:
             budget = budgets[ratio]
-            for pspec, policy in zip(policy_specs, policies):
+            for pspec, policy in zip(method.policies, policies):
                 c = _clone_cache(cache)
                 report = kvc.evict(c, policy, budget)
                 method_bytes = kvc.cache_bytes(c, 4)
                 retained = needle_retained(c, sample.answer_start,
                                            sample.answer_end)
                 method_out = greedy_continue(model, c, sample.tokens[-1:],
-                                             decode_len)
+                                             task.decode_len)
                 r1 = rouge_n(baseline_out, method_out, 1).f1
                 rows.append({
                     "trial": t, "policy": pspec["kind"], "policy_spec": pspec,
@@ -202,35 +200,50 @@ def _retention_rates(rows) -> dict:
     return {k: sum(v) / len(v) for k, v in sorted(by_policy.items())}
 
 
-def run_spec_bench(config: dict) -> dict:
-    validate_config(config)
-    seed = config["seed"]
-    trials = config.get("trials", 20)
-    method = config.get("method", {})
-    ks = method.get("k", [4])
-    kinds = method.get("draft_kinds", ["independent", "feature_reuse"])
-    max_new = config.get("task", {}).get("max_new", 24)
-    prompt_len = config.get("task", {}).get("prompt_len", 8)
+# the draft of each kind for the trial seeded ts, given the target's ModelConfig
+_DRAFTS = {
+    "independent": lambda mc, ts: IndependentDraft(init_model(mc, ts + 1)),
+    "feature_reuse": lambda mc, ts: FeatureReuseDraft.random_init(mc.d_model, ts + 2),
+}
 
+
+@dataclass(frozen=True)
+class SpecTask:
+    max_new: int = 24
+    prompt_len: int = 8
+
+
+@dataclass(frozen=True)
+class SpecMethod:
+    k: tuple[int, ...] = (4,)
+    draft_kinds: tuple[str, ...] = tuple(_DRAFTS)
+
+    def __post_init__(self):
+        unknown = sorted(set(self.draft_kinds) - set(_DRAFTS))
+        if unknown:
+            raise ConfigError(f"draft kinds {unknown} are not in {sorted(_DRAFTS)}")
+        if any(k < 1 for k in self.k):
+            raise ConfigError(f"draft lengths k {list(self.k)} must be >= 1")
+
+
+def run_spec_bench(config: dict) -> dict:
+    exp, task, method = read_config(config, SpecTask, SpecMethod)
     rows = []
     trace_rows = []
-    for t in range(trials):
-        ts = trial_seed(seed, t)
-        target = model_from_config(config, ts)
+    for t in range(exp.trials):
+        ts = trial_seed(exp.seed, t)
+        target = init_model(exp.model, ts)
         rng = np.random.default_rng(ts)
         prompt = [int(x) for x in rng.integers(0, target.config.vocab_size,
-                                               size=prompt_len)]
-        reference = greedy_decode(target, prompt, max_new)
-        for kind in kinds:
-            if kind == "independent":
-                draft = IndependentDraft(model_from_config(config, ts + 1))
-            else:
-                draft = FeatureReuseDraft.random_init(target.config.d_model, ts + 2)
-            for k in ks:
+                                               size=task.prompt_len)]
+        reference = greedy_decode(target, prompt, task.max_new)
+        for kind in method.draft_kinds:
+            draft = _DRAFTS[kind](exp.model, ts)
+            for k in method.k:
                 target.reset_counters()
                 trace: list = []
                 out, stats = decode_speculative(target, DraftConfig(draft, k),
-                                                prompt, max_new, trace=trace)
+                                                prompt, task.max_new, trace=trace)
                 if out != reference:
                     raise ContractViolation(
                         f"losslessness violated: trial {t}, kind {kind}, k {k}")
@@ -248,26 +261,42 @@ def run_spec_bench(config: dict) -> dict:
     return report
 
 
+@dataclass(frozen=True)
+class QuantTask:
+    sequences: int = 4
+    seq_len: int = 32
+
+
+@dataclass(frozen=True)
+class QuantMethod:
+    bits: tuple[int, ...] = (8, 4, 3, 2)
+    scheme: str = "symmetric"
+    bpw_budget: float | None = None
+
+    def __post_init__(self):
+        for bits in self.bits:
+            quant_mod.QuantSpec(bits=bits, scheme=self.scheme)
+
+
 def run_quant_bench(config: dict) -> dict:
-    validate_config(config)
-    seed = config["seed"]
-    model = model_from_config(config, seed)
-    method = config.get("method", {})
-    bit_widths = method.get("bits", [8, 4, 3, 2])
-    scheme = method.get("scheme", "symmetric")
-    n_seqs = config.get("task", {}).get("sequences", 4)
-    seq_len = config.get("task", {}).get("seq_len", 32)
-    rng = np.random.default_rng(seed)
-    seqs = [[int(x) for x in rng.integers(0, model.config.vocab_size, size=seq_len)]
-            for _ in range(n_seqs)]
+    exp, task, method = read_config(config, QuantTask, QuantMethod)
+    model = init_model(exp.model, exp.seed)
+    rng = np.random.default_rng(exp.seed)
+    seqs = [[int(x) for x in rng.integers(0, model.config.vocab_size,
+                                          size=task.seq_len)]
+            for _ in range(task.sequences)]
+    # planned before the first forward, so a budget no plan meets fails up front
+    budget = method.bpw_budget
+    budget_plan = (None if budget is None else
+                   quant_mod.assign_precision(model, seqs, budget, scheme=method.scheme))
 
     rows = [{
         "plan": "identity-sanity", "bpw": None,
         "top1_overlap": quant_mod.top1_overlap(model, model, seqs),
         "bits_by_slot": None,
     }]
-    for bits in bit_widths:
-        plan = quant_mod.uniform_plan(model, bits, scheme=scheme)
+    for bits in method.bits:
+        plan = quant_mod.uniform_plan(model, bits, scheme=method.scheme)
         qm = quant_mod.ptq_model(model, plan)
         rows.append({
             "plan": f"uniform-{bits}bit",
@@ -275,42 +304,49 @@ def run_quant_bench(config: dict) -> dict:
             "top1_overlap": quant_mod.top1_overlap(model, qm, seqs),
             "bits_by_slot": {s: sp.bits for s, sp in plan.specs.items()},
         })
-    budget = method.get("bpw_budget")
-    if budget is not None:
-        plan = quant_mod.assign_precision(model, seqs, budget, scheme=scheme)
-        qm = quant_mod.ptq_model(model, plan)
-        achieved = quant_mod.plan_bpw(model, plan)
+    if budget_plan is not None:
+        qm = quant_mod.ptq_model(model, budget_plan)
+        achieved = quant_mod.plan_bpw(model, budget_plan)
         if achieved > budget:
             raise ContractViolation("assign_precision exceeded its budget")
         rows.append({
             "plan": f"budgeted-{budget}",
             "bpw": achieved,
             "top1_overlap": quant_mod.top1_overlap(model, qm, seqs),
-            "bits_by_slot": {s: sp.bits for s, sp in plan.specs.items()},
+            "bits_by_slot": {s: sp.bits for s, sp in budget_plan.specs.items()},
         })
     return _make_report(config, rows, agg_fields=("top1_overlap",))
 
 
+@dataclass(frozen=True)
+class LoraTask:
+    """The adapter demo reads no task keys."""
+
+
+@dataclass(frozen=True)
+class LoraMethod:
+    adapters: int = 3
+    swaps: int = 100
+    base_bits: int = 4
+
+
 def run_lora_demo(config: dict) -> dict:
-    validate_config(config)
-    seed = config["seed"]
-    method = config.get("method", {})
-    n_adapters = method.get("adapters", 3)
-    n_swaps = method.get("swaps", 100)
-    model = model_from_config(config, seed)
-    plan = quant_mod.uniform_plan(model, method.get("base_bits", 4))
+    exp, _, method = read_config(config, LoraTask, LoraMethod)
+    seed = exp.seed
+    model = init_model(exp.model, seed)
+    plan = quant_mod.uniform_plan(model, method.base_bits)
     base = quant_mod.ptq_model(model, plan, freeze=True)
     registry = lora_mod.AdapterRegistry(base)
     targets = [s for s in model.config.slot_shapes()
                if s.endswith(("wq", "wv"))]
-    for i in range(n_adapters):
+    for i in range(method.adapters):
         registry.register(lora_mod.create_adapter(
             base, targets, r=4, alpha=8.0, seed=seed + i, name=f"scenario-{i}"))
 
     h0 = registry.base_hash()
     rng = np.random.default_rng(seed)
     names = list(registry.adapters) + [None]
-    for _ in range(n_swaps):
+    for _ in range(method.swaps):
         registry.activate(names[int(rng.integers(0, len(names)))])
     if registry.base_hash() != h0:
         raise ContractViolation("base weights changed during adapter swaps")
@@ -334,7 +370,7 @@ def run_lora_demo(config: dict) -> dict:
         raise ContractViolation("base weights changed during fitting")
 
     rows = [{
-        "adapters": n_adapters, "swaps": n_swaps, "base_hash": h0,
+        "adapters": method.adapters, "swaps": method.swaps, "base_hash": h0,
         "hash_invariant": True, "qalft_final_loss": fit.losses[-1],
         "qalft_steps": len(fit.losses) - 1,
         "gradient_check_max_rel_err": float(grad_err),

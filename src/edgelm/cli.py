@@ -8,12 +8,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bench
 from .metrics import rouge_l, rouge_n, tokenize
-from .model import greedy_decode
+from .model import greedy_decode, init_model
 from .trainmath import MpoWeights, PrefBatch, mpo_joint_loss
 
 
@@ -22,9 +23,8 @@ def _load_config(args) -> dict:
     if args.config:
         with open(args.config) as f:
             config = json.load(f)
-    if args.seed is not None:
+    if args.seed is not None and isinstance(config, dict):
         config["seed"] = args.seed
-    bench.validate_config(config)
     return config
 
 
@@ -38,14 +38,14 @@ def _emit(args, report: dict, name: str):
 
 
 def cmd_gen(args) -> int:
-    config = _load_config(args)
-    model = bench.model_from_config(config, config["seed"])
+    exp = bench.validate_config(_load_config(args))
+    model = init_model(exp.model, exp.seed)
     if args.prompt:
         prompt = json.loads(args.prompt)
         if not isinstance(prompt, list) or not all(type(t) is int for t in prompt):
             raise ValueError("--prompt must be a JSON list of integer token ids")
     else:
-        rng = np.random.default_rng(config["seed"])
+        rng = np.random.default_rng(exp.seed)
         prompt = rng.integers(0, model.config.vocab_size, size=8).tolist()
     tokens = greedy_decode(model, prompt, args.max_new)
     print(json.dumps({"prompt": prompt, "tokens": tokens}))
@@ -57,13 +57,24 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+@dataclass(frozen=True)
+class LossesInput:
+    """What ``edgelm losses`` reads: the chosen and rejected sequence log-prob
+    sums under the policy and the reference, the per-token log-probs, and
+    optional loss weights."""
+    lp_theta_c: list
+    lp_0_c: list
+    lp_theta_r: list
+    lp_0_r: list
+    token_logprobs: list
+    weights: MpoWeights = field(default_factory=MpoWeights)
+
+
 def cmd_losses(args) -> int:
     with open(args.input) as f:
-        data = json.load(f)
-    batch = PrefBatch(data["lp_theta_c"], data["lp_0_c"],
-                      data["lp_theta_r"], data["lp_0_r"])
-    weights = MpoWeights(**data.get("weights", {}))
-    total, parts = mpo_joint_loss(batch, weights, data["token_logprobs"])
+        data = bench.read(LossesInput, json.load(f), "losses input")
+    batch = PrefBatch(data.lp_theta_c, data.lp_0_c, data.lp_theta_r, data.lp_0_r)
+    total, parts = mpo_joint_loss(batch, data.weights, data.token_logprobs)
     print(json.dumps({"total": total, "breakdown": parts}))
     return 0
 

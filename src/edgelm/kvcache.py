@@ -31,10 +31,27 @@ from .errors import ConfigError
 
 # --- policies ----------------------------------------------------------------
 
+def _check_nonnegative(**counts):
+    for name, count in counts.items():
+        if count < 0:
+            raise ConfigError(f"{name} ({count}) must be nonnegative")
+
+
+def _check_window(obs: int, pool_kernel: int):
+    """The observation-window rule ObsWindow and Hybrid share."""
+    if obs < 1:
+        raise ConfigError(f"obs ({obs}) must be >= 1")
+    if pool_kernel % 2 == 0 or pool_kernel < 1:
+        raise ConfigError("pool_kernel must be odd and positive")
+
+
 @dataclass(frozen=True)
 class AttentionSink:
     sinks: int = 4
     window: int = 4
+
+    def __post_init__(self):
+        _check_nonnegative(sinks=self.sinks, window=self.window)
 
     def floor(self) -> int:
         return self.sinks + self.window
@@ -43,6 +60,9 @@ class AttentionSink:
 @dataclass(frozen=True)
 class HeavyHitter:
     recent: int = 1
+
+    def __post_init__(self):
+        _check_nonnegative(recent=self.recent)
 
     def floor(self) -> int:
         return self.recent
@@ -54,8 +74,7 @@ class ObsWindow:
     pool_kernel: int = 5
 
     def __post_init__(self):
-        if self.pool_kernel % 2 == 0 or self.pool_kernel < 1:
-            raise ConfigError("pool_kernel must be odd and positive")
+        _check_window(self.obs, self.pool_kernel)
 
     def floor(self) -> int:
         return self.obs
@@ -73,12 +92,12 @@ class Hybrid:
 
     def __post_init__(self):
         lams = (self.lambda_sink, self.lambda_recent, self.lambda_acc, self.lambda_win)
-        if any(l < 0 for l in lams):
-            raise ConfigError("hybrid weights must be nonnegative")
+        if not all(0 <= l < np.inf for l in lams):
+            raise ConfigError(f"hybrid weights {lams} must be finite and nonnegative")
         if sum(lams) == 0:
             raise ConfigError("hybrid weights must not all be zero")
-        if self.pool_kernel % 2 == 0 or self.pool_kernel < 1:
-            raise ConfigError("pool_kernel must be odd and positive")
+        _check_nonnegative(sinks=self.sinks)
+        _check_window(self.obs, self.pool_kernel)
 
     def floor(self) -> int:
         # observation window stays resident whenever it contributes a score
@@ -307,8 +326,6 @@ def score_hybrid(sink_ind, recency, acc, win, weights: Hybrid) -> np.ndarray:
         raise ValueError("component vectors must have equal length")
     lams = (weights.lambda_sink, weights.lambda_recent,
             weights.lambda_acc, weights.lambda_win)
-    if sum(lams) == 0:
-        raise ConfigError("hybrid weights must not all be zero")
     out = np.zeros(n)
     for lam, c in zip(lams, comps):
         if lam > 0:

@@ -16,6 +16,8 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 def log_sigmoid(z) -> np.ndarray:
     return -np.logaddexp(0.0, -np.asarray(z, dtype=np.float64))
@@ -60,11 +62,11 @@ class MpoWeights:
 
     def __post_init__(self):
         if self.w_p < 0 or self.w_q < 0 or self.w_g < 0:
-            raise ValueError("loss weights must be nonnegative")
+            raise ConfigError("loss weights must be nonnegative")
         if self.w_p + self.w_q + self.w_g == 0:
-            raise ValueError("at least one loss weight must be positive")
+            raise ConfigError("at least one loss weight must be positive")
         if self.beta <= 0:
-            raise ValueError("beta must be positive")
+            raise ConfigError("beta must be positive")
 
 
 def mpo_preference_loss(batch: PrefBatch, beta: float) -> float:

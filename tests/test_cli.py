@@ -1,18 +1,105 @@
+import contextlib
 import copy
 import csv
+import io
 import json
 import math
 import os
 import platform
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edgelm import bench
 from edgelm.cli import main
 
 TINY = {"n_layers": 1, "d_model": 16, "n_heads": 2, "n_kv_heads": 1,
         "head_dim": 8}
+
+# a valid tiny config for each command that reads one, with every key it reads
+VALID = {
+    "gen": {"seed": 1, "model": {**TINY, "vocab_size": 64, "ffn_mult": 2,
+                                 "rope_theta": 100.0, "tie_embeddings": False,
+                                 "max_seq": 64}},
+    "evict": {"seed": 1, "trials": 1, "model": TINY,
+              "task": {"context_len": 80, "decode_len": 2},
+              "method": {"eviction_ratios": [0.25],
+                         "policies": [{"kind": "heavy_hitter", "recent": 4},
+                                      {"kind": "obs_window", "obs": 8, "pool_kernel": 3},
+                                      {"kind": "hybrid", "lambda_sink": 0.0,
+                                       "lambda_recent": 0.0, "lambda_acc": 0.5,
+                                       "lambda_win": 0.5, "sinks": 2, "obs": 8,
+                                       "pool_kernel": 3},
+                                      {"kind": "attention_sink", "sinks": 2,
+                                       "window": 8},
+                                      {"kind": "random", "seed": 0}]}},
+    "spec": {"seed": 1, "trials": 1, "model": TINY,
+             "task": {"max_new": 4, "prompt_len": 3},
+             "method": {"k": [2], "draft_kinds": ["independent", "feature_reuse"]}},
+    "quant": {"seed": 1, "model": TINY, "task": {"sequences": 1, "seq_len": 6},
+              "method": {"bits": [8], "scheme": "symmetric", "bpw_budget": 8.5}},
+    "lora-demo": {"seed": 1, "model": TINY, "task": {},
+                  "method": {"adapters": 1, "swaps": 2, "base_bits": 8}},
+}
+
+# every module that calls ``forward`` by its imported name
+FORWARD_SITES = ("edgelm.model", "edgelm.bench", "edgelm.specdec", "edgelm.lora",
+                 "edgelm.quant")
+
+
+def run_cli(command: str, config) -> tuple[int, dict, int]:
+    """Exit code, parsed stderr (or {}) and forward count of one command run
+    on ``config``."""
+    forwards = []
+    real = sys.modules["edgelm.model"].forward
+
+    def counted(*args, **kwargs):
+        forwards.append(1)
+        return real(*args, **kwargs)
+
+    with tempfile.TemporaryDirectory() as d, contextlib.ExitStack() as stack:
+        path = Path(d) / "c.json"
+        path.write_text(json.dumps(config))
+        for site in FORWARD_SITES:
+            stack.enter_context(mock.patch.object(sys.modules[site], "forward", counted))
+        err = io.StringIO()
+        stack.enter_context(contextlib.redirect_stdout(io.StringIO()))
+        stack.enter_context(contextlib.redirect_stderr(err))
+        code = main([command, "--config", str(path)])
+    return code, json.loads(err.getvalue() or "{}"), len(forwards)
+
+
+def replaced(command: str, path: tuple, value) -> dict:
+    """The valid config of ``command`` with the field at ``path`` set to ``value``."""
+    config = copy.deepcopy(VALID[command])
+    *parents, last = path
+    node = config
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return config
+
+
+def _field_paths(node, path=()):
+    """The path of every object field and list entry in a JSON tree."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _field_paths(value, path + (key,))
+
+
+JSON_VALUES = st.one_of(
+    st.booleans(), st.integers(-2, 3).map(float), st.text(max_size=2), st.none(),
+    st.lists(st.integers(-1, 2) | st.text(max_size=1), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
+    st.just(math.nan))
 
 
 class TestConfig:
@@ -26,6 +113,66 @@ class TestConfig:
     def test_unknown_model_key_rejected(self):
         with pytest.raises(Exception):
             bench.validate_config({"seed": 1, "model": {"n_layer": 2}})
+
+    @pytest.mark.parametrize("command, path, value, named", [
+        ("gen", ("seed",), 1.0, "seed"),
+        ("evict", ("trials",), 2.0, "trials"),
+        ("gen", ("model", "n_layers"), 1.0, "n_layers"),
+        ("evict", ("task", "context_lenn"), 96, "context_lenn"),
+        ("evict", ("method", "policies", 0, "recent"), "4", "recent"),
+        ("evict", ("method", "policies", 0, "recent"), -3, "recent"),
+        ("evict", ("method", "policies", 1, "obs"), 0, "obs"),
+        ("evict", ("method", "policies", 2, "obs"), 0, "obs"),
+        ("spec", ("method", "draft_kinds"), ["eagle"], "eagle"),
+    ])
+    def test_bad_value_is_a_config_error_before_any_forward(self, command, path,
+                                                             value, named):
+        code, err, forwards = run_cli(command, replaced(command, path, value))
+        assert (code, err.get("error"), forwards) == (1, "ConfigError", 0)
+        assert named in err["message"]
+
+    def test_config_that_is_not_an_object_rejected_with_seed_override(self, tmp_path,
+                                                                       capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text("[1, 2]")
+        assert main(["gen", "--config", str(cfg), "--seed", "3"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and "not a JSON object" in err["message"]
+
+    @pytest.mark.parametrize("command", sorted(VALID))
+    def test_valid_tiny_config_runs(self, command):
+        # the adapter demo quantizes and fits but never runs the model
+        code, err, forwards = run_cli(command, VALID[command])
+        assert code == 0 and err == {} and (forwards > 0) == (command != "lora-demo")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_any_field_replaced_runs_or_is_a_config_error_before_any_forward(data):
+    # the values span every JSON kind: bool, integral float, string, null,
+    # list, object and NaN
+    command = data.draw(st.sampled_from(sorted(VALID)))
+    path = data.draw(st.sampled_from(list(_field_paths(VALID[command]))))
+    config = replaced(command, path, data.draw(JSON_VALUES))
+    code, err, forwards = run_cli(command, config)
+    assert code in (0, 1)
+    if code:
+        assert err["error"] == "ConfigError" and forwards == 0, err
+
+
+def test_cli_runs_without_jsonschema(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(VALID["evict"]))
+    code = ("import runpy, sys; sys.modules['jsonschema'] = None; "
+            f"sys.argv = ['edgelm', 'evict', '--config', {str(cfg)!r}]; "
+            "runpy.run_module('edgelm.cli', run_name='__main__')")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads(proc.stdout)["trials"]) == 5
 
 
 class TestReports:
@@ -185,6 +332,23 @@ class TestCli:
         assert main(["losses", str(p)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["breakdown"]["preference"] == pytest.approx(math.log(2))
+
+    @pytest.mark.parametrize("change, named", [
+        ({"lp_0_r": None}, "lp_0_r"),
+        ({"weights": {"bogus": 1}}, "bogus"),
+        ({"weights": {"beta": "1"}}, "beta"),
+        ({"weights": {"w_p": True}}, "w_p"),
+        ({"weights": {"beta": 0}}, "beta"),
+    ])
+    def test_losses_bad_input_named(self, tmp_path, capsys, change, named):
+        payload = {"lp_theta_c": [0.0], "lp_0_c": [0.0], "lp_theta_r": [0.0],
+                   "lp_0_r": [0.0], "token_logprobs": [-1.0], **change}
+        payload = {k: v for k, v in payload.items() if v is not None}
+        p = tmp_path / "b.json"
+        p.write_text(json.dumps(payload))
+        assert main(["losses", str(p)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and named in err["message"]
 
     def test_losses_reject_non_finite_logprobs(self, tmp_path, capsys):
         payload = {"lp_theta_c": [0.0], "lp_0_c": [0.0],

@@ -89,6 +89,23 @@ class TestPolicyValidation:
         with pytest.raises(ConfigError):
             E.Hybrid(lambda_acc=-1)
 
+    @pytest.mark.parametrize("cls, kwargs, named", [
+        (E.AttentionSink, {"sinks": -1}, "sinks"),
+        (E.AttentionSink, {"window": -1}, "window"),
+        (E.HeavyHitter, {"recent": -3}, "recent"),
+        (E.ObsWindow, {"obs": 0}, "obs"),
+        (E.ObsWindow, {"pool_kernel": -1}, "pool_kernel"),
+        (E.Hybrid, {"obs": 0}, "obs"),
+        (E.Hybrid, {"sinks": -1}, "sinks"),
+        (E.Hybrid, {"pool_kernel": 4}, "pool_kernel"),
+        (E.Hybrid, {"lambda_acc": float("nan")}, "finite"),
+        (E.Hybrid, {"lambda_win": float("inf")}, "finite"),
+    ])
+    def test_out_of_range_field_rejected(self, cls, kwargs, named):
+        # obs=0 would score over every ring row: `slots()[-0:]` is all of them
+        with pytest.raises(ConfigError, match=named):
+            cls(**kwargs)
+
 
 class TestEviction:
     def test_budget_respected_all_policies(self):

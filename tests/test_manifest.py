@@ -148,6 +148,11 @@ def test_inconsistent_header_rejected(name, mutate, files, tmp_path):
     ("float.edgelm", lambda h: _first(h).update(name=["token_embed"]), "name"),
     ("adapter.edgelma", lambda h: h.pop("alpha"), "alpha"),
     ("adapter.edgelma", lambda h: _first(h).update(b_offset=None), "b_offset"),
+    # a bool is an int to isinstance, and an integral float is no int
+    ("sym.edgelmq", lambda h: _first(h)["spec"].update(group_size=True), "group_size"),
+    ("adapter.edgelma", lambda h: h.update(r=True), "'r'"),
+    ("float.edgelm", lambda h: h["config"].update(n_layers=2.0), "n_layers"),
+    ("float.edgelm", lambda h: h["config"].update(n_layers=True), "n_layers"),
 ])
 def test_missing_or_mistyped_field_named(name, mutate, field, files, tmp_path):
     load, _, magic = FORMATS[name]
