@@ -12,7 +12,7 @@ from .model import (ForwardOutput, ModelConfig, PatchGrid, TinyLM, apply_rope,
                     slot_rng)
 from .kvcache import (AttentionSink, EvictionReport, HeavyHitter, Hybrid,
                       KvCache, LayerReport, ObsWindow, RandomPolicy,
-                      cache_bytes, evict, eviction_ratio, score_hybrid)
+                      cache_bytes, evict, eviction_ratio)
 from .specdec import (DraftConfig, FeatureReuseDraft, IndependentDraft,
                       SpecStats, block_efficiency, decode_speculative,
                       propose)

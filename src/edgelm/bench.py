@@ -414,9 +414,11 @@ def _make_report(config: dict, rows: list, agg_fields=(), extra_meta=None) -> di
 
 
 def verify_report(report: dict) -> bool:
-    """Recompute every aggregate from the per-trial rows."""
-    rows = report["trials"]
-    for field, agg in report["aggregates"].items():
+    """Recompute every aggregate from the per-trial rows. A report without a
+    ``trials`` list of objects and an ``aggregates`` object is a ConfigError."""
+    rows, aggregates = _manifest.fields(report, "report", ConfigError,
+                                        trials=tuple[dict, ...], aggregates=dict)
+    for field, agg in aggregates.items():
         if field == "retention_rate_by_policy":
             expected = _retention_rates(rows)
         else:

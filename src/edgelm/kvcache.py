@@ -2,7 +2,12 @@
 
 Policies: attention-sink (positional), heavy-hitter (accumulated attention
 mass), observation-window (pooled attention of the last W queries), a
-weighted hybrid over all four signal types, and a random control.
+weighted hybrid over all four signal types, and a random control. Each
+policy keeps its own rule: ``evict`` asks its ``keep(layer_store, budget,
+layer)`` for the sorted kept indices of every layer over budget.
+Attention-sink keeps its sinks and the most recent entries; the others keep
+their mandatory tail plus their best-scoring other entries (see
+:func:`_tail_and_best`), and the hybrid computes only its weighted terms.
 
 Each layer keeps its entries in capacity-doubling buffers (a single-sequence
 take on PagedAttention's KV blocks): ``forward`` stages its new keys and
@@ -56,6 +61,10 @@ class AttentionSink:
     def floor(self) -> int:
         return self.sinks + self.window
 
+    def keep(self, ls: _LayerStore, budget: int, layer: int) -> np.ndarray:
+        # the sinks, then the most recent entries fill the rest of the budget
+        return np.r_[:self.sinks, ls.kept - budget + self.sinks:ls.kept]
+
 
 @dataclass(frozen=True)
 class HeavyHitter:
@@ -66,6 +75,9 @@ class HeavyHitter:
 
     def floor(self) -> int:
         return self.recent
+
+    def keep(self, ls: _LayerStore, budget: int, layer: int) -> np.ndarray:
+        return _tail_and_best(ls.acc, self.recent, budget)
 
 
 @dataclass(frozen=True)
@@ -78,6 +90,10 @@ class ObsWindow:
 
     def floor(self) -> int:
         return self.obs
+
+    def keep(self, ls: _LayerStore, budget: int, layer: int) -> np.ndarray:
+        return _tail_and_best(_pooled_window_score(ls, self.obs, self.pool_kernel),
+                              self.obs, budget)
 
 
 @dataclass(frozen=True)
@@ -103,6 +119,24 @@ class Hybrid:
         # observation window stays resident whenever it contributes a score
         return self.obs if self.lambda_win > 0 else 1
 
+    def keep(self, ls: _LayerStore, budget: int, layer: int) -> np.ndarray:
+        """The weighted sum of the four min-max normalised components. The
+        sink indicator normalises to itself unless every entry is a sink (a
+        constant normalises to 0), recency i to i / (n - 1); a term with
+        weight 0 is not computed."""
+        n = ls.kept
+        scores = np.zeros(n)
+        if self.lambda_sink > 0 and self.sinks < n:
+            scores[:self.sinks] = self.lambda_sink
+        if self.lambda_recent > 0:
+            scores += self.lambda_recent * (np.arange(n) / (n - 1))
+        if self.lambda_acc > 0:
+            scores += self.lambda_acc * _minmax(ls.acc)
+        if self.lambda_win > 0:
+            scores += self.lambda_win * _minmax(
+                _pooled_window_score(ls, self.obs, self.pool_kernel))
+        return _tail_and_best(scores, self.floor(), budget)
+
 
 @dataclass(frozen=True)
 class RandomPolicy:
@@ -110,6 +144,11 @@ class RandomPolicy:
 
     def floor(self) -> int:
         return 1
+
+    def keep(self, ls: _LayerStore, budget: int, layer: int) -> np.ndarray:
+        rng = np.random.default_rng(
+            np.random.SeedSequence([self.seed & (2**64 - 1), layer, ls.kept]))
+        return _tail_and_best(rng.random(ls.kept), 1, budget)
 
 
 EvictionPolicy = Union[AttentionSink, HeavyHitter, ObsWindow, Hybrid, RandomPolicy]
@@ -318,21 +357,6 @@ def _minmax(x: np.ndarray) -> np.ndarray:
     return (x - lo) / (hi - lo)
 
 
-def score_hybrid(sink_ind, recency, acc, win, weights: Hybrid) -> np.ndarray:
-    """Weighted sum of min-max normalized components (constant components -> 0)."""
-    comps = [np.asarray(c, dtype=np.float64) for c in (sink_ind, recency, acc, win)]
-    n = comps[0].size
-    if any(c.size != n for c in comps):
-        raise ValueError("component vectors must have equal length")
-    lams = (weights.lambda_sink, weights.lambda_recent,
-            weights.lambda_acc, weights.lambda_win)
-    out = np.zeros(n)
-    for lam, c in zip(lams, comps):
-        if lam > 0:
-            out += lam * _minmax(c)
-    return out
-
-
 def _pooled_window_score(ls: _LayerStore, obs: int, kernel: int) -> np.ndarray:
     """Mean attention over the last `obs` rows, then clipped 1-D mean pooling:
     each position averages the entries of its `kernel`-wide window that lie
@@ -341,6 +365,9 @@ def _pooled_window_score(ls: _LayerStore, obs: int, kernel: int) -> np.ndarray:
     8 terms in order, so for kernels up to 7 every mean is bit-identical to
     the mean of the clipped slice."""
     n, h = ls.kept, kernel // 2
+    if obs > ls._lens.size:
+        raise ConfigError(f"observation window {obs} exceeds the cache's "
+                          f"{ls._lens.size}-row window")
     slots = ls.slots()[-obs:]
     m = np.zeros(h + n + h)             # the mean row, zero-padded by h
     if slots:
@@ -352,39 +379,13 @@ def _pooled_window_score(ls: _LayerStore, obs: int, kernel: int) -> np.ndarray:
     return m[j[:, None] + np.arange(kernel)].sum(-1) / width
 
 
-def _layer_kept_indices(ls: _LayerStore, policy: EvictionPolicy, budget: int,
-                        layer: int) -> np.ndarray:
-    n = ls.kept
-    if n <= budget:
-        return np.arange(n)
-    idx = np.arange(n)
-    keep = np.zeros(n, dtype=bool)                 # the mandatory entries
-    if isinstance(policy, AttentionSink):
-        keep[:policy.sinks] = keep[n - policy.window:] = True
-        scores = idx.astype(np.float64)            # fill spare budget by recency
-    else:
-        keep[n - policy.floor():] = True
-    if isinstance(policy, HeavyHitter):
-        scores = ls.acc
-    elif isinstance(policy, ObsWindow):
-        scores = _pooled_window_score(ls, policy.obs, policy.pool_kernel)
-    elif isinstance(policy, Hybrid):
-        sink_ind = (idx < policy.sinks).astype(np.float64)
-        recency = idx.astype(np.float64)
-        win = _pooled_window_score(ls, policy.obs, policy.pool_kernel)
-        scores = score_hybrid(sink_ind, recency, ls.acc, win, policy)
-    elif isinstance(policy, RandomPolicy):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([policy.seed & (2**64 - 1), layer, n]))
-        scores = rng.random(n)
-    elif not isinstance(policy, AttentionSink):
-        raise ConfigError(f"unknown policy {policy!r}")
-
-    cand = np.flatnonzero(~keep)
-    # highest score first; ties toward more recent (larger index)
-    order = np.lexsort((-cand, -scores[cand]))
-    keep[cand[order[:budget - keep.sum()]]] = True
-    return np.flatnonzero(keep)
+def _tail_and_best(scores: np.ndarray, tail: int, budget: int) -> np.ndarray:
+    """The sorted indices of the last ``tail`` entries and of the
+    ``budget - tail`` best-scoring others: highest score first, ties toward
+    the more recent (larger) index."""
+    m = scores.size - tail
+    order = np.lexsort((-np.arange(m), -scores[:m]))
+    return np.concatenate([np.sort(order[:budget - tail]), np.arange(m, scores.size)])
 
 
 def evict(cache: KvCache, policy: EvictionPolicy, budget: int) -> EvictionReport:
@@ -394,19 +395,13 @@ def evict(cache: KvCache, policy: EvictionPolicy, budget: int) -> EvictionReport
     if budget < policy.floor():
         raise ConfigError(
             f"budget {budget} below the policy's mandatory floor {policy.floor()}")
-    scores_rows = isinstance(policy, ObsWindow) or (
-        isinstance(policy, Hybrid) and policy.lambda_win > 0)
-    if scores_rows and policy.obs > cache.window:
-        raise ConfigError(f"observation window {policy.obs} exceeds the cache's "
-                          f"{cache.window}-row window")
     reports = []
     for li, ls in enumerate(cache.layers):
         n = ls.kept
-        kept = _layer_kept_indices(ls, policy, budget, li)
-        evicted = n - kept.size
-        if evicted > 0:
+        kept = np.arange(n) if n <= budget else policy.keep(ls, budget, li)
+        if kept.size < n:
             ls.gather(kept)
-        reports.append(LayerReport(kept_indices=kept.tolist(), evicted_count=evicted))
+        reports.append(LayerReport(kept_indices=kept.tolist(), evicted_count=n - kept.size))
     return EvictionReport(layers=reports)
 
 

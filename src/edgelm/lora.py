@@ -52,6 +52,8 @@ def create_adapter(model: TinyLM, target_slots, r: int, alpha: float,
     target_slots = tuple(target_slots)
     if r < 1:
         raise ConfigError("rank must be >= 1")
+    if not np.isfinite(alpha):
+        raise ConfigError(f"alpha ({alpha}) must be finite")
     A, B = {}, {}
     for slot in target_slots:
         if slot not in shapes:

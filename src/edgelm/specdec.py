@@ -50,6 +50,8 @@ class FeatureReuseDraft:
         w2 = np.asarray(w2, dtype=np.float32)
         if w1.shape != self.w1.shape or w2.shape != self.w2.shape:
             raise ValueError("head weight shapes do not match")
+        if not (np.isfinite(w1).all() and np.isfinite(w2).all()):
+            raise ValueError("head weights must be finite")
         self.w1, self.w2 = w1, w2
 
 

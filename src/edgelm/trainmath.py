@@ -253,6 +253,9 @@ class Image:
 Segment = Union[Text, Image]
 
 
+_IMG_RE = re.compile(r"<img>(.*?)</img>", flags=re.S)
+
+
 @dataclass
 class InterleavedDoc:
     segments: tuple
@@ -270,7 +273,7 @@ class InterleavedDoc:
     def from_text(cls, text: str) -> "InterleavedDoc":
         segments = []
         pos = 0
-        for m in re.finditer(r"<img>(.*?)</img>", text, flags=re.S):
+        for m in _IMG_RE.finditer(text):
             if m.start() > pos:
                 segments.append(Text(text[pos:m.start()]))
             segments.append(Image(m.group(1)))
@@ -278,9 +281,6 @@ class InterleavedDoc:
         if pos < len(text):
             segments.append(Text(text[pos:]))
         return cls(segments=tuple(segments))
-
-
-_IMG_RE = re.compile(r"<img>(.*?)</img>", flags=re.S)
 
 
 def _canonical_text(text: str) -> str:

@@ -303,6 +303,23 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["verified"]
 
+    @pytest.mark.parametrize("report, named", [
+        ({"trials": 1}, "trials"),
+        ({"trials": []}, "missing field 'aggregates'"),
+        ({"trials": 1, "aggregates": {}}, "trials"),
+        ([1], "not a JSON object"),
+        ({"trials": [1], "aggregates": {}}, "trials"),
+        ({"trials": [], "aggregates": []}, "aggregates"),
+    ])
+    def test_report_malformed_named(self, tmp_path, capsys, report, named):
+        p = tmp_path / "r.json"
+        p.write_text(json.dumps(report))
+        assert main(["report", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ConfigError" and named in err["message"]
+
     def test_report_records_environment(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)

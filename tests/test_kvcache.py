@@ -82,6 +82,7 @@ class TestPolicyValidation:
             with pytest.raises(ConfigError, match="observation window 16 .* 8-row"):
                 E.evict(c, pol, 18)
         E.evict(c, E.Hybrid(lambda_win=0, obs=16), 18)  # the rows go unused
+        E.evict(c, E.ObsWindow(obs=16), 20)             # under budget: none is read
 
     def test_hybrid_weights_validated(self):
         with pytest.raises(ConfigError):
@@ -210,11 +211,73 @@ class TestHybridScore:
         np.testing.assert_array_equal(a.kept_positions(0), np.arange(18, 24))
 
     def test_score_hybrid_normalizes_components(self):
-        s = kvc.score_hybrid([0, 0, 1], [0, 5, 10], [3, 3, 3], [0, 1, 2],
-                             E.Hybrid(lambda_sink=0.25, lambda_recent=0.25,
-                                      lambda_acc=0.25, lambda_win=0.25))
+        s = _score_hybrid([0, 0, 1], [0, 5, 10], [3, 3, 3], [0, 1, 2],
+                          E.Hybrid(lambda_sink=0.25, lambda_recent=0.25,
+                                   lambda_acc=0.25, lambda_win=0.25))
         # constant acc contributes zero; others normalized to [0,1]
         np.testing.assert_allclose(s, [0.0, 0.25 * 0.5 + 0.25 * 0.5, 0.75])
+        # and Hybrid keeps what the oracle keeps when the mass is constant
+        c = make_cache(20, seed=15, window=8)
+        c.layers[0]._acc[:20] = 3.0
+        _assert_keeps_oracle_set(c, E.Hybrid(obs=4, pool_kernel=3), 9)
+
+
+def _minmax(x):
+    lo, hi = x.min(), x.max()
+    return np.zeros_like(x) if hi == lo else (x - lo) / (hi - lo)
+
+
+def _score_hybrid(sink_ind, recency, acc, win, weights):
+    """The weighted sum of the four min-max normalised components; a
+    constant component contributes 0, a zero weight nothing."""
+    lams = (weights.lambda_sink, weights.lambda_recent, weights.lambda_acc,
+            weights.lambda_win)
+    out = np.zeros(len(sink_ind))
+    for lam, c in zip(lams, (sink_ind, recency, acc, win)):
+        if lam > 0:
+            out += lam * _minmax(np.asarray(c, dtype=np.float64))
+    return out
+
+
+def _oracle_kept(ls, policy, budget, layer):
+    """The kept indices by one generic rule: a mandatory mask, then the best
+    scores among the other entries, ties toward the larger index. For
+    AttentionSink the mask is its sinks and window and the score recency;
+    for the others the mask is the last ``floor()`` entries."""
+    n = ls.kept
+    if n <= budget:
+        return list(range(n))
+    idx = np.arange(n)
+    keep = np.zeros(n, dtype=bool)
+    if isinstance(policy, E.AttentionSink):
+        keep[:policy.sinks] = keep[n - policy.window:n] = True
+        scores = idx.astype(np.float64)
+    else:
+        keep[n - policy.floor():] = True
+    if isinstance(policy, E.HeavyHitter):
+        scores = ls.acc
+    elif isinstance(policy, E.ObsWindow):
+        scores = _pooled_reference(ls, policy.obs, policy.pool_kernel)
+    elif isinstance(policy, E.Hybrid):
+        scores = _score_hybrid(idx < policy.sinks, idx, ls.acc,
+                               _pooled_reference(ls, policy.obs, policy.pool_kernel),
+                               policy)
+    elif isinstance(policy, E.RandomPolicy):
+        scores = np.random.default_rng(
+            np.random.SeedSequence([policy.seed & (2**64 - 1), layer, n])).random(n)
+    cand = np.flatnonzero(~keep)
+    order = np.lexsort((-cand, -scores[cand]))
+    keep[cand[order[:budget - keep.sum()]]] = True
+    return np.flatnonzero(keep).tolist()
+
+
+def _assert_keeps_oracle_set(cache, policy, budget):
+    expected = [_oracle_kept(ls, policy, budget, li) for li, ls in enumerate(cache.layers)]
+    n = [ls.kept for ls in cache.layers]
+    report = E.evict(cache, policy, budget)
+    assert [lr.kept_indices for lr in report.layers] == expected
+    assert [lr.evicted_count for lr in report.layers] == [
+        k - len(e) for k, e in zip(n, expected)]
 
 
 def _split(data, n):
@@ -399,26 +462,27 @@ def test_append_block_rejects_wrong_attention_shape():
                        np.zeros((2, 4)))
 
 
-def _draw_policy(data, window):
-    """A random policy of each kind, with the entries it must keep: the
-    first ``head`` and the last ``tail`` indices."""
+def _draw_policy(data, window, n):
+    """A random policy of each kind for an n-entry cache, with the entries it
+    must keep: the first ``head`` and the last ``tail`` indices. Sink counts
+    run past n, and weights and windows include 0."""
     kind = data.draw(st.sampled_from(["sink", "heavy", "obs", "hybrid", "random"]))
     obs = st.integers(1, window)
-    kernel = st.sampled_from([1, 3, 5])
+    kernel = st.sampled_from([1, 3, 5, 7])
+    sinks = st.integers(0, n + 2)
     if kind == "sink":
-        p = E.AttentionSink(sinks=data.draw(st.integers(0, 4)),
-                            window=data.draw(st.integers(1, 6)))
+        p = E.AttentionSink(sinks=data.draw(sinks), window=data.draw(st.integers(0, 6)))
         return p, p.sinks, p.window
     if kind == "heavy":
-        p = E.HeavyHitter(recent=data.draw(st.integers(1, 6)))
+        p = E.HeavyHitter(recent=data.draw(st.integers(0, 6)))
         return p, 0, p.recent
     if kind == "obs":
         p = E.ObsWindow(obs=data.draw(obs), pool_kernel=data.draw(kernel))
         return p, 0, p.obs
     if kind == "hybrid":
-        lams = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=4,
+        lams = data.draw(st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]), min_size=4,
                                   max_size=4).filter(any))
-        p = E.Hybrid(*lams, sinks=data.draw(st.integers(0, 4)), obs=data.draw(obs),
+        p = E.Hybrid(*lams, sinks=data.draw(sinks), obs=data.draw(obs),
                      pool_kernel=data.draw(kernel))
         return p, 0, p.obs if p.lambda_win > 0 else 1
     return E.RandomPolicy(seed=data.draw(st.integers(0, 2**32))), 0, 1
@@ -429,8 +493,9 @@ def _draw_policy(data, window):
 def test_eviction_invariants_hold_for_every_policy(data):
     n = data.draw(st.integers(1, 40))
     window = data.draw(st.integers(1, 12))
-    policy, head, tail = _draw_policy(data, window)
-    budget = data.draw(st.integers(policy.floor(), max(policy.floor(), n + 2)))
+    policy, head, tail = _draw_policy(data, window, n)
+    floor = max(policy.floor(), 1)
+    budget = data.draw(st.integers(floor, max(floor, n + 2)))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
     # positions with gaps, so kept indices and kept positions differ
     positions = np.cumsum(rng.integers(1, 4, n))
@@ -496,3 +561,56 @@ def test_zero_tail_keeps_only_what_the_oracle_keeps(policy):
     else:
         expected = [0, 1, *range(n - budget + 2, n)]
     assert c.kept_positions(0).tolist() == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_every_policy_keeps_the_oracle_set(data):
+    n = data.draw(st.integers(1, 40))
+    window = data.draw(st.integers(1, 12))
+    policy, _, _ = _draw_policy(data, window, n)
+    floor = max(policy.floor(), 1)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    exact = data.draw(st.booleans())    # sixteenths tie; full-mantissa floats rarely do
+    cache = E.KvCache(2, 1, 1, window=window)
+    for step in range(2):
+        m = n if step == 0 else data.draw(st.integers(1, 5))
+        start = cache.next_position()
+        for li in range(2):
+            kept = cache.kept(li)
+            attn = rng.integers(0, 17, (m, kept + m)) / 16 if exact else rng.random(
+                (m, kept + m))
+            cache.append_block(li, rng.normal(size=(m, 1, 1)), rng.normal(size=(m, 1, 1)),
+                               np.arange(start, start + m), np.tril(attn, kept))
+        k = cache.kept(0)
+        budget = data.draw(st.sampled_from([floor, max(floor, k - 1), max(floor, k + 1)])
+                           | st.integers(floor, max(floor, k + 2)))
+        _assert_keeps_oracle_set(cache, policy, budget)
+
+
+@pytest.mark.parametrize("policy, n, budget", [
+    (E.AttentionSink(sinks=0, window=3), 20, 7),
+    (E.AttentionSink(sinks=3, window=0), 20, 7),
+    (E.AttentionSink(sinks=0, window=0), 20, 1),
+    (E.AttentionSink(sinks=2, window=3), 8, 7),          # n == budget + 1
+    (E.AttentionSink(sinks=7, window=0), 8, 7),
+    (E.HeavyHitter(recent=0), 20, 7),
+    (E.HeavyHitter(recent=3), 8, 7),
+    (E.ObsWindow(obs=1, pool_kernel=1), 20, 1),
+    (E.ObsWindow(obs=7, pool_kernel=7), 8, 7),
+    (E.Hybrid(sinks=0, obs=4), 20, 7),
+    (E.Hybrid(sinks=20, obs=4), 20, 7),                  # every entry a sink
+    (E.Hybrid(sinks=30, obs=4), 20, 7),
+    (E.Hybrid(sinks=19, obs=4), 20, 7),
+    (E.Hybrid(lambda_sink=1, lambda_recent=0, lambda_acc=0, lambda_win=0), 20, 5),
+    (E.Hybrid(lambda_sink=0, lambda_recent=0, lambda_acc=1, lambda_win=0), 20, 5),
+    (E.Hybrid(lambda_sink=0, lambda_recent=1, lambda_acc=0, lambda_win=1, obs=4), 20, 5),
+    (E.Hybrid(lambda_sink=1, lambda_recent=0, lambda_acc=0, lambda_win=0, sinks=0), 20, 5),
+    (E.Hybrid(obs=4), 9, 8),
+    (E.Hybrid(lambda_win=0, obs=16), 2, 1),
+    (E.RandomPolicy(seed=5), 20, 1),
+    (E.RandomPolicy(seed=-3), 9, 8),
+])
+def test_edge_case_keeps_the_oracle_set(policy, n, budget):
+    _assert_keeps_oracle_set(make_cache(n, n_layers=2, seed=n + budget, window=8),
+                             policy, budget)

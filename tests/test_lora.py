@@ -41,6 +41,12 @@ class TestAdapterCreation:
         with pytest.raises(ConfigError):
             E.create_adapter(small_model(), TARGETS, r=100, alpha=1.0, seed=0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # a NaN alpha turns every logit NaN once B is trained away from zero
+        with pytest.raises(ConfigError, match="alpha"):
+            E.create_adapter(small_model(), TARGETS, r=2, alpha=alpha, seed=0)
+
 
 class TestMergeEquivalence:
     def test_merged_matches_on_the_fly(self):

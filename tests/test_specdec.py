@@ -79,6 +79,17 @@ class TestPropose:
         with pytest.raises(ValueError):
             fr.load_head(np.zeros((3, 3)), np.zeros((8, 8)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
+    def test_load_head_rejects_non_finite_weights(self, bad):
+        # 1e300 overflows to inf in the float32 head
+        fr = E.FeatureReuseDraft.zero_init(8)
+        w1 = np.zeros((16, 8))
+        w1[3, 5] = bad
+        for w in ((w1, np.zeros((8, 8))), (np.zeros((16, 8)), w1[:8])):
+            with pytest.raises(ValueError, match="finite"):
+                fr.load_head(*w)
+        np.testing.assert_array_equal(fr.w1, 0)
+
 
 class TestDecodeSpeculative:
     @pytest.mark.parametrize("k", [1, 3, 5])
