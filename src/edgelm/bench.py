@@ -194,9 +194,11 @@ def run_evict_bench(config: dict) -> dict:
 
 def _retention_rates(rows) -> dict:
     by_policy: dict[str, list] = {}
-    for r in rows:
-        key = f'{r["policy"]}@{r["target_ratio"]}'
-        by_policy.setdefault(key, []).append(bool(r["needle_retained"]))
+    for i, r in enumerate(rows):
+        policy, ratio, retained = _manifest.fields(
+            r, f"trials[{i}]", ConfigError, policy=str, target_ratio=float,
+            needle_retained=bool)
+        by_policy.setdefault(f"{policy}@{ratio}", []).append(retained)
     return {k: sum(v) / len(v) for k, v in sorted(by_policy.items())}
 
 
@@ -383,8 +385,10 @@ def run_lora_demo(config: dict) -> dict:
 # --- report plumbing ---------------------------------------------------------
 
 def _summary(rows: list, field: str):
-    """Mean, min and max of a field over the rows that carry it, or None."""
-    vals = [r[field] for r in rows if r.get(field) is not None]
+    """Mean, min and max of a number field over the rows that carry it (not
+    null), or None."""
+    vals = [_manifest.fields(r, f"trials[{i}]", ConfigError, **{field: float})[0]
+            for i, r in enumerate(rows) if r.get(field) is not None]
     if not vals:
         return None
     return {"mean": float(np.mean(vals)), "min": float(np.min(vals)),

@@ -5,12 +5,20 @@ MLP, optionally tied embeddings. Weights are stored as float32; all compute
 runs in float64 so that blockwise and token-by-token decoding agree to well
 inside the 1e-5 contract.
 
-Attention is one batched matmul per KV head over the queries of its group.
-The forward pass can attach to a :class:`~edgelm.kvcache.KvCache`: each layer
-writes its new keys and values into the cache's spare capacity, attends over
-one view of the cached and new entries, then hands the cache its
-head-averaged attention block over the new positions, so eviction policies
-can score positions.
+Attention (``_attend``) is two batched matmuls, QK and PV, each one call
+that batches the KV heads over the queries of their groups, around a
+softmax that runs on tiles of a few query rows, so each tile stays in cache
+through its passes. The causal mask makes a masked score -inf only for the
+row max: it passes through exp as 0, because numpy's exp takes a slow path
+on -inf, and the results are bit-identical to a single-pass softmax. The
+[heads, n, m+n] score array lives only inside ``_attend``, so a forward
+holds one at a time.
+
+The forward pass can attach to a :class:`~edgelm.kvcache.KvCache`: each
+layer writes its new keys and values into the cache's spare capacity,
+attends over one view of the cached and new entries, then hands the cache
+its head-averaged attention block over the new positions, so eviction
+policies can score positions.
 """
 from __future__ import annotations
 
@@ -217,6 +225,89 @@ def _proj(h: np.ndarray, model: TinyLM, slots: tuple[str, ...], adapter=None) ->
     return y
 
 
+_ROW_TILE = 16  # query rows per softmax tile (16 and 32 measure the same)
+
+
+def _attend(q, K, V, causal, scale):
+    """Attention of queries q[n, H, hd] over keys and values K, V[m+n, kv, hd],
+    query i seeing keys j <= m + i (causal[i, j - m] marks the masked ones);
+    head h reads kv head h // (H // kv). Returns the output [n, H * hd] and
+    the head-averaged probabilities [n, m+n], zero above the diagonal.
+
+    QK and PV are one batched matmul each, over all n queries. The softmax
+    between them runs on tiles of ``_ROW_TILE`` query rows, so each tile
+    stays in cache through its passes. A tile's keys past its last query
+    are masked in every row: they are set to 0 and skipped. In the tile's
+    diagonal block a masked score is -inf only for the row max, then passes
+    through exp as 0, since exp is several times slower on -inf. Row sums
+    still run over the full row, so with finite scores every value is
+    bit-identical to a single-pass softmax over the whole score array.
+    """
+    n, H, hd = q.shape
+    L, n_kv = K.shape[0], K.shape[1]
+    m, group = L - n, H // n_kv
+    qg = q.reshape(n, n_kv, group, hd).transpose(1, 2, 0, 3).reshape(n_kv, group * n, hd)
+    scores = qg @ K.transpose(1, 2, 0)                  # [kv, group * n, L]
+    probs = scores.reshape(H, n, L)
+    block = np.zeros((n, L))
+    for r0 in range(0, n, _ROW_TILE):
+        r1 = min(r0 + _ROW_TILE, n)
+        tile = probs[:, r0:r1]
+        tile[..., m + r1:] = 0.0
+        s = tile[..., :m + r1]
+        s *= scale
+        if n > 1:
+            diag, mask = s[..., m + r0:], causal[r0:r1, r0:r1]
+            np.copyto(diag, -np.inf, where=mask)
+        s -= s.max(axis=-1, keepdims=True)
+        if n > 1:
+            np.copyto(diag, 0.0, where=mask)
+        np.exp(s, out=s)
+        if n > 1:
+            np.copyto(diag, 0.0, where=mask)
+        s /= tile.sum(axis=-1, keepdims=True)
+        block[r0:r1, :m + r1] = s.sum(axis=0) / H
+    out = scores @ V.transpose(1, 0, 2)                 # [kv, group * n, hd]
+    return out.reshape(n_kv, group, n, hd).transpose(2, 0, 1, 3).reshape(n, H * hd), block
+
+
+def token_ids(tokens) -> np.ndarray:
+    """``tokens`` as a nonempty 1-D integer array. A float, string or bool
+    token is a ValueError, not rounded or parsed into an id."""
+    ids = np.asarray(tokens)
+    if ids.ndim != 1 or ids.size == 0:
+        raise ValueError("tokens must be a nonempty 1-D sequence")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"token ids must be integers, got {ids.dtype} tokens")
+    return ids
+
+
+def _layer(model: TinyLM, li: int, x, rope, causal, positions, cache, adapter):
+    """Layer li over the residual stream x [n, d_model]; its temporaries,
+    the attention block among them, are freed when it returns."""
+    cfg = model.config
+    n, hd = x.shape[0], cfg.head_dim
+    n_qk = cfg.n_heads + cfg.n_kv_heads
+    p = f"layers.{li}."
+    h = rms_norm(x, model.resolve(p + "attn_norm"))
+    qkv = _proj(h, model, (p + "wq", p + "wk", p + "wv"), adapter)
+    qk = _rope_block(qkv[:, :n_qk * hd].reshape(n, n_qk, hd), *rope)
+    q, k = qk[:, :cfg.n_heads], qk[:, cfg.n_heads:]
+    v = qkv[:, n_qk * hd:].reshape(n, cfg.n_kv_heads, hd)
+
+    # the cached and new keys and values, [m+n, kv, hd] views
+    K, V = cache.stage(li, k, v) if cache is not None else (k, v)
+    out, block = _attend(q, K, V, causal, 1.0 / np.sqrt(hd))
+    x = x + _proj(out, model, (p + "wo",), adapter)
+    if cache is not None:
+        cache.append_block(li, k, v, positions, block)
+
+    h2 = rms_norm(x, model.resolve(p + "ffn_norm"))
+    gate_up = _proj(h2, model, (p + "w_gate", p + "w_up"), adapter)
+    gate, up = _silu(gate_up[:, :cfg.ffn_dim]), gate_up[:, cfg.ffn_dim:]
+    return x + _proj(gate * up, model, (p + "w_down",), adapter)
+
+
 def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
     """Run the model over new tokens, optionally extending a KV cache.
 
@@ -224,9 +315,7 @@ def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
     post-rotation, so evicted positions are never re-indexed.
     """
     cfg = model.config
-    tokens = np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim != 1 or tokens.size == 0:
-        raise ValueError("tokens must be a nonempty 1-D sequence")
+    tokens = token_ids(tokens)
     if np.any(tokens < 0) or np.any(tokens >= cfg.vocab_size):
         raise ValueError("token id out of range")
     n = tokens.size
@@ -236,52 +325,11 @@ def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
         raise ValueError(f"sequence exceeds max_seq ({cfg.max_seq})")
 
     model.stats["forwards"] += 1
-    n_kv, hd = cfg.n_kv_heads, cfg.head_dim
-    n_qk = cfg.n_heads + n_kv
-    group = cfg.n_heads // n_kv
-    inv_sqrt = 1.0 / np.sqrt(hd)
     causal = np.triu(np.ones((n, n), dtype=bool), 1)
-    cos, sin = _rope_table(positions, hd, cfg.rope_theta)
-
+    rope = _rope_table(positions, cfg.head_dim, cfg.rope_theta)
     x = model.resolve("token_embed")[tokens]
-
     for li in range(cfg.n_layers):
-        p = f"layers.{li}."
-        h = rms_norm(x, model.resolve(p + "attn_norm"))
-        qkv = _proj(h, model, (p + "wq", p + "wk", p + "wv"), adapter)
-        qk = _rope_block(qkv[:, :n_qk * hd].reshape(n, n_qk, hd), cos, sin)
-        q, k = qk[:, :cfg.n_heads], qk[:, cfg.n_heads:]
-        v = qkv[:, n_qk * hd:].reshape(n, n_kv, hd)
-
-        if cache is not None:
-            K, V = cache.stage(li, k, v)                         # [m+n, kv, hd] views
-            m = K.shape[0] - n
-        else:
-            m = 0
-            K, V = k, v
-
-        # one matmul per kv head over its group's queries; head h = kv*group + g
-        qg = q.reshape(n, n_kv, group, hd).transpose(1, 2, 0, 3).reshape(n_kv, group * n, hd)
-        scores = (qg @ K.transpose(1, 2, 0)).reshape(cfg.n_heads, n, m + n)
-        scores *= inv_sqrt
-        scores[:, :, m:][:, causal] = -np.inf    # query i sees keys j <= m + i
-        scores -= scores.max(axis=-1, keepdims=True)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        probs = scores                                           # [H, n, m+n]
-
-        out = probs.reshape(n_kv, group * n, m + n) @ V.transpose(1, 0, 2)
-        out = out.reshape(n_kv, group, n, hd).transpose(2, 0, 1, 3)
-        attn = _proj(out.reshape(n, cfg.n_heads * hd), model, (p + "wo",), adapter)
-        x = x + attn
-
-        if cache is not None:
-            cache.append_block(li, k, v, positions, probs.sum(axis=0) / cfg.n_heads)
-
-        h2 = rms_norm(x, model.resolve(p + "ffn_norm"))
-        gate_up = _proj(h2, model, (p + "w_gate", p + "w_up"), adapter)
-        gate, up = _silu(gate_up[:, :cfg.ffn_dim]), gate_up[:, cfg.ffn_dim:]
-        x = x + _proj(gate * up, model, (p + "w_down",), adapter)
+        x = _layer(model, li, x, rope, causal, positions, cache, adapter)
 
     fh = rms_norm(x, model.resolve("final_norm"))
     if cfg.tie_embeddings:
@@ -320,9 +368,7 @@ def greedy_decode(model: TinyLM, prompt, max_new: int, adapter=None) -> list[int
     """Argmax decoding with a full (non-evicting) cache; ties go to the lowest id."""
     from .kvcache import KvCache
 
-    prompt = list(int(t) for t in prompt)
-    if not prompt:
-        raise ValueError("prompt must be nonempty")
+    prompt = token_ids(prompt).tolist()
     if max_new < 0:
         raise ValueError("max_new must be nonnegative")
     check_decode_fits(model.config, len(prompt), max_new, "model")

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolation
 from .kvcache import KvCache
-from .model import TinyLM, check_decode_fits, forward, greedy_continue, slot_rng
+from .model import (TinyLM, check_decode_fits, forward, greedy_continue, slot_rng,
+                    token_ids)
 
 
 @dataclass
@@ -104,9 +105,7 @@ def propose(draft_cfg: DraftConfig, target: TinyLM, context, k: int,
     with one cache kept across rounds a round costs O(k) draft tokens, not
     O(context). Its k-th token is never forwarded.
     """
-    context = list(int(t) for t in context)
-    if not context:
-        raise ValueError("context must be nonempty")
+    context = token_ids(context).tolist()
     if k < 1:
         return []
     draft = draft_cfg.draft
@@ -175,9 +174,7 @@ def decode_speculative(target: TinyLM, draft_cfg: DraftConfig, prompt,
     committed tokens it has not seen: 1 after a partial accept (the
     correction), 2 after a full one (the last draft token and the bonus).
     """
-    prompt = list(int(t) for t in prompt)
-    if not prompt:
-        raise ValueError("prompt must be nonempty")
+    prompt = token_ids(prompt).tolist()
     if max_new < 1:
         raise ValueError("max_new must be >= 1")
     check_decode_fits(target.config, len(prompt), max_new, "target")

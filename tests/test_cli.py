@@ -320,6 +320,34 @@ class TestCli:
         err = json.loads(captured.err)
         assert err["error"] == "ConfigError" and named in err["message"]
 
+    @pytest.mark.parametrize("rows, field, named", [
+        ([{}], "retention_rate_by_policy", "trials[0]: missing field 'policy'"),
+        ([{"policy": "p", "target_ratio": "0.5", "needle_retained": True}],
+         "retention_rate_by_policy", "trials[0]: field 'target_ratio'"),
+        ([{"policy": "p", "target_ratio": 0.5, "needle_retained": True},
+          {"policy": "p", "target_ratio": 0.5, "needle_retained": 1}],
+         "retention_rate_by_policy", "trials[1]: field 'needle_retained'"),
+        ([{"x": "a"}], "x", "trials[0]: field 'x'"),
+        ([{"x": 1.0}, {}, {"x": None}, {"x": [2]}], "x", "trials[3]: field 'x'"),
+        ([{"x": True}], "x", "trials[0]: field 'x'"),
+    ])
+    def test_report_trial_fields_typed(self, tmp_path, capsys, rows, field, named):
+        # each trial field an aggregate reads is checked, and named with its row
+        p = tmp_path / "r.json"
+        p.write_text(json.dumps({"trials": rows, "aggregates": {
+            field: {} if field == "retention_rate_by_policy"
+            else {"mean": 1, "min": 1, "max": 1}}}))
+        assert main(["report", str(p)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ConfigError" and named in err["message"]
+
+    def test_report_summary_skips_rows_without_the_field(self, tmp_path, capsys):
+        p = tmp_path / "r.json"
+        p.write_text(json.dumps({"trials": [{"x": 1}, {}, {"x": None}, {"x": 3.0}],
+                                 "aggregates": {"x": {"mean": 2, "min": 1, "max": 3}}}))
+        assert main(["report", str(p)]) == 0
+        assert json.loads(capsys.readouterr().out)["verified"]
+
     def test_report_records_environment(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("MKL_NUM_THREADS", raising=False)

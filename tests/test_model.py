@@ -1,10 +1,13 @@
 import copy
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import edgelm as E
+from edgelm import bench
 from edgelm import model as M
 from edgelm.errors import ConfigError, ShapeError
 
@@ -14,6 +17,34 @@ def small_config(**kw):
                 n_kv_heads=2, head_dim=8, max_seq=512)
     base.update(kw)
     return E.ModelConfig(**base)
+
+
+TILE = M._ROW_TILE
+HEAD_LAYOUTS = [(2, 2), (4, 2), (4, 1), (8, 2)]   # (query heads, kv heads)
+
+
+def _sharpened_model(heads, scale, **kw):
+    """A small model whose layer weights are scaled, so that with scale 8
+    the attention is sharp enough for exp to underflow and heads differ."""
+    n_heads, n_kv = heads
+    m = E.init_model(small_config(n_heads=n_heads, n_kv_heads=n_kv,
+                                  d_model=8 * n_heads, **kw), 7)
+    for name, w in m.weights.items():
+        if name.startswith("layers.") and not name.endswith("norm"):
+            m.weights[name] = w * np.float32(scale)
+    return m
+
+
+def _record_blocks(cache) -> list:
+    """Copies of every attention block the cache is handed, in order."""
+    handed, append_block = [], cache.append_block
+
+    def record(li, k, v, positions, attn):
+        handed.append(np.array(attn))
+        append_block(li, k, v, positions, attn)
+
+    cache.append_block = record
+    return handed
 
 
 class TestConfig:
@@ -184,15 +215,10 @@ class TestForward:
                                    one_by_one(more), rtol=0, atol=1e-9)
 
     @settings(max_examples=30, deadline=None)
-    @given(heads=st.sampled_from([(2, 2), (4, 2), (4, 1), (8, 2)]),
-           scale=st.sampled_from([1.0, 8.0]), data=st.data())
+    @given(heads=st.sampled_from(HEAD_LAYOUTS), scale=st.sampled_from([1.0, 8.0]),
+           data=st.data())
     def test_matches_per_head_reference(self, heads, scale, data):
-        n_heads, n_kv = heads
-        m = E.init_model(small_config(n_heads=n_heads, n_kv_heads=n_kv,
-                                      d_model=8 * n_heads), 7)
-        for name, w in m.weights.items():   # sharper attention, so heads differ
-            if name.startswith("layers.") and not name.endswith("norm"):
-                m.weights[name] = w * np.float32(scale)
+        m = _sharpened_model(heads, scale)
         cache = E.KvCache.for_model(m.config, window=8)
         prefix = data.draw(st.lists(st.integers(0, 63), min_size=2, max_size=40))
         cut = data.draw(st.integers(1, len(prefix)))
@@ -202,22 +228,64 @@ class TestForward:
         cache.truncate(data.draw(st.integers(0, len(prefix) - 1)))
         E.evict(cache, E.HeavyHitter(recent=1),
                 data.draw(st.integers(1, len(prefix))))
-        tokens = data.draw(st.lists(st.integers(0, 63), min_size=1, max_size=6))
+        # past two row tiles, so the reference also covers tiled blocks
+        tokens = data.draw(st.lists(st.integers(0, 63), min_size=1,
+                                    max_size=2 * TILE + 3))
 
         past = [(k.copy(), v.copy())
                 for k, v, _ in map(cache.layer_kv, range(m.config.n_layers))]
         want_logits, want_blocks = _reference_forward(m, tokens, past,
                                                       cache.next_position())
-        handed, append_block = [], cache.append_block
-        def record(li, k, v, positions, attn):
-            handed.append(np.array(attn))
-            append_block(li, k, v, positions, attn)
-        cache.append_block = record
+        handed = _record_blocks(cache)
         logits = E.forward(m, tokens, cache=cache).logits
         np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-10)
         assert len(handed) == len(want_blocks)
         for got, want in zip(handed, want_blocks):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @settings(max_examples=25, deadline=None)
+    @given(heads=st.sampled_from(HEAD_LAYOUTS), scale=st.sampled_from([1.0, 8.0]),
+           n=st.sampled_from([1, TILE - 1, TILE, TILE + 1, 2 * TILE + 3]),
+           m=st.integers(0, 600), seed=st.integers(0, 2**16))
+    def test_row_tiled_softmax_is_bit_identical_to_single_pass(self, heads, scale,
+                                                                n, m, seed):
+        # n new tokens across the tile edges after m cached ones: the logits
+        # and every block handed to the cache equal the single-pass softmax's
+        model = _sharpened_model(heads, scale, max_seq=1024)
+        tokens = np.random.default_rng(seed).integers(0, 64, m + n)
+        parts = [tokens[:m], tokens[m:]] if m else [tokens]
+        runs = []
+        for attend in (M._attend, _single_pass_attend):
+            cache = E.KvCache.for_model(model.config)
+            handed = _record_blocks(cache)
+            with mock.patch.object(M, "_attend", attend):
+                logits = [E.forward(model, part, cache=cache).logits for part in parts]
+            runs.append((logits, handed))
+        (got, got_blocks), (want, want_blocks) = runs
+        assert len(got_blocks) == len(want_blocks) == len(parts) * model.config.n_layers
+        for a, b in zip(got + got_blocks, want + want_blocks):
+            assert np.array_equal(a, b)
+
+    def test_prefill_peak_memory_holds_one_score_array(self):
+        cfg, length = E.ModelConfig(), 2048
+        model = E.init_model(cfg, 0)
+        tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, length)
+        E.forward(model, tokens[:1])        # resolve the weights before tracing
+        cache = E.KvCache.for_model(cfg)
+        tracemalloc.start()
+        try:
+            bench.prefill(model, tokens, cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        f64, chunk = 8, bench.PREFILL_CHUNK
+        scores = cfg.n_heads * chunk * length * f64   # the last chunk's [H, 512, 2048]: 32 MiB
+        block = chunk * length * f64                  # its head-averaged block: 8 MiB
+        arena = sum(a.nbytes for ls in cache.layers
+                    for a in (ls._keys, ls._values, ls._positions, ls._acc, ls._rows))
+        # the layer's [512, d] activations and the last chunk's logits fit in
+        # 8 MiB; a second live score array or block does not
+        assert peak < scores + block + arena + 8 * 2**20
 
     def test_attention_rows_are_distributions(self):
         m = E.init_model(small_config(), 5)
@@ -229,6 +297,17 @@ class TestForward:
                 assert r.size == i + 1
                 assert abs(r.sum() - 1.0) < 1e-9
                 assert np.all(r >= 0)
+
+    @pytest.mark.parametrize("bad", [[1.7], ["3"], [1, 2.0], [True], np.array([2.0])])
+    def test_non_integer_tokens_rejected(self, bad):
+        # a float or string token is not rounded or parsed into an id
+        m = E.init_model(small_config(), 0)
+        with pytest.raises(ValueError, match="integers"):
+            E.forward(m, bad)
+        with pytest.raises(ValueError, match="integers"):
+            E.greedy_decode(m, bad, 2)
+        assert m.stats["forwards"] == 0
+        assert E.forward(m, np.array([2, 5], dtype=np.uint8)).logits.shape == (2, 64)
 
     def test_token_range_checked(self):
         m = E.init_model(small_config(), 0)
@@ -323,6 +402,25 @@ class TestWeightMemo:
         for part in (self.TOKENS, [9], [1, 2]):
             np.testing.assert_array_equal(E.forward(qm, part, cache=cache_q).logits,
                                           E.forward(dense, part, cache=cache_f).logits)
+
+
+def _single_pass_attend(q, K, V, causal, scale):
+    """model._attend as one pass over the whole [H, n, m+n] score array:
+    masked scores set to -inf by a boolean index, then exp, normalise and
+    the head mean as sum(axis=0) / H."""
+    n, H, hd = q.shape
+    L, n_kv = K.shape[:2]
+    m, group = L - n, H // n_kv
+    qg = q.reshape(n, n_kv, group, hd).transpose(1, 2, 0, 3).reshape(n_kv, group * n, hd)
+    scores = (qg @ K.transpose(1, 2, 0)).reshape(H, n, L)
+    scores *= scale
+    scores[:, :, m:][:, causal] = -np.inf
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    out = scores.reshape(n_kv, group * n, L) @ V.transpose(1, 0, 2)
+    out = out.reshape(n_kv, group, n, hd).transpose(2, 0, 1, 3).reshape(n, H * hd)
+    return out, scores.sum(axis=0) / H
 
 
 def _reference_forward(model, tokens, past, start):

@@ -1,5 +1,7 @@
-"""Each benchmark workload builds and serves one request through edgelm's
-current API, so a change that breaks the benchmark's calls fails here.
+"""Each benchmark workload builds, serves and verifies one request through
+edgelm's current API, so a change that breaks the benchmark's calls, or
+changes what it serves (tokens that differ from ``greedy_decode``, a failed
+eviction or manifest check), fails here.
 
 Run from the repository root (``PYTHONPATH=src python -m pytest``), which
 puts ``perfbench`` on the import path.
@@ -15,10 +17,13 @@ from perfbench.workloads import WORKLOADS, Served
 def test_workload_serves_one_request(name, tmp_path):
     wl = WORKLOADS[name](tmp_path)
     state = wl.setup()
+    entries = wl.inputs(seed=1)
     served = Served(entry=0, t0=time.perf_counter())
-    wl.serve(state, wl.inputs(seed=1)[0], served)
+    wl.serve(state, entries[0], served)
     wl.inspect(served)
     assert served.error is None and served.fault is None
     assert len(served.tokens) == wl.max_new
     if name == "edge_stream":
         assert state.manifest_ok
+    checked = wl.verify(state, entries, [served])
+    assert checked.failures == {} and checked.reference_failures == 0

@@ -182,6 +182,17 @@ class TestDecodeSpeculative:
         with pytest.raises(ValueError):
             E.DraftConfig(draft, 0)
 
+    @pytest.mark.parametrize("bad", [[2.5], ["3"], [1, 2.0]])
+    def test_non_integer_prompt_rejected(self, bad):
+        target, draft = small_model(0), small_model(1)
+        with pytest.raises(ValueError, match="integers"):
+            E.decode_speculative(target, E.DraftConfig(E.IndependentDraft(draft), 2),
+                                 bad, 4)
+        assert target.stats["forwards"] == draft.stats["forwards"] == 0
+        with pytest.raises(ValueError, match="integers"):
+            propose(E.DraftConfig(E.IndependentDraft(draft), 2), target, bad, 2)
+        assert draft.stats["forwards"] == 0
+
     def test_draft_vocab_must_match_target(self):
         target = small_model(0)
         draft = E.IndependentDraft(small_model(1, vocab_size=128))
