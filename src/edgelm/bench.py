@@ -8,7 +8,6 @@ records stored in the same report.
 from __future__ import annotations
 
 import copy
-import csv
 import json
 import os
 import platform
@@ -433,34 +432,15 @@ def verify_report(report: dict) -> bool:
     return True
 
 
-CSV_HEADER_VERSION = "edgelm-csv-v1"
-
-
-def write_report(report: dict, out_dir, name: str, fmt: str = "json"):
+def write_report(report: dict, out_dir, name: str):
+    """Write ``<name>.json`` and ``<name>.trials.jsonl`` (one trial a line)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
     json_path = out_dir / f"{name}.json"
     with open(json_path, "w") as f:
         json.dump(report, f, indent=2, default=str)
-    paths.append(json_path)
     jsonl_path = out_dir / f"{name}.trials.jsonl"
     with open(jsonl_path, "w") as f:
         for row in report["trials"]:
             f.write(json.dumps(row, default=str) + "\n")
-    paths.append(jsonl_path)
-    if fmt == "csv":
-        rows = report["trials"]
-        if rows:
-            fields = sorted({k for r in rows for k in r})
-            csv_path = out_dir / f"{name}.csv"
-            with open(csv_path, "w", newline="") as f:
-                w = csv.writer(f)
-                w.writerow([CSV_HEADER_VERSION])
-                w.writerow(fields)
-                for r in rows:
-                    w.writerow([json.dumps(r.get(k), default=str)
-                                if isinstance(r.get(k), (dict, list))
-                                else r.get(k) for k in fields])
-            paths.append(csv_path)
-    return paths
+    return [json_path, jsonl_path]

@@ -30,7 +30,7 @@ def _load_config(args) -> dict:
 
 def _emit(args, report: dict, name: str):
     if args.out:
-        paths = bench.write_report(report, args.out, name, fmt=args.format)
+        paths = bench.write_report(report, args.out, name)
         print(json.dumps({"written": [str(p) for p in paths]}))
     else:
         json.dump(report, sys.stdout, indent=2, default=str)
@@ -125,7 +125,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp = sub.add_parser(name, help=help_text)
         config_args(sp)
         sp.add_argument("--out", help="report output directory")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
         sp.set_defaults(func=cmd_experiment, runner=runner,
                         report=name.replace("-", "_"))
 

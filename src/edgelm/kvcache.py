@@ -156,7 +156,7 @@ EvictionPolicy = Union[AttentionSink, HeavyHitter, ObsWindow, Hybrid, RandomPoli
 
 @dataclass
 class LayerReport:
-    kept_indices: list[int]
+    kept_count: int
     evicted_count: int
 
 
@@ -398,15 +398,14 @@ def evict(cache: KvCache, policy: EvictionPolicy, budget: int) -> EvictionReport
     reports = []
     for li, ls in enumerate(cache.layers):
         n = ls.kept
-        kept = np.arange(n) if n <= budget else policy.keep(ls, budget, li)
-        if kept.size < n:
-            ls.gather(kept)
-        reports.append(LayerReport(kept_indices=kept.tolist(), evicted_count=n - kept.size))
+        if n > budget:
+            ls.gather(policy.keep(ls, budget, li))
+        reports.append(LayerReport(kept_count=ls.kept, evicted_count=n - ls.kept))
     return EvictionReport(layers=reports)
 
 
 def eviction_ratio(report: EvictionReport) -> float:
-    kept = sum(len(l.kept_indices) for l in report.layers)
+    kept = sum(l.kept_count for l in report.layers)
     evicted = sum(l.evicted_count for l in report.layers)
     if kept + evicted == 0:
         raise ValueError("eviction ratio undefined for an empty cache")

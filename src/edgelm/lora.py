@@ -9,7 +9,6 @@ assert the frozen contract.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -235,7 +234,7 @@ def qalft_gradient_check(w_q: QuantTensor, data, r: int, alpha: float,
     return max_rel
 
 
-# --- adapter / registry file formats -----------------------------------------
+# --- adapter file format -----------------------------------------------------
 
 _MAGIC = b"EDGELMA1"
 
@@ -271,12 +270,3 @@ def load_adapter(path) -> LoraAdapter:
                                 f"B {s['b_shape']} do not have rank {r}")
     return LoraAdapter(name=name, r=r, alpha=alpha,
                        target_slots=tuple(s["slot"] for s in slots), A=A, B=B)
-
-
-def save_registry_manifest(registry: AdapterRegistry, adapter_paths: dict, path):
-    """Base-hash plus adapter file list, so a deployment can verify the pairing."""
-    manifest = {"base_hash": registry.base_hash(),
-                "adapters": [{"name": name, "path": str(p)}
-                             for name, p in sorted(adapter_paths.items())]}
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=2)

@@ -94,10 +94,6 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d)
-
 
 @dataclass
 class TinyLM:
@@ -282,6 +278,13 @@ def token_ids(tokens) -> np.ndarray:
     return ids
 
 
+def in_vocab(ids: np.ndarray, vocab_size: int) -> np.ndarray:
+    """``ids`` (from :func:`token_ids`), if each lies in [0, vocab_size)."""
+    if ids.min() < 0 or ids.max() >= vocab_size:
+        raise ValueError(f"token id out of range [0, {vocab_size})")
+    return ids
+
+
 def _layer(model: TinyLM, li: int, x, rope, causal, positions, cache, adapter):
     """Layer li over the residual stream x [n, d_model]; its temporaries,
     the attention block among them, are freed when it returns."""
@@ -315,9 +318,7 @@ def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
     post-rotation, so evicted positions are never re-indexed.
     """
     cfg = model.config
-    tokens = token_ids(tokens)
-    if np.any(tokens < 0) or np.any(tokens >= cfg.vocab_size):
-        raise ValueError("token id out of range")
+    tokens = in_vocab(token_ids(tokens), cfg.vocab_size)
     n = tokens.size
     start = cache.next_position() if cache is not None else 0
     positions = np.arange(start, start + n)

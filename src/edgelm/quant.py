@@ -212,19 +212,6 @@ def quantize(tensor: np.ndarray, spec: QuantSpec,
                        zero_points=zps, spec=spec, mask=mask)
 
 
-def fake_quant(x: np.ndarray, bits: int, scheme: str = "symmetric") -> np.ndarray:
-    """Quantize-then-dequantize in one pass, per-tensor dynamic range, with
-    :func:`quantize`'s rule at 8 or 16 bits."""
-    if bits not in (8, 16) or scheme not in _SCHEMES:
-        raise ConfigError("fake_quant supports 8 or 16 bits, symmetric or asymmetric")
-    x = np.asarray(x, dtype=np.float64)
-    if x.size == 0:
-        return x.astype(np.float32)
-    group_index = np.zeros(x.size, dtype=np.int64)
-    codes, scales, zps = _encode(x.ravel(), group_index, bits, scheme)
-    return _decode(codes, scales, zps, group_index).reshape(x.shape).astype(np.float32)
-
-
 def sparsify(tensor: np.ndarray, spec: SparsitySpec
              ) -> tuple[np.ndarray, np.ndarray]:
     """Magnitude pruning; ties keep the lower index. Returns (pruned, mask)."""
@@ -264,10 +251,6 @@ def _tensor_bits(shape: tuple, qspec: QuantSpec,
 def bpw_exact(qt: QuantTensor,
               sparsity: Optional[SparsitySpec] = None) -> Fraction:
     return _tensor_bits(qt.shape, qt.spec, sparsity, qt.mask) / qt.codes.size
-
-
-def bpw(qt: QuantTensor, sparsity: Optional[SparsitySpec] = None) -> float:
-    return float(bpw_exact(qt, sparsity))
 
 
 @dataclass

@@ -14,8 +14,8 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolation
 from .kvcache import KvCache
-from .model import (TinyLM, check_decode_fits, forward, greedy_continue, slot_rng,
-                    token_ids)
+from .model import (TinyLM, check_decode_fits, forward, greedy_continue, in_vocab,
+                    slot_rng, token_ids)
 
 
 @dataclass
@@ -28,16 +28,10 @@ class FeatureReuseDraft:
     """Two-layer map [prev top hidden ++ last-token embedding] -> next hidden.
 
     The predicted hidden decodes through the target's tied LM head. Ships
-    untrained (zero or seeded-random init); `load_head` accepts externally
-    trained weights.
+    untrained: ``random_init`` seeds the weights.
     """
     w1: np.ndarray  # [2*d_model, d_model]
     w2: np.ndarray  # [d_model, d_model]
-
-    @classmethod
-    def zero_init(cls, d_model: int) -> "FeatureReuseDraft":
-        return cls(w1=np.zeros((2 * d_model, d_model), dtype=np.float32),
-                   w2=np.zeros((d_model, d_model), dtype=np.float32))
 
     @classmethod
     def random_init(cls, d_model: int, seed: int) -> "FeatureReuseDraft":
@@ -45,15 +39,6 @@ class FeatureReuseDraft:
         r2 = slot_rng(seed, "feature_head.w2")
         return cls(w1=r1.normal(0, 0.02, (2 * d_model, d_model)).astype(np.float32),
                    w2=r2.normal(0, 0.02, (d_model, d_model)).astype(np.float32))
-
-    def load_head(self, w1, w2):
-        w1 = np.asarray(w1, dtype=np.float32)
-        w2 = np.asarray(w2, dtype=np.float32)
-        if w1.shape != self.w1.shape or w2.shape != self.w2.shape:
-            raise ValueError("head weight shapes do not match")
-        if not (np.isfinite(w1).all() and np.isfinite(w2).all()):
-            raise ValueError("head weights must be finite")
-        self.w1, self.w2 = w1, w2
 
 
 @dataclass
@@ -103,12 +88,14 @@ def propose(draft_cfg: DraftConfig, target: TinyLM, context, k: int,
     ``None`` builds a fresh one. An independent draft forwards only the
     tokens of ``context`` its cache has not seen, then k-1 single tokens, so
     with one cache kept across rounds a round costs O(k) draft tokens, not
-    O(context). Its k-th token is never forwarded.
+    O(context). Its k-th token is never forwarded. A feature-reuse head
+    reads only the last token. Only the tokens read are checked: each must
+    be an integer id in the target's vocabulary.
     """
-    context = token_ids(context).tolist()
     if k < 1:
         return []
     draft = draft_cfg.draft
+    vocab = target.config.vocab_size
     if cache is None:
         cache = _draft_state(draft, target)
     if isinstance(draft, IndependentDraft):
@@ -116,12 +103,13 @@ def propose(draft_cfg: DraftConfig, target: TinyLM, context, k: int,
         if seen >= len(context):
             raise ValueError(f"draft cache has seen {seen} tokens, context has "
                              f"only {len(context)}: nothing new to forward")
-        return greedy_continue(draft.model, cache, context[seen:], k)
+        return greedy_continue(draft.model, cache,
+                               in_vocab(token_ids(context[seen:]), vocab), k)
     # feature reuse: roll the predicted hidden forward through the shared head
     embed, w1, w2 = cache
     d = target.config.d_model
     h = np.zeros(d) if last_hidden is None else np.asarray(last_hidden, dtype=np.float64)
-    tok = context[-1]
+    tok = int(in_vocab(token_ids(context[-1:]), vocab)[0])
     out = []
     for _ in range(k):
         inp = np.concatenate([h, embed[tok]])

@@ -1,4 +1,4 @@
-"""Synthetic corpora for the benchmarks: needle retrieval and copy.
+"""Synthetic corpus for the benchmarks: needle retrieval.
 
 The needle task builds a long low-entropy filler context with one planted
 key/value fact and a trailing query that repeats the key. The value span is a
@@ -51,11 +51,3 @@ def gen_needle(context_len: int, needle_pos: int, seed: int,
                         answer_start=needle_pos + key_len,
                         answer_end=needle_pos + key_len + value_len,
                         key_tokens=key, value_token=value)
-
-
-def gen_copy(length: int, seed: int) -> dict:
-    """Random payload, separator, payload again as the expected continuation."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed & (2**64 - 1), 0xC0]))
-    payload = [int(t) for t in rng.integers(*FILLER_RANGE, size=length)]
-    return {"prompt": payload + [QUERY_MARKER], "expected": payload}
-

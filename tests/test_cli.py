@@ -1,6 +1,5 @@
 import contextlib
 import copy
-import csv
 import io
 import json
 import math
@@ -223,16 +222,14 @@ class TestReports:
 
     def test_write_report_formats(self, tmp_path):
         report = self.evict_report()
-        paths = bench.write_report(report, tmp_path, "r", fmt="csv")
-        names = {p.name for p in paths}
-        assert names == {"r.json", "r.trials.jsonl", "r.csv"}
+        paths = bench.write_report(report, tmp_path, "r")
+        assert [p.name for p in paths] == ["r.json", "r.trials.jsonl"]
+        assert {p.name for p in tmp_path.iterdir()} == {"r.json", "r.trials.jsonl"}
+        with open(tmp_path / "r.json") as f:
+            assert json.load(f)["trials"] == report["trials"]
         with open(tmp_path / "r.trials.jsonl") as f:
             rows = [json.loads(line) for line in f]
-        assert len(rows) == len(report["trials"])
-        with open(tmp_path / "r.csv") as f:
-            rdr = list(csv.reader(f))
-        assert rdr[0] == [bench.CSV_HEADER_VERSION]
-        assert len(rdr) == 2 + len(report["trials"])
+        assert rows == report["trials"]
 
 
 class TestCli:
@@ -248,11 +245,10 @@ class TestCli:
         assert err["error"] == "ValueError" and "--prompt" in err["message"]
 
     def test_gen_rejects_report_options(self, tmp_path, capsys):
-        # gen prints tokens and writes no report, so --out/--format are not its options
+        # gen prints tokens and writes no report, so --out is not its option
         out = tmp_path / "DIR"
         with pytest.raises(SystemExit) as exc:
-            main(["gen", "--seed", "1", "--max-new", "2", "--out", str(out),
-                  "--format", "csv"])
+            main(["gen", "--seed", "1", "--max-new", "2", "--out", str(out)])
         assert exc.value.code == 2
         assert "--out" in capsys.readouterr().err
         assert not out.exists()
@@ -264,10 +260,11 @@ class TestCli:
             "task": {"context_len": 80, "decode_len": 2},
             "method": {"eviction_ratios": [0.25],
                        "policies": [{"kind": "random", "seed": 0}]}}))
-        assert main(["evict", "--config", str(cfg), "--out", str(tmp_path),
-                     "--format", "csv"]) == 0
+        out = tmp_path / "out"
+        assert main(["evict", "--config", str(cfg), "--out", str(out)]) == 0
         written = json.loads(capsys.readouterr().out)["written"]
-        assert any(p.endswith("evict.csv") for p in written)
+        assert written == [str(out / "evict.json"), str(out / "evict.trials.jsonl")]
+        assert {p.name for p in out.iterdir()} == {"evict.json", "evict.trials.jsonl"}
 
     def test_evict_budget_below_policy_floor_named_up_front(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"

@@ -185,17 +185,3 @@ class TestAdapterFiles:
         for slot in TARGETS:
             np.testing.assert_array_equal(back.A[slot], ad.A[slot])
             np.testing.assert_array_equal(back.B[slot], ad.B[slot])
-
-    def test_manifest_records_hash(self, tmp_path):
-        import json
-        m = small_model(7)
-        reg = E.AdapterRegistry(m)
-        ad = E.create_adapter(m, TARGETS, r=1, alpha=1.0, seed=0, name="one")
-        reg.register(ad)
-        apath = tmp_path / "one.bin"
-        E.save_adapter(ad, apath)
-        mpath = tmp_path / "manifest.json"
-        E.save_registry_manifest(reg, {"one": apath}, mpath)
-        manifest = json.loads(mpath.read_text())
-        assert manifest["base_hash"] == reg.base_hash()
-        assert manifest["adapters"][0]["name"] == "one"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import edgelm as E
-from edgelm import bench
+from edgelm import _manifest, bench
 from edgelm import model as M
 from edgelm.errors import ConfigError, ShapeError
 
@@ -89,7 +89,7 @@ class TestConfig:
 
     def test_roundtrip_dict(self):
         cfg = small_config()
-        assert E.ModelConfig.from_dict(cfg.to_dict()) == cfg
+        assert _manifest.dataclass_from(E.ModelConfig, cfg.to_dict(), "config") == cfg
 
 
 class TestInit:

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import edgelm as E
 from edgelm import quant as Q
@@ -183,83 +183,6 @@ class TestFrozen:
         # one read-only group index per shape and spec, shared by every tensor
         assert qt.group_index is E.quantize(x * 2, spec).group_index
         assert not qt.group_index.flags.writeable
-
-
-class TestFakeQuant:
-    def test_shape_and_dtype(self):
-        x = np.random.default_rng(0).normal(size=(5, 7))
-        out = E.fake_quant(x, 8)
-        assert out.shape == x.shape and out.dtype == np.float32
-
-    def test_16_bit_tighter_than_8(self):
-        x = np.random.default_rng(1).normal(size=(64,))
-        e8 = np.abs(E.fake_quant(x, 8) - x).max()
-        e16 = np.abs(E.fake_quant(x, 16) - x).max()
-        assert e16 <= e8
-
-    def test_bad_bits_rejected(self):
-        with pytest.raises(ConfigError):
-            E.fake_quant(np.ones(4), 4)
-
-    def test_bad_scheme_rejected_and_empty_input_passes(self):
-        with pytest.raises(ConfigError):
-            E.fake_quant(np.ones(4), 8, "ternary")
-        out = E.fake_quant(np.zeros((0, 3)), 16, "asymmetric")
-        assert out.shape == (0, 3) and out.dtype == np.float32
-
-    @pytest.mark.parametrize("x, scheme", [
-        ([1.0, 2.0, np.inf], "symmetric"),
-        ([1.0, np.nan, 2.0], "symmetric"),
-        ([1.0, np.nan, 2.0], "asymmetric"),
-        ([1.0, -np.inf], "asymmetric")])
-    def test_non_finite_rejected(self, x, scheme):
-        with pytest.raises(ShapeError, match="non-finite"):
-            E.fake_quant(np.array(x), 8, scheme)
-
-    @pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
-    def test_underflowing_scale_rejected(self, scheme):
-        # a zero scale used to decode 5e-324 / 0 to nan
-        with pytest.raises(ShapeError, match="scale"):
-            E.fake_quant(np.array([0.0, 5e-324]), 8, scheme)
-
-
-def closed_form_fake_quant(x, bits, scheme):
-    """Per-tensor quantize-then-dequantize written out in one expression per
-    scheme: the reference for fake_quant."""
-    if scheme == "symmetric":
-        qmax = 2 ** (bits - 1) - 1
-        amax = np.max(np.abs(x))
-        scale = amax / qmax if amax > 0 else 1.0
-        return (np.clip(np.rint(x / scale), -qmax, qmax) * scale).astype(np.float32)
-    hi = 2 ** bits - 1
-    mn, mx = x.min(), x.max()
-    if mx == mn:
-        return x.astype(np.float32)
-    scale = (mx - mn) / hi
-    zp = int(np.rint(-mn / scale))
-    return ((np.clip(np.rint(x / scale) + zp, 0, hi) - zp) * scale).astype(np.float32)
-
-
-# Magnitudes below 1e-30 become signed zeros: a range that small can underflow
-# to a zero scale, where the closed form's int(zero point) overflows.
-_FQ_VALUES = st.floats(-1e30, 1e30, allow_subnormal=False).map(
-    lambda v: v if abs(v) >= 1e-30 else 0.0 * v)
-
-
-@pytest.mark.parametrize("bits", [8, 16])
-@pytest.mark.parametrize("scheme", ["symmetric", "asymmetric"])
-@settings(max_examples=150, deadline=None)
-@given(values=st.one_of(
-    st.lists(_FQ_VALUES, min_size=1, max_size=48),
-    st.tuples(_FQ_VALUES, st.integers(1, 12)).map(lambda t: [t[0]] * t[1])))
-@example(values=[0.0] * 6)
-@example(values=[-0.0, 0.0, -0.0])
-@example(values=[1.0, float(np.nextafter(1.0, 2.0))])
-def test_fake_quant_matches_closed_form_bit_for_bit(bits, scheme, values):
-    x = np.array(values)
-    got = E.fake_quant(x.reshape(1, -1), bits, scheme)
-    want = closed_form_fake_quant(x, bits, scheme).reshape(1, -1)
-    assert got.tobytes() == want.tobytes()
 
 
 class TestSparsify:

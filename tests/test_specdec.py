@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import edgelm as E
-from edgelm import specdec
+from edgelm import model as model_mod, specdec
 from edgelm.errors import ConfigError, ContractViolation
 from edgelm.specdec import SpecStats, propose
 
@@ -16,6 +16,12 @@ def small_model(seed=0, **kw):
                 n_kv_heads=2, head_dim=8, max_seq=512)
     base.update(kw)
     return E.init_model(E.ModelConfig(**base), seed)
+
+
+def zero_head(d):
+    """A feature-reuse head whose predicted hidden is always 0."""
+    return E.FeatureReuseDraft(np.zeros((2 * d, d), np.float32),
+                               np.zeros((d, d), np.float32))
 
 
 class TestStats:
@@ -63,7 +69,7 @@ class TestPropose:
 
     def test_feature_reuse_zero_init_constant(self):
         target = small_model(0)
-        fr = E.FeatureReuseDraft.zero_init(target.config.d_model)
+        fr = zero_head(target.config.d_model)
         toks = propose(E.DraftConfig(fr, 3), target, [5], 3)
         assert toks == [0, 0, 0]  # zero hidden -> zero logits -> argmax 0
 
@@ -74,21 +80,24 @@ class TestPropose:
         b = propose(E.DraftConfig(fr, 5), target, [1, 2], 5)
         assert a == b
 
-    def test_load_head_shape_checked(self):
-        fr = E.FeatureReuseDraft.zero_init(8)
-        with pytest.raises(ValueError):
-            fr.load_head(np.zeros((3, 3)), np.zeros((8, 8)))
+    @pytest.mark.parametrize("bad", [-1, 64])
+    def test_feature_reuse_rejects_out_of_vocab_token(self, bad):
+        # embed[-1] used to wrap to the last row, and embed[64] raised IndexError
+        target = small_model(0)
+        head = E.FeatureReuseDraft.random_init(target.config.d_model, 1)
+        with pytest.raises(ValueError, match=r"out of range \[0, 64\)"):
+            propose(E.DraftConfig(head, 3), target, [5, bad], 3)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e300])
-    def test_load_head_rejects_non_finite_weights(self, bad):
-        # 1e300 overflows to inf in the float32 head
-        fr = E.FeatureReuseDraft.zero_init(8)
-        w1 = np.zeros((16, 8))
-        w1[3, 5] = bad
-        for w in ((w1, np.zeros((8, 8))), (np.zeros((16, 8)), w1[:8])):
-            with pytest.raises(ValueError, match="finite"):
-                fr.load_head(*w)
-        np.testing.assert_array_equal(fr.w1, 0)
+    def test_independent_rejects_out_of_vocab_token_before_any_forward(self):
+        target, draft = small_model(0), small_model(1)
+        cfg = E.DraftConfig(E.IndependentDraft(draft), 2)
+        cache = E.KvCache.for_model(draft.config)
+        propose(cfg, target, [3, 7, 11], 2, cache=cache)   # the cache sees 4 tokens
+        with mock.patch.object(model_mod, "forward", wraps=model_mod.forward) as fwd:
+            with pytest.raises(ValueError, match="out of range"):
+                propose(cfg, target, [3, 7, 11, 5, 64], 2, cache=cache)
+        assert fwd.call_count == 0
+        assert cache.next_position() == 4
 
 
 class TestDecodeSpeculative:
@@ -133,7 +142,7 @@ class TestDecodeSpeculative:
         prompt = [4, 9]
         ref = E.greedy_decode(target, prompt, 6)
         assert 0 not in ref[len(prompt):]  # the zero head always proposes 0
-        draft = E.FeatureReuseDraft.zero_init(target.config.d_model)
+        draft = zero_head(target.config.d_model)
         out, stats = E.decode_speculative(target, E.DraftConfig(draft, 4), prompt, 6)
         assert (stats.rounds, stats.accepted) == (6, 0)
         assert out == ref
@@ -174,7 +183,7 @@ class TestDecodeSpeculative:
 
     def test_input_validation(self):
         target = small_model(0)
-        draft = E.FeatureReuseDraft.zero_init(target.config.d_model)
+        draft = zero_head(target.config.d_model)
         with pytest.raises(ValueError):
             E.decode_speculative(target, E.DraftConfig(draft, 2), [], 4)
         with pytest.raises(ValueError):

@@ -36,11 +36,3 @@ class TestNeedle:
             E.gen_needle(64, 60, seed=0)  # needle + query overflow
         with pytest.raises(ValueError):
             E.gen_needle(64, -1, seed=0)
-
-
-class TestCopy:
-    def test_prompt_ends_with_marker(self):
-        c = E.gen_copy(16, seed=0)
-        assert c["prompt"][-1] == tasks.QUERY_MARKER
-        assert c["prompt"][:-1] == c["expected"]
-
