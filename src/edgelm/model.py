@@ -5,14 +5,15 @@ MLP, optionally tied embeddings. Weights are stored as float32; all compute
 runs in float64 so that blockwise and token-by-token decoding agree to well
 inside the 1e-5 contract.
 
-Attention (``_attend``) is two batched matmuls, QK and PV, each one call
-that batches the KV heads over the queries of their groups, around a
-softmax that runs on tiles of a few query rows, so each tile stays in cache
-through its passes. The causal mask makes a masked score -inf only for the
-row max: it passes through exp as 0, because numpy's exp takes a slow path
-on -inf, and the results are bit-identical to a single-pass softmax. The
-[heads, n, m+n] score array lives only inside ``_attend``, so a forward
-holds one at a time.
+Attention (``_attend``) runs on tiles of 16 query rows. Each tile does
+the whole job over only the keys it can see: its own QK matmul, which
+batches the KV heads over the queries of their groups, the softmax in
+place, its rows of the head-averaged block and its own PV matmul. So no
+[heads, n, m+n] score array is built, the masked columns past a tile never
+go through a matmul, and a 2,048-token prefill traces a 22 MiB peak (50 MiB
+with one whole-chunk score array per layer). In a tile's diagonal block a
+masked score is -inf only for the row max: it passes through exp as 0,
+because numpy's exp takes a slow path on -inf.
 
 The forward pass can attach to a :class:`~edgelm.kvcache.KvCache`: each
 layer writes its new keys and values into the cache's spare capacity,
@@ -221,50 +222,52 @@ def _proj(h: np.ndarray, model: TinyLM, slots: tuple[str, ...], adapter=None) ->
     return y
 
 
-_ROW_TILE = 16  # query rows per softmax tile (16 and 32 measure the same)
+_ROW_TILE = 16  # query rows per attention tile (8, 32 and 64 measured slower)
+_CAUSAL_TILE = np.triu(np.ones((_ROW_TILE, _ROW_TILE), dtype=bool), 1)
 
 
-def _attend(q, K, V, causal, scale):
+def _attend(q, K, V, scale):
     """Attention of queries q[n, H, hd] over keys and values K, V[m+n, kv, hd],
-    query i seeing keys j <= m + i (causal[i, j - m] marks the masked ones);
-    head h reads kv head h // (H // kv). Returns the output [n, H * hd] and
-    the head-averaged probabilities [n, m+n], zero above the diagonal.
+    query i seeing keys j <= m + i; head h reads kv head h // (H // kv).
+    Returns the output [n, H * hd] and the head-averaged probabilities
+    [n, m+n], zero above the diagonal.
 
-    QK and PV are one batched matmul each, over all n queries. The softmax
-    between them runs on tiles of ``_ROW_TILE`` query rows, so each tile
-    stays in cache through its passes. A tile's keys past its last query
-    are masked in every row: they are set to 0 and skipped. In the tile's
-    diagonal block a masked score is -inf only for the row max, then passes
-    through exp as 0, since exp is several times slower on -inf. Row sums
-    still run over the full row, so with finite scores every value is
-    bit-identical to a single-pass softmax over the whole score array.
+    Each tile of ``_ROW_TILE`` query rows r0..r1 does the whole job over
+    only the keys it can see, K[:m + r1]: one batched QK matmul into the
+    tile's own [H, r1 - r0, m + r1] scores, the softmax in place, its rows
+    of the block, and one batched PV matmul into its output rows. So no
+    [H, n, m+n] score array is built, no masked column past the tile goes
+    through either matmul, and a tile's scores stay in cache through their
+    passes. In the tile's diagonal block a masked score is -inf only for
+    the row max, then passes through exp as 0, since exp is several times
+    slower on -inf. A forward of up to 16 tokens is one tile over all keys.
     """
     n, H, hd = q.shape
     L, n_kv = K.shape[0], K.shape[1]
     m, group = L - n, H // n_kv
-    qg = q.reshape(n, n_kv, group, hd).transpose(1, 2, 0, 3).reshape(n_kv, group * n, hd)
-    scores = qg @ K.transpose(1, 2, 0)                  # [kv, group * n, L]
-    probs = scores.reshape(H, n, L)
-    block = np.zeros((n, L))
+    Kt, Vt = K.transpose(1, 2, 0), V.transpose(1, 0, 2)   # [kv, hd, L], [kv, L, hd]
+    out, block = np.empty((n, H * hd)), np.zeros((n, L))
     for r0 in range(0, n, _ROW_TILE):
         r1 = min(r0 + _ROW_TILE, n)
-        tile = probs[:, r0:r1]
-        tile[..., m + r1:] = 0.0
-        s = tile[..., :m + r1]
+        rows, seen = r1 - r0, m + r1
+        qg = q[r0:r1].reshape(rows, n_kv, group, hd).transpose(1, 2, 0, 3)
+        scores = qg.reshape(n_kv, group * rows, hd) @ Kt[..., :seen]
+        s = scores.reshape(H, rows, seen)
         s *= scale
-        if n > 1:
-            diag, mask = s[..., m + r0:], causal[r0:r1, r0:r1]
+        if rows > 1:
+            diag, mask = s[..., m + r0:], _CAUSAL_TILE[:rows, :rows]
             np.copyto(diag, -np.inf, where=mask)
         s -= s.max(axis=-1, keepdims=True)
-        if n > 1:
+        if rows > 1:
             np.copyto(diag, 0.0, where=mask)
         np.exp(s, out=s)
-        if n > 1:
+        if rows > 1:
             np.copyto(diag, 0.0, where=mask)
-        s /= tile.sum(axis=-1, keepdims=True)
-        block[r0:r1, :m + r1] = s.sum(axis=0) / H
-    out = scores @ V.transpose(1, 0, 2)                 # [kv, group * n, hd]
-    return out.reshape(n_kv, group, n, hd).transpose(2, 0, 1, 3).reshape(n, H * hd), block
+        s /= s.sum(axis=-1, keepdims=True)
+        block[r0:r1, :seen] = s.sum(axis=0) / H
+        pv = scores @ Vt[:, :seen]                      # [kv, group * rows, hd]
+        out[r0:r1] = pv.reshape(n_kv, group, rows, hd).transpose(2, 0, 1, 3).reshape(rows, -1)
+    return out, block
 
 
 def token_ids(tokens) -> np.ndarray:
@@ -285,7 +288,7 @@ def in_vocab(ids: np.ndarray, vocab_size: int) -> np.ndarray:
     return ids
 
 
-def _layer(model: TinyLM, li: int, x, rope, causal, positions, cache, adapter):
+def _layer(model: TinyLM, li: int, x, rope, positions, cache, adapter):
     """Layer li over the residual stream x [n, d_model]; its temporaries,
     the attention block among them, are freed when it returns."""
     cfg = model.config
@@ -300,7 +303,7 @@ def _layer(model: TinyLM, li: int, x, rope, causal, positions, cache, adapter):
 
     # the cached and new keys and values, [m+n, kv, hd] views
     K, V = cache.stage(li, k, v) if cache is not None else (k, v)
-    out, block = _attend(q, K, V, causal, 1.0 / np.sqrt(hd))
+    out, block = _attend(q, K, V, 1.0 / np.sqrt(hd))
     x = x + _proj(out, model, (p + "wo",), adapter)
     if cache is not None:
         cache.append_block(li, k, v, positions, block)
@@ -326,11 +329,10 @@ def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
         raise ValueError(f"sequence exceeds max_seq ({cfg.max_seq})")
 
     model.stats["forwards"] += 1
-    causal = np.triu(np.ones((n, n), dtype=bool), 1)
     rope = _rope_table(positions, cfg.head_dim, cfg.rope_theta)
     x = model.resolve("token_embed")[tokens]
     for li in range(cfg.n_layers):
-        x = _layer(model, li, x, rope, causal, positions, cache, adapter)
+        x = _layer(model, li, x, rope, positions, cache, adapter)
 
     fh = rms_norm(x, model.resolve("final_norm"))
     if cfg.tie_embeddings:

@@ -251,20 +251,24 @@ class TestForward:
                                                                 n, m, seed):
         # n new tokens across the tile edges after m cached ones: the logits
         # and every block handed to the cache equal the single-pass softmax's
+        # run tile by tile over each tile's visible keys, and lie within the
+        # block tolerance of one single pass over the whole score array
         model = _sharpened_model(heads, scale, max_seq=1024)
         tokens = np.random.default_rng(seed).integers(0, 64, m + n)
         parts = [tokens[:m], tokens[m:]] if m else [tokens]
         runs = []
-        for attend in (M._attend, _single_pass_attend):
+        for attend in (M._attend, _tiled_single_pass_attend, _single_pass_attend):
             cache = E.KvCache.for_model(model.config)
             handed = _record_blocks(cache)
             with mock.patch.object(M, "_attend", attend):
                 logits = [E.forward(model, part, cache=cache).logits for part in parts]
             runs.append((logits, handed))
-        (got, got_blocks), (want, want_blocks) = runs
+        (got, got_blocks), (want, want_blocks), (whole, whole_blocks) = runs
         assert len(got_blocks) == len(want_blocks) == len(parts) * model.config.n_layers
         for a, b in zip(got + got_blocks, want + want_blocks):
             assert np.array_equal(a, b)
+        for a, b in zip(got + got_blocks, whole + whole_blocks):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
     def test_prefill_peak_memory_holds_one_score_array(self):
         cfg, length = E.ModelConfig(), 2048
@@ -279,12 +283,12 @@ class TestForward:
         finally:
             tracemalloc.stop()
         f64, chunk = 8, bench.PREFILL_CHUNK
-        scores = cfg.n_heads * chunk * length * f64   # the last chunk's [H, 512, 2048]: 32 MiB
-        block = chunk * length * f64                  # its head-averaged block: 8 MiB
+        scores = cfg.n_heads * TILE * length * f64    # one tile's [H, 16, 2048]: 1 MiB
+        block = chunk * length * f64                  # the last chunk's block: 8 MiB
         arena = sum(a.nbytes for ls in cache.layers
                     for a in (ls._keys, ls._values, ls._positions, ls._acc, ls._rows))
         # the layer's [512, d] activations and the last chunk's logits fit in
-        # 8 MiB; a second live score array or block does not
+        # 8 MiB; a whole chunk's [H, 512, 2048] score array (32 MiB) does not
         assert peak < scores + block + arena + 8 * 2**20
 
     def test_attention_rows_are_distributions(self):
@@ -404,7 +408,7 @@ class TestWeightMemo:
                                           E.forward(dense, part, cache=cache_f).logits)
 
 
-def _single_pass_attend(q, K, V, causal, scale):
+def _single_pass_attend(q, K, V, scale):
     """model._attend as one pass over the whole [H, n, m+n] score array:
     masked scores set to -inf by a boolean index, then exp, normalise and
     the head mean as sum(axis=0) / H."""
@@ -414,13 +418,27 @@ def _single_pass_attend(q, K, V, causal, scale):
     qg = q.reshape(n, n_kv, group, hd).transpose(1, 2, 0, 3).reshape(n_kv, group * n, hd)
     scores = (qg @ K.transpose(1, 2, 0)).reshape(H, n, L)
     scores *= scale
-    scores[:, :, m:][:, causal] = -np.inf
+    scores[:, :, m:][:, np.triu(np.ones((n, n), dtype=bool), 1)] = -np.inf
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     out = scores.reshape(n_kv, group * n, L) @ V.transpose(1, 0, 2)
     out = out.reshape(n_kv, group, n, hd).transpose(2, 0, 1, 3).reshape(n, H * hd)
     return out, scores.sum(axis=0) / H
+
+
+def _tiled_single_pass_attend(q, K, V, scale):
+    """:func:`_single_pass_attend` on each tile of ``TILE`` query rows r0..r1
+    over the keys it can see, K[:m + r1]: the tile boundaries of
+    model._attend, so every matmul and reduction has its shape."""
+    n, L = q.shape[0], K.shape[0]
+    m = L - n
+    out, block = np.empty((n, q.shape[1] * q.shape[2])), np.zeros((n, L))
+    for r0 in range(0, n, TILE):
+        r1 = min(r0 + TILE, n)
+        out[r0:r1], block[r0:r1, :m + r1] = _single_pass_attend(
+            q[r0:r1], K[:m + r1], V[:m + r1], scale)
+    return out, block
 
 
 def _reference_forward(model, tokens, past, start):
