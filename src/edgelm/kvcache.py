@@ -19,10 +19,12 @@ views, valid until the next append, truncate or evict.
 Score state lives with the cache: an accumulated-mass vector and a ring of
 the last ``window`` head-averaged attention rows. The ring is one
 [window, capacity] buffer in the same arena, one slot per row with its
-length, and every slot is zero past the kept count. ``append_block`` builds
-both from the one attention block each forward hands over per layer,
-``truncate`` zeros the dropped columns and pops the newest rows, and
-``evict`` gathers the kept columns of every slot.
+length, and every slot is zero past the kept count. Each forward hands
+``append_block`` both per layer, never an [n, kept+n] block: the column
+mass of its head-averaged attention, added to the vector, and the rows of
+its last ``window`` queries, pushed into the ring. ``truncate`` zeros the
+dropped columns and pops the newest rows, and ``evict`` gathers the kept
+columns of every slot.
 """
 from __future__ import annotations
 
@@ -217,16 +219,16 @@ class _LayerStore:
         rows[:, :self.kept] = self._rows[:, :self.kept]
         self._rows = rows
 
-    def push_rows(self, attn: np.ndarray, end: int):
-        """Write the last ``window`` rows of a [n, end] attention block into
-        the ring, row i with length end - n + i + 1; the block is zero past
-        each row's length."""
-        w, n = self._lens.size, attn.shape[0]
-        for i in range(max(0, n - w), n):
-            self._rows[self._head, :end] = attn[i]
-            self._lens[self._head] = end - n + i + 1
+    def push_rows(self, rows: np.ndarray, end: int):
+        """Write the last ``window`` of ``rows``, the attention rows of the
+        last new queries, into the ring. The last row has length end, each
+        one before it one less, and each is zero past its length."""
+        w, r = self._lens.size, rows.shape[0]
+        for i in range(max(0, r - w), r):
+            self._rows[self._head, :end] = rows[i]
+            self._lens[self._head] = end - r + i + 1
             self._head = (self._head + 1) % w
-        self._count = min(self._count + n, w)
+        self._count = min(self._count + r, w)
 
     def truncate(self, kept: int):
         """Shorten to the first ``kept`` entries: zero the dropped columns and
@@ -290,38 +292,52 @@ class KvCache:
         return self.layers[layer].positions.copy()
 
     def append(self, layer: int, k, v, position: int, attn_row=None):
-        """Append one entry: :meth:`append_block` with a block of one."""
-        self.append_block(layer, k, v, [position],
-                          None if attn_row is None else np.reshape(attn_row, (1, -1)))
+        """Append one entry: :meth:`append_block` with n = 1, whose mass and
+        one row are both ``attn_row``."""
+        if attn_row is None:
+            self.append_block(layer, k, v, [position])
+        else:
+            row = np.asarray(attn_row, dtype=np.float64)
+            self.append_block(layer, k, v, [position], row, row[None])
 
-    def append_block(self, layer: int, k, v, positions, attn=None):
+    def append_block(self, layer: int, k, v, positions, mass=None, rows=None):
         """Append n entries at positions beyond the cached ones.
 
-        ``attn`` is the head-averaged attention of the n new queries over the
-        kept+n keys, shape [n, kept+n], zero above the causal diagonal. Its
-        column sums extend the accumulated mass, and its last rows (each cut
-        at its own query) enter the window of recent rows. Only the n new
-        rows are written; the kept entries are not copied.
+        ``mass`` and ``rows`` are the cache's reads of the head-averaged
+        attention of the n new queries over the kept+n keys, given together
+        or not at all. ``mass`` [kept+n] is its column sums, which extend the
+        accumulated mass. ``rows`` [r, kept+n], with min(n, window) <= r <=
+        n, is its last r rows, zero above the causal diagonal; the last
+        ``window`` of them enter the window of recent rows, each cut at its
+        own query. Only the n new entries are written; the kept entries are
+        not copied.
         """
         ls = self.layers[layer]
         positions = np.asarray(positions, dtype=np.int64)
         n, kept = positions.size, ls.kept
+        end = kept + n
         if kept and positions[0] <= ls.positions[-1]:
             raise ValueError(f"position {int(positions[0])} not beyond cached max "
                              f"{int(ls.positions[-1])}")
-        if attn is not None:
-            attn = np.asarray(attn, dtype=np.float64)
-            if attn.shape != (n, kept + n):
-                raise ValueError(f"attention block shape {attn.shape} != "
-                                 f"(n, kept+n) = {(n, kept + n)}")
+        if (mass is None) != (rows is None):
+            raise ValueError("mass and rows are given together or not at all")
+        if mass is not None:
+            mass = np.asarray(mass, dtype=np.float64)
+            rows = np.asarray(rows, dtype=np.float64)
+            if mass.shape != (end,):
+                raise ValueError(f"attention mass shape {mass.shape} != "
+                                 f"(kept+n,) = {(end,)}")
+            if (rows.ndim != 2 or rows.shape[1] != end
+                    or not min(n, self.window) <= rows.shape[0] <= n):
+                raise ValueError(f"attention rows shape {rows.shape} != (r, kept+n) "
+                                 f"with {min(n, self.window)} <= r <= {n}, kept+n = {end}")
         shape = (n, self.n_kv_heads, self.head_dim)
         self.stage(layer, np.reshape(k, shape), np.reshape(v, shape))
-        end = kept + n
         ls._positions[kept:end] = positions
         ls._acc[kept:end] = 0.0
-        if attn is not None:
-            ls._acc[:end] += attn.sum(axis=0)
-            ls.push_rows(attn, end)
+        if mass is not None:
+            ls._acc[:end] += mass
+            ls.push_rows(rows, end)
         ls.kept = end
 
     def truncate(self, drop: int):

@@ -7,19 +7,21 @@ inside the 1e-5 contract.
 
 Attention (``_attend``) runs on tiles of 16 query rows. Each tile does
 the whole job over only the keys it can see: its own QK matmul, which
-batches the KV heads over the queries of their groups, the softmax in
-place, its rows of the head-averaged block and its own PV matmul. So no
-[heads, n, m+n] score array is built, the masked columns past a tile never
-go through a matmul, and a 2,048-token prefill traces a 22 MiB peak (50 MiB
-with one whole-chunk score array per layer). In a tile's diagonal block a
-masked score is -inf only for the row max: it passes through exp as 0,
-because numpy's exp takes a slow path on -inf.
+batches the KV heads over the queries of their groups, max and exp in
+place, and its own PV matmul on the unnormalised exp, normalised after PV
+as in FlashAttention. So no [heads, n, m+n] score array and no [n, m+n]
+head-averaged block is built, the masked columns past a tile never go
+through a matmul, and a 2,048-token prefill traces a 14 MiB peak (22 MiB
+with the last chunk's [512, 2048] block, 50 MiB with one whole-chunk score
+array per layer). In a tile's diagonal block a masked score is -inf only
+for the row max: it passes through exp as 0, because numpy's exp takes a
+slow path on -inf.
 
 The forward pass can attach to a :class:`~edgelm.kvcache.KvCache`: each
 layer writes its new keys and values into the cache's spare capacity,
 attends over one view of the cached and new entries, then hands the cache
-its head-averaged attention block over the new positions, so eviction
-policies can score positions.
+what its eviction policies read of the head-averaged attention: the column
+mass over the new queries and the rows of the last ``window`` of them.
 """
 from __future__ import annotations
 
@@ -226,48 +228,73 @@ _ROW_TILE = 16  # query rows per attention tile (8, 32 and 64 measured slower)
 _CAUSAL_TILE = np.triu(np.ones((_ROW_TILE, _ROW_TILE), dtype=bool), 1)
 
 
-def _attend(q, K, V, scale):
+def _attend(q, K, V, scale, window):
     """Attention of queries q[n, H, hd] over keys and values K, V[m+n, kv, hd],
     query i seeing keys j <= m + i; head h reads kv head h // (H // kv).
-    Returns the output [n, H * hd] and the head-averaged probabilities
-    [n, m+n], zero above the diagonal.
+    Returns the output [n, H * hd] and all the cache reads of the
+    head-averaged probabilities, which are never built as one [n, m+n]
+    block: their column sums over the n queries (the mass, [m+n]) and the
+    rows of the last min(n, window) queries, zero above the diagonal.
 
     Each tile of ``_ROW_TILE`` query rows r0..r1 does the whole job over
     only the keys it can see, K[:m + r1]: one batched QK matmul into the
-    tile's own [H, r1 - r0, m + r1] scores, the softmax in place, its rows
-    of the block, and one batched PV matmul into its output rows. So no
-    [H, n, m+n] score array is built, no masked column past the tile goes
-    through either matmul, and a tile's scores stay in cache through their
-    passes. In the tile's diagonal block a masked score is -inf only for
-    the row max, then passes through exp as 0, since exp is several times
-    slower on -inf. A forward of up to 16 tokens is one tile over all keys.
+    tile's own [H, r1 - r0, m + r1] scores, max and exp in place, and one
+    batched PV matmul on the unnormalised exp, divided by the row totals σ
+    only in its [kv, group * rows, hd] result. One vector-matrix product of
+    the weights 1 / (H σ) with the scores gives the tile's mass, and only a
+    tile holding some of the last ``window`` queries builds their rows, by
+    one batched matmul. So no masked column past a tile goes through a
+    matmul, and a 2,048-token prefill traces a 14 MiB peak. In the tile's
+    diagonal block a masked score is -inf only for the row max, then passes
+    through exp as 0, since exp is several times slower on -inf. A forward
+    of up to 16 tokens is one tile over all keys: its mass is the product
+    itself, and for one token its one row is the mass.
     """
     n, H, hd = q.shape
     L, n_kv = K.shape[0], K.shape[1]
     m, group = L - n, H // n_kv
+    first = n - min(n, window)                          # the first query with a row
+    q = q * scale               # exact for a power-of-two scale, as head_dim 16's
     Kt, Vt = K.transpose(1, 2, 0), V.transpose(1, 0, 2)   # [kv, hd, L], [kv, L, hd]
-    out, block = np.empty((n, H * hd)), np.zeros((n, L))
+    out = np.empty((n, H * hd))
+    if n > _ROW_TILE:
+        mass, rows = np.zeros(L), np.zeros((n - first, L))
     for r0 in range(0, n, _ROW_TILE):
         r1 = min(r0 + _ROW_TILE, n)
-        rows, seen = r1 - r0, m + r1
-        qg = q[r0:r1].reshape(rows, n_kv, group, hd).transpose(1, 2, 0, 3)
-        scores = qg.reshape(n_kv, group * rows, hd) @ Kt[..., :seen]
-        s = scores.reshape(H, rows, seen)
-        s *= scale
-        if rows > 1:
-            diag, mask = s[..., m + r0:], _CAUSAL_TILE[:rows, :rows]
+        t, seen = r1 - r0, m + r1
+        qg = q[r0:r1].reshape(t, n_kv, group, hd).transpose(1, 2, 0, 3)
+        scores = qg.reshape(n_kv, group * t, hd) @ Kt[..., :seen]
+        s = scores.reshape(H, t, seen)
+        if t > 1:
+            diag, mask = s[..., m + r0:], _CAUSAL_TILE[:t, :t]
             np.copyto(diag, -np.inf, where=mask)
         s -= s.max(axis=-1, keepdims=True)
-        if rows > 1:
+        if t > 1:
             np.copyto(diag, 0.0, where=mask)
         np.exp(s, out=s)
-        if rows > 1:
+        if t > 1:
             np.copyto(diag, 0.0, where=mask)
-        s /= s.sum(axis=-1, keepdims=True)
-        block[r0:r1, :seen] = s.sum(axis=0) / H
-        pv = scores @ Vt[:, :seen]                      # [kv, group * rows, hd]
-        out[r0:r1] = pv.reshape(n_kv, group, rows, hd).transpose(2, 0, 1, 3).reshape(rows, -1)
-    return out, block
+        sigma = s.sum(axis=-1)                          # [H, t]
+        pv = scores @ Vt[:, :seen]                      # [kv, group * t, hd]
+        pv /= sigma.reshape(n_kv, group * t, 1)
+        out[r0:r1] = pv.reshape(n_kv, group, t, hd).transpose(2, 0, 1, 3).reshape(t, -1)
+        w = 1.0 / (H * sigma)
+        tile_mass = w.reshape(-1) @ scores.reshape(H * t, seen)
+        if n <= _ROW_TILE:
+            return out, tile_mass, (tile_mass[None] if n == 1
+                                    else _head_mean(w[:, first:], s[:, first:]))
+        mass[:seen] += tile_mass
+        lo = max(first - r0, 0)                         # first tile row in the window
+        if lo < t:
+            rows[r0 + lo - first:r1 - first, :seen] = _head_mean(w[:, lo:], s[:, lo:])
+    return out, mass, rows
+
+
+def _head_mean(w, s):
+    """Rows [t, seen] of the head-averaged probabilities: each row's weights
+    w[H, t] times its exp s[H, t, seen], summed over the heads."""
+    t, seen = s.shape[1:]
+    return (w.T[:, None, :] @ s.transpose(1, 0, 2)).reshape(t, seen)
 
 
 def token_ids(tokens) -> np.ndarray:
@@ -289,8 +316,8 @@ def in_vocab(ids: np.ndarray, vocab_size: int) -> np.ndarray:
 
 
 def _layer(model: TinyLM, li: int, x, rope, positions, cache, adapter):
-    """Layer li over the residual stream x [n, d_model]; its temporaries,
-    the attention block among them, are freed when it returns."""
+    """Layer li over the residual stream x [n, d_model]; its temporaries
+    are freed when it returns."""
     cfg = model.config
     n, hd = x.shape[0], cfg.head_dim
     n_qk = cfg.n_heads + cfg.n_kv_heads
@@ -303,10 +330,11 @@ def _layer(model: TinyLM, li: int, x, rope, positions, cache, adapter):
 
     # the cached and new keys and values, [m+n, kv, hd] views
     K, V = cache.stage(li, k, v) if cache is not None else (k, v)
-    out, block = _attend(q, K, V, 1.0 / np.sqrt(hd))
+    out, mass, rows = _attend(q, K, V, 1.0 / np.sqrt(hd),
+                              cache.window if cache is not None else 0)
     x = x + _proj(out, model, (p + "wo",), adapter)
     if cache is not None:
-        cache.append_block(li, k, v, positions, block)
+        cache.append_block(li, k, v, positions, mass, rows)
 
     h2 = rms_norm(x, model.resolve(p + "ffn_norm"))
     gate_up = _proj(h2, model, (p + "w_gate", p + "w_up"), adapter)

@@ -116,9 +116,13 @@ class QuantTensor:
         self.frozen = True
 
     def dequantize(self) -> np.ndarray:
-        """A new float32 array of the decoded (and masked) weights."""
-        deq = _decode(self.codes, self.scales, self.zero_points,
-                      self.group_index).reshape(self.shape)
+        """A new float32 array of the decoded (and masked) weights: each code,
+        less its group's zero point, times its group's scale (in float64)."""
+        group_index = self.group_index
+        deq = self.codes.ravel().astype(np.float64)
+        if self.zero_points is not None:
+            deq = deq - self.zero_points[group_index]
+        deq = (deq * self.scales[group_index]).reshape(self.shape)
         if self.mask is not None:
             deq = deq * self.mask
         return deq.astype(np.float32)
@@ -187,15 +191,6 @@ def _encode(flat: np.ndarray, group_index: np.ndarray, bits: int, scheme: str):
                              0, hi),
                      np.heaviside(flat, flat))
     return codes, scales, zps
-
-
-def _decode(codes: np.ndarray, scales: np.ndarray, zero_points: Optional[np.ndarray],
-            group_index: np.ndarray) -> np.ndarray:
-    """Flat float64 values of the codes, per their group's scale and zero point."""
-    deq = codes.ravel().astype(np.float64)
-    if zero_points is not None:
-        deq = deq - zero_points[group_index]
-    return deq * scales[group_index]
 
 
 def quantize(tensor: np.ndarray, spec: QuantSpec,

@@ -27,7 +27,8 @@ class IndependentDraft:
 class FeatureReuseDraft:
     """Two-layer map [prev top hidden ++ last-token embedding] -> next hidden.
 
-    The predicted hidden decodes through the target's tied LM head. Ships
+    The predicted hidden decodes through the target's LM head: its
+    ``lm_head``, or its token embeddings when they are tied. Ships
     untrained: ``random_init`` seeds the weights.
     """
     w1: np.ndarray  # [2*d_model, d_model]
@@ -73,11 +74,13 @@ def block_efficiency(stats: SpecStats) -> float:
 
 def _draft_state(draft: Union[IndependentDraft, FeatureReuseDraft], target: TinyLM):
     """What a draft keeps for one request: an independent draft's KV cache,
-    or a feature-reuse head's float64 (embed, w1, w2)."""
+    or a feature-reuse head's float64 (embed, the target's LM head
+    [d_model, vocab], w1, w2)."""
     if isinstance(draft, IndependentDraft):
         return KvCache.for_model(draft.model.config)
-    return (target.resolve("token_embed"),
-            draft.w1.astype(np.float64), draft.w2.astype(np.float64))
+    embed = target.resolve("token_embed")
+    head = embed.T if target.config.tie_embeddings else target.resolve("lm_head")
+    return embed, head, draft.w1.astype(np.float64), draft.w2.astype(np.float64)
 
 
 def propose(draft_cfg: DraftConfig, target: TinyLM, context, k: int,
@@ -106,7 +109,7 @@ def propose(draft_cfg: DraftConfig, target: TinyLM, context, k: int,
         return greedy_continue(draft.model, cache,
                                in_vocab(token_ids(context[seen:]), vocab), k)
     # feature reuse: roll the predicted hidden forward through the shared head
-    embed, w1, w2 = cache
+    embed, head, w1, w2 = cache
     d = target.config.d_model
     h = np.zeros(d) if last_hidden is None else np.asarray(last_hidden, dtype=np.float64)
     tok = int(in_vocab(token_ids(context[-1:]), vocab)[0])
@@ -114,7 +117,7 @@ def propose(draft_cfg: DraftConfig, target: TinyLM, context, k: int,
     for _ in range(k):
         inp = np.concatenate([h, embed[tok]])
         h = np.tanh(inp @ w1) @ w2
-        logits = h @ embed.T
+        logits = h @ head
         tok = int(np.argmax(logits))
         out.append(tok)
     return out

@@ -10,6 +10,12 @@ from edgelm import bench, kvcache as kvc
 from edgelm.errors import ConfigError
 
 
+def _handoff(attn):
+    """What a forward hands append_block for a head-averaged attention block
+    [n, kept+n]: its column sums and its rows."""
+    return attn.sum(axis=0), attn
+
+
 def make_cache(n, n_layers=1, seed=0, window=32):
     """Cache with n entries whose attention rows come from a seeded stream."""
     rng = np.random.default_rng(seed)
@@ -310,7 +316,8 @@ def test_block_append_equals_single_appends_and_oracles(data):
         attn = np.zeros((b.size, b[-1] + 1))
         for i, p in enumerate(b):
             attn[i, :p + 1] = rows[p]
-        block.append_block(0, np.zeros((b.size, 1, 1)), np.zeros((b.size, 1, 1)), b, attn)
+        block.append_block(0, np.zeros((b.size, 1, 1)), np.zeros((b.size, 1, 1)), b,
+                           *_handoff(attn))
     s, b = single.layers[0], block.layers[0]
     np.testing.assert_array_equal(b.positions, s.positions)
     assert len(b.rows) == len(s.rows) == min(n, window)
@@ -419,7 +426,7 @@ def test_arena_matches_concatenating_store(data):
             for li in range(n_layers):
                 k, v = rng.normal(size=(2, n, n_kv, hd))
                 attn = np.tril(rng.random((n, kept + n)), kept)
-                cache.append_block(li, k, v, positions, attn)
+                cache.append_block(li, k, v, positions, *_handoff(attn))
                 refs[li].append_block(k, v, positions, attn)
         elif op == "truncate":
             drop = data.draw(st.integers(0, kept))
@@ -451,16 +458,67 @@ def test_arena_matches_concatenating_store(data):
     position = clone.next_position()
     for li in range(n_layers):
         clone.append_block(li, np.ones((1, n_kv, hd)), np.ones((1, n_kv, hd)),
-                           [position], np.full((1, clone.kept(li) + 1), 0.5))
+                           [position], *_handoff(np.full((1, clone.kept(li) + 1), 0.5)))
     for ls, state in zip(cache.layers, before):
         _assert_same_layer(_layer_state(ls), state)
 
 
 def test_append_block_rejects_wrong_attention_shape():
-    c = make_cache(3)
-    with pytest.raises(ValueError):
-        c.append_block(0, np.zeros((2, 1, 2)), np.zeros((2, 1, 2)), [3, 4],
-                       np.zeros((2, 4)))
+    for mass, rows in [
+        (np.zeros(4), np.zeros((2, 5))),         # mass not kept+n long
+        (np.zeros((1, 5)), np.zeros((2, 5))),
+        (np.zeros(5), np.zeros(5)),              # rows not 2-D
+        (np.zeros(5), np.zeros((2, 4))),         # rows not kept+n wide
+        (np.zeros(5), np.zeros((1, 5))),         # fewer than min(n, window) rows
+        (np.zeros(5), np.zeros((3, 5))),         # more than n rows
+        (np.zeros(5), None),                     # only one of the two
+        (None, np.zeros((2, 5))),
+    ]:
+        c = make_cache(3)
+        before = _layer_state(c.layers[0])
+        with pytest.raises(ValueError):
+            c.append_block(0, np.zeros((2, 1, 2)), np.zeros((2, 1, 2)), [3, 4],
+                           mass, rows)
+        _assert_same_layer(_layer_state(c.layers[0]), before)
+        assert c.kept(0) == 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_only_the_window_of_rows_is_read(data):
+    # a block handed whole, its window of rows only, and entry by entry
+    # leave the same score state and the same kept sets
+    window = data.draw(st.integers(1, 10))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    caches = [E.KvCache(1, 1, 1, window=window) for _ in range(3)]
+    whole, cut, single = caches
+    for _ in range(data.draw(st.integers(1, 3))):
+        kept, n = whole.kept(0), data.draw(st.integers(1, 20))
+        start = whole.next_position()
+        positions = np.arange(start, start + n)
+        k, v = rng.normal(size=(2, n, 1, 1))
+        attn = np.tril(rng.integers(0, 17, (n, kept + n)) / 16, kept)
+        mass = attn.sum(axis=0)
+        whole.append_block(0, k, v, positions, mass, attn)
+        cut.append_block(0, k, v, positions, mass, attn[n - min(n, window):])
+        for i in range(n):
+            row = attn[i, :kept + i + 1]
+            single.append(0, k[i], v[i], int(positions[i]), row)
+    # the same rows with the same lengths, oldest first; a ring handed only
+    # the window is laid out as one handed the whole block
+    w, c = whole.layers[0], cut.layers[0]
+    np.testing.assert_array_equal(c._rows, w._rows)
+    assert (c._lens.tolist(), c._head, c._count) == (w._lens.tolist(), w._head, w._count)
+    for c in (cut, single):
+        _assert_same_layer(_layer_state(c.layers[0]), _layer_state(w))
+    policy, _, _ = _draw_policy(data, window, whole.kept(0))
+    floor = max(policy.floor(), 1)
+    budget = data.draw(st.integers(floor, max(floor, whole.kept(0) + 1)))
+    kept_sets = []
+    for c in caches:
+        E.evict(c, policy, budget)
+        kept_sets.append(c.kept_positions(0).tolist())
+    assert kept_sets[0] == kept_sets[1] == kept_sets[2]
 
 
 def _draw_policy(data, window, n):
@@ -504,7 +562,7 @@ def test_eviction_invariants_hold_for_every_policy(data):
     for li in range(2):
         attn = np.tril(rng.integers(0, 17, (n, n))) / 16
         cache.append_block(li, rng.normal(size=(n, 1, 1)), rng.normal(size=(n, 1, 1)),
-                           positions, attn)
+                           positions, *_handoff(attn))
     report = E.evict(cache, policy, budget)
     mandatory = positions[sorted(set(range(min(head, n)))
                                  | set(range(max(0, n - tail), n)))]
@@ -525,7 +583,7 @@ def test_pooling_is_the_clipped_window_mean(data):
     row = np.random.default_rng(data.draw(st.integers(0, 2**32))).random(n)
     c = E.KvCache(1, 1, 1, window=1)
     c.append_block(0, np.zeros((n, 1, 1)), np.zeros((n, 1, 1)), np.arange(n),
-                   np.tril(np.ones((n, n))) * row)
+                   *_handoff(np.tril(np.ones((n, n))) * row))
     pooled = kvc._pooled_window_score(c.layers[0], 1, kernel)
     h = kernel // 2
     clipped = np.array([row[max(0, j - h):j + h + 1].mean() for j in range(n)])
@@ -540,7 +598,7 @@ def test_pooled_rows_add_in_order_on_a_one_entry_cache():
     for seed in range(8):
         c = E.KvCache(1, 1, 1, window=8)
         c.append_block(0, np.zeros((8, 1, 1)), np.zeros((8, 1, 1)), np.arange(8),
-                       np.tril(np.random.default_rng(seed).random((8, 8))))
+                       *_handoff(np.tril(np.random.default_rng(seed).random((8, 8)))))
         E.evict(c, E.AttentionSink(sinks=1, window=0), 1)
         rows = c.layers[0].rows
         assert [r.size for r in rows] == [1] * 8
@@ -583,7 +641,7 @@ def test_every_policy_keeps_the_oracle_set(data):
             attn = rng.integers(0, 17, (m, kept + m)) / 16 if exact else rng.random(
                 (m, kept + m))
             cache.append_block(li, rng.normal(size=(m, 1, 1)), rng.normal(size=(m, 1, 1)),
-                               np.arange(start, start + m), np.tril(attn, kept))
+                               np.arange(start, start + m), *_handoff(np.tril(attn, kept)))
         k = cache.kept(0)
         budget = data.draw(st.sampled_from([floor, max(floor, k - 1), max(floor, k + 1)])
                            | st.integers(floor, max(floor, k + 2)))

@@ -36,12 +36,13 @@ def _sharpened_model(heads, scale, **kw):
 
 
 def _record_blocks(cache) -> list:
-    """Copies of every attention block the cache is handed, in order."""
+    """Copies of every (mass, rows) pair of attention reads the cache is
+    handed, in order."""
     handed, append_block = [], cache.append_block
 
-    def record(li, k, v, positions, attn):
-        handed.append(np.array(attn))
-        append_block(li, k, v, positions, attn)
+    def record(li, k, v, positions, mass, rows):
+        handed.append((np.array(mass), np.array(rows)))
+        append_block(li, k, v, positions, mass, rows)
 
     cache.append_block = record
     return handed
@@ -240,8 +241,11 @@ class TestForward:
         logits = E.forward(m, tokens, cache=cache).logits
         np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-10)
         assert len(handed) == len(want_blocks)
-        for got, want in zip(handed, want_blocks):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        # the cache is handed the block's column sums and its last rows
+        for (mass, rows), want in zip(handed, want_blocks):
+            np.testing.assert_allclose(mass, want.sum(axis=0), rtol=0, atol=1e-12)
+            assert rows.shape == (min(len(tokens), cache.window), want.shape[1])
+            np.testing.assert_allclose(rows, want[-rows.shape[0]:], rtol=0, atol=1e-12)
 
     @settings(max_examples=25, deadline=None)
     @given(heads=st.sampled_from(HEAD_LAYOUTS), scale=st.sampled_from([1.0, 8.0]),
@@ -250,9 +254,10 @@ class TestForward:
     def test_row_tiled_softmax_is_bit_identical_to_single_pass(self, heads, scale,
                                                                 n, m, seed):
         # n new tokens across the tile edges after m cached ones: the logits
-        # and every block handed to the cache equal the single-pass softmax's
-        # run tile by tile over each tile's visible keys, and lie within the
-        # block tolerance of one single pass over the whole score array
+        # and every mass and rows handed to the cache equal those of the
+        # same arithmetic with a plain -inf mask, run tile by tile over each
+        # tile's visible keys, and lie within the block tolerance of one
+        # single pass over the whole score array
         model = _sharpened_model(heads, scale, max_seq=1024)
         tokens = np.random.default_rng(seed).integers(0, 64, m + n)
         parts = [tokens[:m], tokens[m:]] if m else [tokens]
@@ -262,9 +267,9 @@ class TestForward:
             handed = _record_blocks(cache)
             with mock.patch.object(M, "_attend", attend):
                 logits = [E.forward(model, part, cache=cache).logits for part in parts]
-            runs.append((logits, handed))
+            runs.append((logits, [a for pair in handed for a in pair]))
         (got, got_blocks), (want, want_blocks), (whole, whole_blocks) = runs
-        assert len(got_blocks) == len(want_blocks) == len(parts) * model.config.n_layers
+        assert len(got_blocks) == len(want_blocks) == 2 * len(parts) * model.config.n_layers
         for a, b in zip(got + got_blocks, want + want_blocks):
             assert np.array_equal(a, b)
         for a, b in zip(got + got_blocks, whole + whole_blocks):
@@ -282,14 +287,15 @@ class TestForward:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        f64, chunk = 8, bench.PREFILL_CHUNK
+        f64 = 8
         scores = cfg.n_heads * TILE * length * f64    # one tile's [H, 16, 2048]: 1 MiB
-        block = chunk * length * f64                  # the last chunk's block: 8 MiB
+        rows = cache.window * length * f64            # the window's rows: 512 KiB
         arena = sum(a.nbytes for ls in cache.layers
                     for a in (ls._keys, ls._values, ls._positions, ls._acc, ls._rows))
         # the layer's [512, d] activations and the last chunk's logits fit in
-        # 8 MiB; a whole chunk's [H, 512, 2048] score array (32 MiB) does not
-        assert peak < scores + block + arena + 8 * 2**20
+        # 8 MiB; the last chunk's [512, 2048] head-averaged block (8 MiB) and a
+        # whole chunk's [H, 512, 2048] score array (32 MiB) do not
+        assert peak < scores + rows + arena + 8 * 2**20
 
     def test_attention_rows_are_distributions(self):
         m = E.init_model(small_config(), 5)
@@ -408,10 +414,11 @@ class TestWeightMemo:
                                           E.forward(dense, part, cache=cache_f).logits)
 
 
-def _single_pass_attend(q, K, V, scale):
+def _single_pass_attend(q, K, V, scale, window):
     """model._attend as one pass over the whole [H, n, m+n] score array:
-    masked scores set to -inf by a boolean index, then exp, normalise and
-    the head mean as sum(axis=0) / H."""
+    masked scores set to -inf by a boolean index, then exp, normalise
+    before PV, and the head-averaged block as sum(axis=0) / H; its column
+    sums and last min(n, window) rows are returned."""
     n, H, hd = q.shape
     L, n_kv = K.shape[:2]
     m, group = L - n, H // n_kv
@@ -424,21 +431,43 @@ def _single_pass_attend(q, K, V, scale):
     scores /= scores.sum(axis=-1, keepdims=True)
     out = scores.reshape(n_kv, group * n, L) @ V.transpose(1, 0, 2)
     out = out.reshape(n_kv, group, n, hd).transpose(2, 0, 1, 3).reshape(n, H * hd)
-    return out, scores.sum(axis=0) / H
+    block = scores.sum(axis=0) / H
+    return out, block.sum(axis=0), block[n - min(n, window):]
 
 
-def _tiled_single_pass_attend(q, K, V, scale):
-    """:func:`_single_pass_attend` on each tile of ``TILE`` query rows r0..r1
-    over the keys it can see, K[:m + r1]: the tile boundaries of
-    model._attend, so every matmul and reduction has its shape."""
-    n, L = q.shape[0], K.shape[0]
-    m = L - n
-    out, block = np.empty((n, q.shape[1] * q.shape[2])), np.zeros((n, L))
+def _tiled_single_pass_attend(q, K, V, scale, window):
+    """model._attend's arithmetic with a plain mask: on each tile of
+    ``TILE`` query rows r0..r1 over the keys it can see, K[:m + r1], the
+    masked scores are set to -inf by a boolean index before the max and
+    exp. PV runs on the exp and is divided by the row totals σ; the mass
+    and rows take the weights 1 / (H σ). Every matmul and reduction has
+    model._attend's shape, and one token's row is its mass."""
+    n, H, hd = q.shape
+    L, n_kv = K.shape[:2]
+    m, group = L - n, H // n_kv
+    first = n - min(n, window)
+    q = q * scale
+    out, mass, rows = np.empty((n, H * hd)), np.zeros(L), np.zeros((n - first, L))
     for r0 in range(0, n, TILE):
         r1 = min(r0 + TILE, n)
-        out[r0:r1], block[r0:r1, :m + r1] = _single_pass_attend(
-            q[r0:r1], K[:m + r1], V[:m + r1], scale)
-    return out, block
+        t, seen = r1 - r0, m + r1
+        qg = q[r0:r1].reshape(t, n_kv, group, hd).transpose(1, 2, 0, 3)
+        scores = qg.reshape(n_kv, group * t, hd) @ K[:seen].transpose(1, 2, 0)
+        s = scores.reshape(H, t, seen)
+        s[:, :, m + r0:][:, np.triu(np.ones((t, t), dtype=bool), 1)] = -np.inf
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        sigma = s.sum(axis=-1)
+        pv = scores @ V[:seen].transpose(1, 0, 2)
+        pv /= sigma.reshape(n_kv, group * t, 1)
+        out[r0:r1] = pv.reshape(n_kv, group, t, hd).transpose(2, 0, 1, 3).reshape(t, -1)
+        w = 1.0 / (H * sigma)
+        mass[:seen] += w.reshape(-1) @ scores.reshape(H * t, seen)
+        lo = max(first - r0, 0)
+        if lo < t:
+            rows[r0 + lo - first:r1 - first, :seen] = (
+                w[:, lo:].T[:, None, :] @ s[:, lo:].transpose(1, 0, 2))[:, 0]
+    return out, mass, mass[None] if n == 1 else rows
 
 
 def _reference_forward(model, tokens, past, start):

@@ -80,6 +80,31 @@ class TestPropose:
         b = propose(E.DraftConfig(fr, 5), target, [1, 2], 5)
         assert a == b
 
+    @pytest.mark.parametrize("tied", [True, False])
+    def test_feature_reuse_decodes_through_the_target_head(self, tied):
+        # an untied target's own lm_head, not its token embeddings
+        target = small_model(3, tie_embeddings=tied)
+        d = target.config.d_model
+        rng = np.random.default_rng(4)
+        fr = E.FeatureReuseDraft(rng.normal(0, 0.3, (2 * d, d)).astype(np.float32),
+                                 rng.normal(0, 0.3, (d, d)).astype(np.float32))
+        embed = target.weights["token_embed"].astype(np.float64)
+        last_hidden = rng.normal(size=d)
+
+        def roll(head):
+            h, tok, out = last_hidden, 9, []
+            for _ in range(6):
+                h = np.tanh(np.concatenate([h, embed[tok]]) @ fr.w1) @ fr.w2
+                tok = int(np.argmax(h @ head))
+                out.append(tok)
+            return out
+
+        head = embed.T if tied else target.weights["lm_head"].astype(np.float64)
+        want = roll(head)
+        if not tied:
+            assert want != roll(embed.T)
+        assert propose(E.DraftConfig(fr, 6), target, [2, 9], 6, last_hidden) == want
+
     @pytest.mark.parametrize("bad", [-1, 64])
     def test_feature_reuse_rejects_out_of_vocab_token(self, bad):
         # embed[-1] used to wrap to the last row, and embed[64] raised IndexError
