@@ -32,6 +32,12 @@ from .tasks import gen_needle
 ARTIFACT_VERSION = "0.1.0"
 
 
+def _at_least(low: int, **values):
+    for name, value in values.items():
+        if value < low:
+            raise ConfigError(f"{name} ({value}) must be >= {low}")
+
+
 def read(cls, obj, where: str):
     """A config object as a ``cls``, omitted fields at their defaults."""
     return _manifest.dataclass_from(cls, obj, where, ConfigError, defaults=True)
@@ -46,8 +52,8 @@ class Experiment:
     method: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError(f"trials ({self.trials}) must be >= 1")
+        _at_least(0, seed=self.seed)
+        _at_least(1, trials=self.trials)
 
 
 def validate_config(config: dict) -> Experiment:
@@ -103,6 +109,9 @@ class EvictTask:
     context_len: int = 512
     decode_len: int = 16
 
+    def __post_init__(self):
+        _at_least(1, decode_len=self.decode_len)
+
 
 @dataclass(frozen=True)
 class EvictMethod:
@@ -115,6 +124,10 @@ class EvictMethod:
         {"kind": "attention_sink", "sinks": 4, "window": 64},
         {"kind": "random", "seed": 0},
     )
+
+    def __post_init__(self):
+        for ratio in self.eviction_ratios:
+            _at_least(0, eviction_ratio=ratio)
 
 
 def _clone_cache(cache: kvc.KvCache) -> kvc.KvCache:
@@ -213,6 +226,9 @@ class SpecTask:
     max_new: int = 24
     prompt_len: int = 8
 
+    def __post_init__(self):
+        _at_least(1, max_new=self.max_new, prompt_len=self.prompt_len)
+
 
 @dataclass(frozen=True)
 class SpecMethod:
@@ -266,6 +282,9 @@ def run_spec_bench(config: dict) -> dict:
 class QuantTask:
     sequences: int = 4
     seq_len: int = 32
+
+    def __post_init__(self):
+        _at_least(1, sequences=self.sequences, seq_len=self.seq_len)
 
 
 @dataclass(frozen=True)
@@ -329,6 +348,9 @@ class LoraMethod:
     adapters: int = 3
     swaps: int = 100
     base_bits: int = 4
+
+    def __post_init__(self):
+        _at_least(0, adapters=self.adapters, swaps=self.swaps)
 
 
 def run_lora_demo(config: dict) -> dict:

@@ -178,10 +178,14 @@ class _LayerStore:
     is the row in slot s, the newest row sits just before ``_head`` and
     ``_count`` slots are live. Every slot, live or not, is zero past
     ``kept``, so writing a new row's ``[:kept + n]`` overwrites all a reused
-    slot held, and a sum over slots needs no per-row cut."""
+    slot held, and a sum over slots needs no per-row cut.
+
+    ``next_position`` is one past the last appended position. Eviction
+    leaves it alone, even when it drops the newest entries; truncation sets
+    it one past the newest entry it keeps."""
 
     def __init__(self, n_kv_heads: int, head_dim: int, window: int):
-        self.kept = 0
+        self.kept = self.next_position = 0
         self._keys = np.zeros((0, n_kv_heads, head_dim))
         self._values = np.zeros((0, n_kv_heads, head_dim))
         self._positions = np.zeros(0, dtype=np.int64)
@@ -238,6 +242,7 @@ class _LayerStore:
             self._head = (self._head - 1) % self._lens.size
             self._count -= 1
         self.kept = kept
+        self.next_position = int(self._positions[kept - 1]) + 1 if kept else 0
 
     def gather(self, idx: np.ndarray):
         """Keep only the entries at the sorted indices idx, in place."""
@@ -262,11 +267,9 @@ class KvCache:
         return cls(config.n_layers, config.n_kv_heads, config.head_dim, window)
 
     def next_position(self) -> int:
-        mx = -1
-        for ls in self.layers:
-            if ls.kept:
-                mx = max(mx, int(ls.positions[-1]))
-        return mx + 1
+        """Where the next forward continues: one past the last position any
+        layer appended, evicted or not."""
+        return max((ls.next_position for ls in self.layers), default=0)
 
     def layer_kv(self, layer: int):
         """Views of the layer's keys, values and positions (see _LayerStore)."""
@@ -301,7 +304,7 @@ class KvCache:
             self.append_block(layer, k, v, [position], row, row[None])
 
     def append_block(self, layer: int, k, v, positions, mass=None, rows=None):
-        """Append n entries at positions beyond the cached ones.
+        """Append n entries at rising positions beyond the last appended one.
 
         ``mass`` and ``rows`` are the cache's reads of the head-averaged
         attention of the n new queries over the kept+n keys, given together
@@ -316,9 +319,9 @@ class KvCache:
         positions = np.asarray(positions, dtype=np.int64)
         n, kept = positions.size, ls.kept
         end = kept + n
-        if kept and positions[0] <= ls.positions[-1]:
-            raise ValueError(f"position {int(positions[0])} not beyond cached max "
-                             f"{int(ls.positions[-1])}")
+        if positions[0] < ls.next_position:
+            raise ValueError(f"position {int(positions[0])} not beyond last appended "
+                             f"position {ls.next_position - 1}")
         if (mass is None) != (rows is None):
             raise ValueError("mass and rows are given together or not at all")
         if mass is not None:
@@ -339,6 +342,7 @@ class KvCache:
             ls._acc[:end] += mass
             ls.push_rows(rows, end)
         ls.kept = end
+        ls.next_position = int(positions[-1]) + 1
 
     def truncate(self, drop: int):
         """Drop the newest `drop` entries from every layer (speculative

@@ -345,8 +345,9 @@ def _layer(model: TinyLM, li: int, x, rope, positions, cache, adapter):
 def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
     """Run the model over new tokens, optionally extending a KV cache.
 
-    Positions continue from the cache's maximum position; keys are stored
-    post-rotation, so evicted positions are never re-indexed.
+    Positions continue one past the last position the cache appended, even
+    when eviction dropped that entry; keys are stored post-rotation, so
+    evicted positions are never re-indexed.
     """
     cfg = model.config
     tokens = in_vocab(token_ids(tokens), cfg.vocab_size)

@@ -95,7 +95,8 @@ def _field_paths(node, path=()):
 
 
 JSON_VALUES = st.one_of(
-    st.booleans(), st.integers(-2, 3).map(float), st.text(max_size=2), st.none(),
+    st.booleans(), st.integers(-2, 3), st.integers(-2, 3).map(float),
+    st.text(max_size=2), st.none(),
     st.lists(st.integers(-1, 2) | st.text(max_size=1), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
     st.just(math.nan))
@@ -123,6 +124,19 @@ class TestConfig:
         ("evict", ("method", "policies", 1, "obs"), 0, "obs"),
         ("evict", ("method", "policies", 2, "obs"), 0, "obs"),
         ("spec", ("method", "draft_kinds"), ["eagle"], "eagle"),
+        # each would otherwise run and write a wrong report
+        ("evict", ("seed",), -1, "seed"),
+        ("spec", ("seed",), -1, "seed"),
+        ("evict", ("task", "decode_len"), 0, "decode_len"),
+        ("evict", ("method", "eviction_ratios", 0), -1, "eviction_ratio"),
+        ("lora-demo", ("method", "adapters"), -1, "adapters"),
+        ("lora-demo", ("method", "swaps"), -1, "swaps"),
+        # each would otherwise fail later with a bare ValueError
+        ("gen", ("seed",), -1, "seed"),
+        ("quant", ("task", "sequences"), 0, "sequences"),
+        ("quant", ("task", "seq_len"), 0, "seq_len"),
+        ("spec", ("task", "max_new"), 0, "max_new"),
+        ("spec", ("task", "prompt_len"), 0, "prompt_len"),
     ])
     def test_bad_value_is_a_config_error_before_any_forward(self, command, path,
                                                              value, named):
@@ -148,8 +162,8 @@ class TestConfig:
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_any_field_replaced_runs_or_is_a_config_error_before_any_forward(data):
-    # the values span every JSON kind: bool, integral float, string, null,
-    # list, object and NaN
+    # the values span every JSON kind: bool, integer, integral float, string,
+    # null, list, object and NaN
     command = data.draw(st.sampled_from(sorted(VALID)))
     path = data.draw(st.sampled_from(list(_field_paths(VALID[command]))))
     config = replaced(command, path, data.draw(JSON_VALUES))

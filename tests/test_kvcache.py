@@ -174,12 +174,17 @@ class TestEviction:
         report = E.evict(c, E.RandomPolicy(seed=0), 12)
         assert E.eviction_ratio(report) == pytest.approx(4 / 16)
 
-    def test_positions_survive_eviction_unrenumbered(self):
+    @pytest.mark.parametrize("policy", [
+        E.HeavyHitter(recent=1),
+        # these two may drop the newest entries
+        E.AttentionSink(sinks=7, window=0), E.HeavyHitter(recent=0)],
+        ids=["heavy_hitter", "sinks_only", "heavy_hitter_no_recent"])
+    def test_positions_survive_eviction_unrenumbered(self, policy):
         c = make_cache(20, seed=8)
-        E.evict(c, E.HeavyHitter(recent=1), 7)
+        E.evict(c, policy, 7)
         pos = c.kept_positions(0)
         assert np.all(np.diff(pos) > 0)
-        assert c.next_position() == 20  # continues from the original max
+        assert c.next_position() == 20  # one past the last appended position
 
 
 class TestHybridScore:

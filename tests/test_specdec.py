@@ -399,3 +399,40 @@ def test_target_cache_rolls_back_to_the_greedy_cache(draft, k, prompt, max_new):
     assert prompt + specdec.greedy_continue(VARIED, greedy, prompt, max_new) == out
     # decode_speculative builds the target's cache first; it lags the stream by one
     _assert_same_entries(made[0], greedy, len(out) - 1)
+
+
+# --- the draft contract -------------------------------------------------------
+
+class _ContextDraft:
+    """A draft with only the four methods every draft kind has: it proposes
+    seeded random ids drawn from the context and records every rollback."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.rollbacks = []
+
+    def check(self, target, prompt_len, max_new):
+        pass
+
+    def start(self, target):
+        return np.random.default_rng(self.seed)
+
+    def propose(self, rng, target, context, k, last_hidden):
+        return [int(t) for t in rng.choice(context, size=k)]
+
+    def rollback(self, rng, proposed, accepted):
+        self.rollbacks.append((proposed, accepted))
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.sampled_from([1, 2, 4, 6]), prompt=PARTIAL_ACCEPT_CASES["prompt"],
+       max_new=PARTIAL_ACCEPT_CASES["max_new"], seed=st.integers(0, 2**32 - 1))
+def test_any_draft_with_the_four_methods_is_lossless(k, prompt, max_new, seed):
+    draft = _ContextDraft(seed)
+    trace: list = []
+    out, stats = E.decode_speculative(VARIED, E.DraftConfig(draft, k), prompt,
+                                      max_new, trace=trace)
+    assert out == E.greedy_decode(VARIED, prompt, max_new)
+    stats.check()
+    # one rollback per round, with the round's counts
+    assert draft.rollbacks == [(r["proposed"], r["accepted"]) for r in trace]
