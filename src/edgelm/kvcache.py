@@ -13,8 +13,11 @@ Each layer keeps its entries in capacity-doubling buffers (a single-sequence
 take on PagedAttention's KV blocks): ``forward`` stages its new keys and
 values in spare capacity and attends over one view of the layer,
 ``append_block`` commits them, ``truncate`` shortens the kept length and
-``evict`` gathers the kept entries in place. The arrays a layer exposes are
-views, valid until the next append, truncate or evict.
+``evict`` gathers the kept entries in place. Keys sit in one [head_dim,
+capacity] panel per KV head, so QK reads them unit-strided; values stay
+[capacity, n_kv_heads, head_dim], which PV reads as fast and eviction
+gathers faster. The arrays a layer exposes are views, valid until the next
+append, truncate or evict.
 
 Score state lives with the cache: an accumulated-mass vector and a ring of
 the last ``window`` head-averaged attention rows. The ring is one
@@ -171,8 +174,10 @@ class EvictionReport:
 
 class _LayerStore:
     """One layer's entries in the first ``kept`` slots of capacity-doubling
-    buffers. ``keys``, ``values``, ``positions`` and ``acc`` are views over
-    those slots, valid until the next append, truncate or evict.
+    buffers, the keys as panels ``_keys[n_kv_heads, head_dim, capacity]``.
+    ``keys`` ([kept, n_kv_heads, head_dim]), ``values``, ``positions`` and
+    ``acc`` are views over those slots, valid until the next append,
+    truncate or evict.
 
     The window of recent attention rows is a ring: ``_rows[s, :_lens[s]]``
     is the row in slot s, the newest row sits just before ``_head`` and
@@ -186,7 +191,7 @@ class _LayerStore:
 
     def __init__(self, n_kv_heads: int, head_dim: int, window: int):
         self.kept = self.next_position = 0
-        self._keys = np.zeros((0, n_kv_heads, head_dim))
+        self._keys = np.zeros((n_kv_heads, head_dim, 0))
         self._values = np.zeros((0, n_kv_heads, head_dim))
         self._positions = np.zeros(0, dtype=np.int64)
         self._acc = np.zeros(0)                      # accumulated attention mass
@@ -194,7 +199,7 @@ class _LayerStore:
         self._lens = np.zeros(window, dtype=np.int64)
         self._head = self._count = 0
 
-    keys = property(lambda self: self._keys[:self.kept])
+    keys = property(lambda self: self._keys[..., :self.kept].transpose(2, 0, 1))
     values = property(lambda self: self._values[:self.kept])
     positions = property(lambda self: self._positions[:self.kept])
     acc = property(lambda self: self._acc[:self.kept])
@@ -214,14 +219,14 @@ class _LayerStore:
         if need <= self._positions.size:
             return
         cap = max(need, 2 * self._positions.size, 16)
-        for name in ("_keys", "_values", "_positions", "_acc"):
+        values = np.empty((cap,) + self._values.shape[1:])
+        values[:self.kept] = self._values[:self.kept]
+        self._values = values
+        for name in ("_keys", "_positions", "_acc", "_rows"):   # capacity last
             old = getattr(self, name)
-            new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
-            new[:self.kept] = old[:self.kept]
+            new = np.zeros(old.shape[:-1] + (cap,), dtype=old.dtype)
+            new[..., :self.kept] = old[..., :self.kept]
             setattr(self, name, new)
-        rows = np.zeros((self._lens.size, cap))
-        rows[:, :self.kept] = self._rows[:, :self.kept]
-        self._rows = rows
 
     def push_rows(self, rows: np.ndarray, end: int):
         """Write the last ``window`` of ``rows``, the attention rows of the
@@ -246,9 +251,9 @@ class _LayerStore:
 
     def gather(self, idx: np.ndarray):
         """Keep only the entries at the sorted indices idx, in place."""
-        for buf in (self._keys, self._values, self._positions, self._acc):
-            buf[:idx.size] = buf[idx]
-        self._rows[:, :idx.size] = self._rows[:, idx]
+        self._values[:idx.size] = self._values[idx]
+        for buf in (self._keys, self._positions, self._acc, self._rows):
+            buf[..., :idx.size] = buf[..., idx]
         self._rows[:, idx.size:self.kept] = 0.0
         self._lens = np.searchsorted(idx, self._lens)
         self.kept = idx.size
@@ -279,14 +284,15 @@ class KvCache:
     def stage(self, layer: int, k: np.ndarray, v: np.ndarray):
         """Write n new keys and values [n, n_kv_heads, head_dim] into the
         layer's spare capacity, uncommitted until :meth:`append_block`, and
-        return the keys and values of the kept+n entries as views; the kept
-        entries are not copied."""
+        return views of the kept+n entries: the key panels [n_kv_heads,
+        head_dim, kept+n], unit-strided along the entries, and the values
+        as [n_kv_heads, kept+n, head_dim]; the kept entries are not copied."""
         ls = self.layers[layer]
         ls.reserve(k.shape[0])
         end = ls.kept + k.shape[0]
-        ls._keys[ls.kept:end] = k
+        ls._keys[..., ls.kept:end] = k.transpose(1, 2, 0)
         ls._values[ls.kept:end] = v
-        return ls._keys[:end], ls._values[:end]
+        return ls._keys[..., :end], ls._values[:end].transpose(1, 0, 2)
 
     def kept(self, layer: int) -> int:
         return self.layers[layer].kept
@@ -304,7 +310,8 @@ class KvCache:
             self.append_block(layer, k, v, [position], row, row[None])
 
     def append_block(self, layer: int, k, v, positions, mass=None, rows=None):
-        """Append n entries at rising positions beyond the last appended one.
+        """Append n >= 1 entries at strictly rising integer positions beyond
+        the last appended one; any other block is a ValueError.
 
         ``mass`` and ``rows`` are the cache's reads of the head-averaged
         attention of the n new queries over the kept+n keys, given together
@@ -316,9 +323,14 @@ class KvCache:
         not copied.
         """
         ls = self.layers[layer]
-        positions = np.asarray(positions, dtype=np.int64)
+        positions = np.asarray(positions)
         n, kept = positions.size, ls.kept
         end = kept + n
+        if n == 0 or positions.dtype.kind not in "iu":
+            raise ValueError(f"positions must be a nonempty block of integers, "
+                             f"got {positions!r}")
+        if n > 1 and (positions[1:] <= positions[:-1]).any():
+            raise ValueError(f"positions {positions.tolist()} do not rise")
         if positions[0] < ls.next_position:
             raise ValueError(f"position {int(positions[0])} not beyond last appended "
                              f"position {ls.next_position - 1}")

@@ -10,12 +10,12 @@ the whole job over only the keys it can see: its own QK matmul, which
 batches the KV heads over the queries of their groups, max and exp in
 place, and its own PV matmul on the unnormalised exp, normalised after PV
 as in FlashAttention. So no [heads, n, m+n] score array and no [n, m+n]
-head-averaged block is built, the masked columns past a tile never go
-through a matmul, and a 2,048-token prefill traces a 14 MiB peak (22 MiB
-with the last chunk's [512, 2048] block, 50 MiB with one whole-chunk score
-array per layer). In a tile's diagonal block a masked score is -inf only
-for the row max: it passes through exp as 0, because numpy's exp takes a
-slow path on -inf.
+head-averaged block is built, and no masked column past a tile goes
+through a matmul. QK is a plain GEMM on the cache's unit-strided [head_dim,
+capacity] key panels, the tiles' scores share one buffer per call and SiLU
+runs in place, so a prefill takes few fresh pages. In a tile's diagonal
+block a masked score is -inf only for the row max: it passes through exp
+as 0, because numpy's exp takes a slow path on -inf.
 
 The forward pass can attach to a :class:`~edgelm.kvcache.KvCache`: each
 layer writes its new keys and values into the cache's spare capacity,
@@ -206,7 +206,10 @@ def _rope_block(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
-    return x / (1.0 + np.exp(-x))
+    """x / (1 + exp(-x)), computed in place in one new array."""
+    y = np.negative(x)
+    np.add(np.exp(y, out=y), 1.0, out=y)
+    return np.divide(x, y, out=y)
 
 
 def _proj(h: np.ndarray, model: TinyLM, slots: tuple[str, ...], adapter=None) -> np.ndarray:
@@ -228,42 +231,44 @@ _ROW_TILE = 16  # query rows per attention tile (8, 32 and 64 measured slower)
 _CAUSAL_TILE = np.triu(np.ones((_ROW_TILE, _ROW_TILE), dtype=bool), 1)
 
 
-def _attend(q, K, V, scale, window):
-    """Attention of queries q[n, H, hd] over keys and values K, V[m+n, kv, hd],
-    query i seeing keys j <= m + i; head h reads kv head h // (H // kv).
-    Returns the output [n, H * hd] and all the cache reads of the
-    head-averaged probabilities, which are never built as one [n, m+n]
-    block: their column sums over the n queries (the mass, [m+n]) and the
-    rows of the last min(n, window) queries, zero above the diagonal.
+def _attend(q, Kt, Vt, scale, window):
+    """Attention of queries q[n, H, hd] over key panels Kt[kv, hd, m+n] and
+    values Vt[kv, m+n, hd], query i seeing keys j <= m + i; head h reads kv
+    head h // (H // kv). Returns the output [n, H * hd] and all the cache
+    reads of the head-averaged probabilities, which are never built as one
+    [n, m+n] block: their column sums over the n queries (the mass, [m+n])
+    and the rows of the last min(n, window) queries, zero above the diagonal.
 
     Each tile of ``_ROW_TILE`` query rows r0..r1 does the whole job over
-    only the keys it can see, K[:m + r1]: one batched QK matmul into the
-    tile's own [H, r1 - r0, m + r1] scores, max and exp in place, and one
-    batched PV matmul on the unnormalised exp, divided by the row totals σ
-    only in its [kv, group * rows, hd] result. One vector-matrix product of
-    the weights 1 / (H σ) with the scores gives the tile's mass, and only a
-    tile holding some of the last ``window`` queries builds their rows, by
-    one batched matmul. So no masked column past a tile goes through a
-    matmul, and a 2,048-token prefill traces a 14 MiB peak. In the tile's
-    diagonal block a masked score is -inf only for the row max, then passes
-    through exp as 0, since exp is several times slower on -inf. A forward
-    of up to 16 tokens is one tile over all keys: its mass is the product
-    itself, and for one token its one row is the mass.
+    only the keys it can see, Kt[..., :m + r1]: one batched QK GEMM into its
+    [H, r1 - r0, m + r1] scores in the call's one score buffer (which nothing
+    returned views), max and exp in place, and one batched PV matmul on the
+    unnormalised exp, divided by the row totals σ only in its [kv, group *
+    rows, hd] result. One vector-matrix product of the weights 1 / (H σ)
+    with the scores gives the tile's mass, and only a tile holding some of
+    the last ``window`` queries builds their rows, by one batched matmul. In
+    the tile's diagonal block a masked score is -inf only for the row max,
+    then passes through exp as 0, since exp is several times slower on -inf.
+    A forward of up to 16 tokens is one tile over all keys: its mass is the
+    product itself, and for one token its one row is the mass.
     """
     n, H, hd = q.shape
-    L, n_kv = K.shape[0], K.shape[1]
+    n_kv, L = Kt.shape[0], Kt.shape[2]
     m, group = L - n, H // n_kv
     first = n - min(n, window)                          # the first query with a row
     q = q * scale               # exact for a power-of-two scale, as head_dim 16's
-    Kt, Vt = K.transpose(1, 2, 0), V.transpose(1, 0, 2)   # [kv, hd, L], [kv, L, hd]
     out = np.empty((n, H * hd))
     if n > _ROW_TILE:
         mass, rows = np.zeros(L), np.zeros((n - first, L))
+    # every tile's scores, allocated after the arrays that outlive it: first,
+    # it raised a 2,048-token request's peak RSS by 1 MB (glibc, 2 vCPUs)
+    buf = np.empty(H * min(n, _ROW_TILE) * L)
     for r0 in range(0, n, _ROW_TILE):
         r1 = min(r0 + _ROW_TILE, n)
         t, seen = r1 - r0, m + r1
         qg = q[r0:r1].reshape(t, n_kv, group, hd).transpose(1, 2, 0, 3)
-        scores = qg.reshape(n_kv, group * t, hd) @ Kt[..., :seen]
+        scores = np.matmul(qg.reshape(n_kv, group * t, hd), Kt[..., :seen],
+                           out=buf[:H * t * seen].reshape(n_kv, group * t, seen))
         s = scores.reshape(H, t, seen)
         if t > 1:
             diag, mask = s[..., m + r0:], _CAUSAL_TILE[:t, :t]
@@ -328,9 +333,10 @@ def _layer(model: TinyLM, li: int, x, rope, positions, cache, adapter):
     q, k = qk[:, :cfg.n_heads], qk[:, cfg.n_heads:]
     v = qkv[:, n_qk * hd:].reshape(n, cfg.n_kv_heads, hd)
 
-    # the cached and new keys and values, [m+n, kv, hd] views
-    K, V = cache.stage(li, k, v) if cache is not None else (k, v)
-    out, mass, rows = _attend(q, K, V, 1.0 / np.sqrt(hd),
+    # views of the cached and new keys, as [kv, hd, m+n] panels, and values
+    Kt, Vt = (cache.stage(li, k, v) if cache is not None
+              else (k.transpose(1, 2, 0), v.transpose(1, 0, 2)))
+    out, mass, rows = _attend(q, Kt, Vt, 1.0 / np.sqrt(hd),
                               cache.window if cache is not None else 0)
     x = x + _proj(out, model, (p + "wo",), adapter)
     if cache is not None:
@@ -338,8 +344,9 @@ def _layer(model: TinyLM, li: int, x, rope, positions, cache, adapter):
 
     h2 = rms_norm(x, model.resolve(p + "ffn_norm"))
     gate_up = _proj(h2, model, (p + "w_gate", p + "w_up"), adapter)
-    gate, up = _silu(gate_up[:, :cfg.ffn_dim]), gate_up[:, cfg.ffn_dim:]
-    return x + _proj(gate * up, model, (p + "w_down",), adapter)
+    gate = _silu(gate_up[:, :cfg.ffn_dim])
+    gate *= gate_up[:, cfg.ffn_dim:]
+    return x + _proj(gate, model, (p + "w_down",), adapter)
 
 
 def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:

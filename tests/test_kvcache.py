@@ -455,6 +455,16 @@ def test_arena_matches_concatenating_store(data):
             np.testing.assert_array_equal(kvc._pooled_window_score(ls, obs, kernel),
                                           _pooled_reference(ref, obs, kernel))
         assert cache.layer_kv(0)[0].shape == (cache.kept(0), n_kv, hd)
+        # stage hands QK key panels, unit-strided along the entries, over
+        # the kept entries and the staged ones
+        staged = np.full((2, n_kv, hd), 7.0)
+        for li, ls in enumerate(cache.layers):
+            Kt, Vt = cache.stage(li, staged, staged)
+            assert Kt.strides[-1] == Kt.itemsize
+            np.testing.assert_array_equal(
+                Kt, np.concatenate([ls.keys, staged]).transpose(1, 2, 0))
+            np.testing.assert_array_equal(
+                Vt, np.concatenate([ls.values, staged]).transpose(1, 0, 2))
 
     # a clone owns its buffers: evicting and extending it leaves the original as it was
     before = [_layer_state(ls) for ls in cache.layers]
@@ -486,6 +496,22 @@ def test_append_block_rejects_wrong_attention_shape():
                            mass, rows)
         _assert_same_layer(_layer_state(c.layers[0]), before)
         assert c.kept(0) == 3
+
+
+@pytest.mark.parametrize("positions", [[10, 9], [9, 11, 11], [9.7], [9.0, 10.0], []],
+                         ids=["falling", "repeated", "float", "float_block", "empty"])
+def test_append_block_rejects_bad_positions(positions):
+    # a falling block used to rewind next_position, a float was truncated
+    # to an int, and an empty block raised IndexError
+    c = make_cache(9)
+    before = _layer_state(c.layers[0])
+    n = len(positions)
+    with pytest.raises(ValueError, match="positions"):
+        c.append_block(0, np.zeros((n, 1, 2)), np.zeros((n, 1, 2)), positions)
+    _assert_same_layer(_layer_state(c.layers[0]), before)
+    assert (c.kept(0), c.next_position()) == (9, 9)
+    c.append_block(0, np.zeros((2, 1, 2)), np.zeros((2, 1, 2)), np.array([9, 11]))
+    assert (c.kept(0), c.next_position()) == (11, 12)
 
 
 @settings(max_examples=80, deadline=None)

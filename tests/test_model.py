@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import edgelm as E
 from edgelm import _manifest, bench
@@ -344,6 +345,21 @@ class TestForward:
         assert short.stats["forwards"] == 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(gate_up=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2,
+                                                       max_side=12),
+                          elements=st.floats(width=64)),
+       half=st.booleans())
+def test_silu_in_place_is_bit_identical(gate_up, half):
+    # on the whole array or on the strided gate half, as _layer calls it
+    x = gate_up[:, :gate_up.shape[1] // 2] if half else gate_up
+    before = gate_up.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = M._silu(x), x / (1.0 + np.exp(-x))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert gate_up.tobytes() == before.tobytes()
+
+
 def _fresh(model, **weights):
     """A new model, so a new memo, over the model's weights with some replaced."""
     return E.TinyLM(model.config, {**model.weights, **weights})
@@ -414,36 +430,38 @@ class TestWeightMemo:
                                           E.forward(dense, part, cache=cache_f).logits)
 
 
-def _single_pass_attend(q, K, V, scale, window):
-    """model._attend as one pass over the whole [H, n, m+n] score array:
-    masked scores set to -inf by a boolean index, then exp, normalise
-    before PV, and the head-averaged block as sum(axis=0) / H; its column
-    sums and last min(n, window) rows are returned."""
+def _single_pass_attend(q, Kt, Vt, scale, window):
+    """model._attend as one pass over the whole [H, n, m+n] score array of
+    the same key panels Kt[kv, hd, m+n]: masked scores set to -inf by a
+    boolean index, then exp, normalise before PV, and the head-averaged
+    block as sum(axis=0) / H; its column sums and last min(n, window) rows
+    are returned."""
     n, H, hd = q.shape
-    L, n_kv = K.shape[:2]
+    n_kv, L = Kt.shape[0], Kt.shape[2]
     m, group = L - n, H // n_kv
     qg = q.reshape(n, n_kv, group, hd).transpose(1, 2, 0, 3).reshape(n_kv, group * n, hd)
-    scores = (qg @ K.transpose(1, 2, 0)).reshape(H, n, L)
+    scores = (qg @ Kt).reshape(H, n, L)
     scores *= scale
     scores[:, :, m:][:, np.triu(np.ones((n, n), dtype=bool), 1)] = -np.inf
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
-    out = scores.reshape(n_kv, group * n, L) @ V.transpose(1, 0, 2)
+    out = scores.reshape(n_kv, group * n, L) @ Vt
     out = out.reshape(n_kv, group, n, hd).transpose(2, 0, 1, 3).reshape(n, H * hd)
     block = scores.sum(axis=0) / H
     return out, block.sum(axis=0), block[n - min(n, window):]
 
 
-def _tiled_single_pass_attend(q, K, V, scale, window):
-    """model._attend's arithmetic with a plain mask: on each tile of
-    ``TILE`` query rows r0..r1 over the keys it can see, K[:m + r1], the
-    masked scores are set to -inf by a boolean index before the max and
-    exp. PV runs on the exp and is divided by the row totals σ; the mass
-    and rows take the weights 1 / (H σ). Every matmul and reduction has
-    model._attend's shape, and one token's row is its mass."""
+def _tiled_single_pass_attend(q, Kt, Vt, scale, window):
+    """model._attend's arithmetic with a plain mask and a fresh score array
+    per tile: on each tile of ``TILE`` query rows r0..r1 over the key
+    panels it can see, Kt[..., :m + r1], the masked scores are set to -inf
+    by a boolean index before the max and exp. PV runs on the exp and is
+    divided by the row totals σ; the mass and rows take the weights
+    1 / (H σ). Every matmul and reduction has model._attend's shape, and
+    one token's row is its mass."""
     n, H, hd = q.shape
-    L, n_kv = K.shape[:2]
+    n_kv, L = Kt.shape[0], Kt.shape[2]
     m, group = L - n, H // n_kv
     first = n - min(n, window)
     q = q * scale
@@ -452,13 +470,13 @@ def _tiled_single_pass_attend(q, K, V, scale, window):
         r1 = min(r0 + TILE, n)
         t, seen = r1 - r0, m + r1
         qg = q[r0:r1].reshape(t, n_kv, group, hd).transpose(1, 2, 0, 3)
-        scores = qg.reshape(n_kv, group * t, hd) @ K[:seen].transpose(1, 2, 0)
+        scores = qg.reshape(n_kv, group * t, hd) @ Kt[..., :seen]
         s = scores.reshape(H, t, seen)
         s[:, :, m + r0:][:, np.triu(np.ones((t, t), dtype=bool), 1)] = -np.inf
         s -= s.max(axis=-1, keepdims=True)
         np.exp(s, out=s)
         sigma = s.sum(axis=-1)
-        pv = scores @ V[:seen].transpose(1, 0, 2)
+        pv = scores @ Vt[:, :seen]
         pv /= sigma.reshape(n_kv, group * t, 1)
         out[r0:r1] = pv.reshape(n_kv, group, t, hd).transpose(2, 0, 1, 3).reshape(t, -1)
         w = 1.0 / (H * sigma)
