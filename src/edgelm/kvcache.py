@@ -10,14 +10,14 @@ their mandatory tail plus their best-scoring other entries (see
 :func:`_tail_and_best`), and the hybrid computes only its weighted terms.
 
 Each layer keeps its entries in capacity-doubling buffers (a single-sequence
-take on PagedAttention's KV blocks): ``forward`` stages its new keys and
-values in spare capacity and attends over one view of the layer,
-``append_block`` commits them, ``truncate`` shortens the kept length and
-``evict`` gathers the kept entries in place. Keys sit in one [head_dim,
-capacity] panel per KV head, so QK reads them unit-strided; values stay
-[capacity, n_kv_heads, head_dim], which PV reads as fast and eviction
-gathers faster. The arrays a layer exposes are views, valid until the next
-append, truncate or evict.
+take on PagedAttention's KV blocks): ``stage``, the one write of keys and
+values, puts a forward's new ones in spare capacity, the forward attends
+over one view of the layer, ``append_block`` commits the staged block,
+``truncate`` shortens the kept length and ``evict`` gathers the kept
+entries in place. Keys sit in one [head_dim, capacity] panel per KV head,
+so QK reads them unit-strided; values stay [capacity, n_kv_heads,
+head_dim], which PV reads as fast and eviction gathers faster. The arrays
+a layer exposes are views, valid until the next append, truncate or evict.
 
 Score state lives with the cache: an accumulated-mass vector and a ring of
 the last ``window`` head-averaged attention rows. The ring is one
@@ -187,10 +187,11 @@ class _LayerStore:
 
     ``next_position`` is one past the last appended position. Eviction
     leaves it alone, even when it drops the newest entries; truncation sets
-    it one past the newest entry it keeps."""
+    it one past the newest entry it keeps. ``staged`` counts the entries
+    staged past ``kept``; a truncate or gather drops them."""
 
     def __init__(self, n_kv_heads: int, head_dim: int, window: int):
-        self.kept = self.next_position = 0
+        self.kept = self.next_position = self.staged = 0
         self._keys = np.zeros((n_kv_heads, head_dim, 0))
         self._values = np.zeros((0, n_kv_heads, head_dim))
         self._positions = np.zeros(0, dtype=np.int64)
@@ -246,7 +247,7 @@ class _LayerStore:
         while self._count and self._lens[self._head - 1] > kept:
             self._head = (self._head - 1) % self._lens.size
             self._count -= 1
-        self.kept = kept
+        self.kept, self.staged = kept, 0
         self.next_position = int(self._positions[kept - 1]) + 1 if kept else 0
 
     def gather(self, idx: np.ndarray):
@@ -256,7 +257,7 @@ class _LayerStore:
             buf[..., :idx.size] = buf[..., idx]
         self._rows[:, idx.size:self.kept] = 0.0
         self._lens = np.searchsorted(idx, self._lens)
-        self.kept = idx.size
+        self.kept, self.staged = idx.size, 0
 
 
 class KvCache:
@@ -282,16 +283,21 @@ class KvCache:
         return ls.keys, ls.values, ls.positions
 
     def stage(self, layer: int, k: np.ndarray, v: np.ndarray):
-        """Write n new keys and values [n, n_kv_heads, head_dim] into the
-        layer's spare capacity, uncommitted until :meth:`append_block`, and
-        return views of the kept+n entries: the key panels [n_kv_heads,
-        head_dim, kept+n], unit-strided along the entries, and the values
-        as [n_kv_heads, kept+n, head_dim]; the kept entries are not copied."""
+        """The one write of keys and values: n new ones, each [n, n_kv_heads,
+        head_dim] (any other shape is a ValueError), go in the layer's spare
+        capacity until :meth:`append_block` commits them. Returns views of the
+        kept+n entries, the kept ones not copied: key panels [n_kv_heads,
+        head_dim, kept+n], unit-strided, and values [n_kv_heads, kept+n, head_dim]."""
+        shape = (len(k), self.n_kv_heads, self.head_dim)
+        if k.shape != shape or v.shape != shape:
+            raise ValueError(f"keys {k.shape} and values {v.shape} are not "
+                             f"[n, n_kv_heads, head_dim] = {shape}")
         ls = self.layers[layer]
-        ls.reserve(k.shape[0])
-        end = ls.kept + k.shape[0]
+        ls.reserve(len(k))
+        end = ls.kept + len(k)
         ls._keys[..., ls.kept:end] = k.transpose(1, 2, 0)
         ls._values[ls.kept:end] = v
+        ls.staged = len(k)
         return ls._keys[..., :end], ls._values[:end].transpose(1, 0, 2)
 
     def kept(self, layer: int) -> int:
@@ -300,27 +306,26 @@ class KvCache:
     def kept_positions(self, layer: int) -> np.ndarray:
         return self.layers[layer].positions.copy()
 
-    def append(self, layer: int, k, v, position: int, attn_row=None):
-        """Append one entry: :meth:`append_block` with n = 1, whose mass and
-        one row are both ``attn_row``."""
-        if attn_row is None:
-            self.append_block(layer, k, v, [position])
-        else:
-            row = np.asarray(attn_row, dtype=np.float64)
-            self.append_block(layer, k, v, [position], row, row[None])
+    def append(self, layer: int, k, v, position: int, attn_row):
+        """Stage one entry and commit it: :meth:`append_block` with n = 1,
+        whose mass and one row are both ``attn_row``."""
+        shape = (1, self.n_kv_heads, self.head_dim)
+        self.stage(layer, np.reshape(k, shape), np.reshape(v, shape))
+        self.append_block(layer, [position], attn_row, [attn_row])
 
-    def append_block(self, layer: int, k, v, positions, mass=None, rows=None):
-        """Append n >= 1 entries at strictly rising integer positions beyond
-        the last appended one; any other block is a ValueError.
+    def append_block(self, layer: int, positions, mass, rows):
+        """Commit the n >= 1 entries the layer's last :meth:`stage` wrote, at
+        strictly rising integer positions beyond the last appended one, writing
+        no key or value. Any other block, or an n other than the staged count
+        (0 after a commit, a truncate, or an evict that gathered the layer) is a
+        ValueError that changes nothing.
 
         ``mass`` and ``rows`` are the cache's reads of the head-averaged
-        attention of the n new queries over the kept+n keys, given together
-        or not at all. ``mass`` [kept+n] is its column sums, which extend the
-        accumulated mass. ``rows`` [r, kept+n], with min(n, window) <= r <=
-        n, is its last r rows, zero above the causal diagonal; the last
-        ``window`` of them enter the window of recent rows, each cut at its
-        own query. Only the n new entries are written; the kept entries are
-        not copied.
+        attention of the n new queries over the kept+n keys. ``mass``
+        [kept+n] is its column sums, which extend the accumulated mass.
+        ``rows`` [r, kept+n], with min(n, window) <= r <= n, is its last r
+        rows, zero above the causal diagonal; the last ``window`` of them
+        enter the window of recent rows, each cut at its own query.
         """
         ls = self.layers[layer]
         positions = np.asarray(positions)
@@ -334,26 +339,22 @@ class KvCache:
         if positions[0] < ls.next_position:
             raise ValueError(f"position {int(positions[0])} not beyond last appended "
                              f"position {ls.next_position - 1}")
-        if (mass is None) != (rows is None):
-            raise ValueError("mass and rows are given together or not at all")
-        if mass is not None:
-            mass = np.asarray(mass, dtype=np.float64)
-            rows = np.asarray(rows, dtype=np.float64)
-            if mass.shape != (end,):
-                raise ValueError(f"attention mass shape {mass.shape} != "
-                                 f"(kept+n,) = {(end,)}")
-            if (rows.ndim != 2 or rows.shape[1] != end
-                    or not min(n, self.window) <= rows.shape[0] <= n):
-                raise ValueError(f"attention rows shape {rows.shape} != (r, kept+n) "
-                                 f"with {min(n, self.window)} <= r <= {n}, kept+n = {end}")
-        shape = (n, self.n_kv_heads, self.head_dim)
-        self.stage(layer, np.reshape(k, shape), np.reshape(v, shape))
+        if n != ls.staged:
+            raise ValueError(f"{n} positions for {ls.staged} staged entries")
+        mass = np.asarray(mass, dtype=np.float64)
+        rows = np.asarray(rows, dtype=np.float64)
+        if mass.shape != (end,):
+            raise ValueError(f"attention mass shape {mass.shape} != "
+                             f"(kept+n,) = {(end,)}")
+        if (rows.ndim != 2 or rows.shape[1] != end
+                or not min(n, self.window) <= rows.shape[0] <= n):
+            raise ValueError(f"attention rows shape {rows.shape} != (r, kept+n) "
+                             f"with {min(n, self.window)} <= r <= {n}, kept+n = {end}")
         ls._positions[kept:end] = positions
         ls._acc[kept:end] = 0.0
-        if mass is not None:
-            ls._acc[:end] += mass
-            ls.push_rows(rows, end)
-        ls.kept = end
+        ls._acc[:end] += mass
+        ls.push_rows(rows, end)
+        ls.kept, ls.staged = end, 0
         ls.next_position = int(positions[-1]) + 1
 
     def truncate(self, drop: int):

@@ -17,11 +17,11 @@ runs in place, so a prefill takes few fresh pages. In a tile's diagonal
 block a masked score is -inf only for the row max: it passes through exp
 as 0, because numpy's exp takes a slow path on -inf.
 
-The forward pass can attach to a :class:`~edgelm.kvcache.KvCache`: each
-layer writes its new keys and values into the cache's spare capacity,
-attends over one view of the cached and new entries, then hands the cache
-what its eviction policies read of the head-averaged attention: the column
-mass over the new queries and the rows of the last ``window`` of them.
+Every forward runs on a :class:`~edgelm.kvcache.KvCache`, by default a
+scratch one with no window of rows: each layer stages its new keys and
+values once, attends over one view of the cached and new entries, then
+commits them with the eviction policies' reads of the head-averaged
+attention: the new queries' column mass and the last ``window`` rows.
 """
 from __future__ import annotations
 
@@ -32,6 +32,7 @@ import numpy as np
 
 from . import _manifest
 from .errors import ConfigError, ManifestError, ShapeError
+from .kvcache import KvCache
 
 
 def slot_rng(seed: int, name: str) -> np.random.Generator:
@@ -334,13 +335,10 @@ def _layer(model: TinyLM, li: int, x, rope, positions, cache, adapter):
     v = qkv[:, n_qk * hd:].reshape(n, cfg.n_kv_heads, hd)
 
     # views of the cached and new keys, as [kv, hd, m+n] panels, and values
-    Kt, Vt = (cache.stage(li, k, v) if cache is not None
-              else (k.transpose(1, 2, 0), v.transpose(1, 0, 2)))
-    out, mass, rows = _attend(q, Kt, Vt, 1.0 / np.sqrt(hd),
-                              cache.window if cache is not None else 0)
+    Kt, Vt = cache.stage(li, k, v)
+    out, mass, rows = _attend(q, Kt, Vt, 1.0 / np.sqrt(hd), cache.window)
     x = x + _proj(out, model, (p + "wo",), adapter)
-    if cache is not None:
-        cache.append_block(li, k, v, positions, mass, rows)
+    cache.append_block(li, positions, mass, rows)
 
     h2 = rms_norm(x, model.resolve(p + "ffn_norm"))
     gate_up = _proj(h2, model, (p + "w_gate", p + "w_up"), adapter)
@@ -350,7 +348,7 @@ def _layer(model: TinyLM, li: int, x, rope, positions, cache, adapter):
 
 
 def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
-    """Run the model over new tokens, optionally extending a KV cache.
+    """Run the model over new tokens, extending a KV cache (by default a scratch one).
 
     Positions continue one past the last position the cache appended, even
     when eviction dropped that entry; keys are stored post-rotation, so
@@ -359,7 +357,9 @@ def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
     cfg = model.config
     tokens = in_vocab(token_ids(tokens), cfg.vocab_size)
     n = tokens.size
-    start = cache.next_position() if cache is not None else 0
+    if cache is None:
+        cache = KvCache.for_model(cfg, window=0)
+    start = cache.next_position()
     positions = np.arange(start, start + n)
     if positions[-1] >= cfg.max_seq:
         raise ValueError(f"sequence exceeds max_seq ({cfg.max_seq})")
@@ -405,8 +405,6 @@ def check_decode_fits(config: ModelConfig, prompt_len: int, max_new: int, role: 
 
 def greedy_decode(model: TinyLM, prompt, max_new: int, adapter=None) -> list[int]:
     """Argmax decoding with a full (non-evicting) cache; ties go to the lowest id."""
-    from .kvcache import KvCache
-
     prompt = token_ids(prompt).tolist()
     if max_new < 0:
         raise ValueError("max_new must be nonnegative")

@@ -1,5 +1,6 @@
 import copy
 from collections import deque
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,12 @@ def _handoff(attn):
     """What a forward hands append_block for a head-averaged attention block
     [n, kept+n]: its column sums and its rows."""
     return attn.sum(axis=0), attn
+
+
+def _append_block(cache, layer, k, v, positions, mass, rows):
+    """Stage a block's keys and values, then commit it, as a forward does."""
+    cache.stage(layer, k, v)
+    cache.append_block(layer, positions, mass, rows)
 
 
 def make_cache(n, n_layers=1, seed=0, window=32):
@@ -39,7 +46,7 @@ class TestCacheBasics:
     def test_non_monotone_position_rejected(self):
         c = make_cache(3)
         with pytest.raises(ValueError):
-            c.append(0, np.zeros((1, 2)), np.zeros((1, 2)), 1)
+            c.append(0, np.zeros((1, 2)), np.zeros((1, 2)), 1, np.ones(4) / 4)
 
     def test_row_length_validated(self):
         c = make_cache(3)
@@ -321,8 +328,8 @@ def test_block_append_equals_single_appends_and_oracles(data):
         attn = np.zeros((b.size, b[-1] + 1))
         for i, p in enumerate(b):
             attn[i, :p + 1] = rows[p]
-        block.append_block(0, np.zeros((b.size, 1, 1)), np.zeros((b.size, 1, 1)), b,
-                           *_handoff(attn))
+        _append_block(block, 0, np.zeros((b.size, 1, 1)), np.zeros((b.size, 1, 1)), b,
+                      *_handoff(attn))
     s, b = single.layers[0], block.layers[0]
     np.testing.assert_array_equal(b.positions, s.positions)
     assert len(b.rows) == len(s.rows) == min(n, window)
@@ -431,7 +438,7 @@ def test_arena_matches_concatenating_store(data):
             for li in range(n_layers):
                 k, v = rng.normal(size=(2, n, n_kv, hd))
                 attn = np.tril(rng.random((n, kept + n)), kept)
-                cache.append_block(li, k, v, positions, *_handoff(attn))
+                _append_block(cache, li, k, v, positions, *_handoff(attn))
                 refs[li].append_block(k, v, positions, attn)
         elif op == "truncate":
             drop = data.draw(st.integers(0, kept))
@@ -472,8 +479,8 @@ def test_arena_matches_concatenating_store(data):
     E.evict(clone, E.HeavyHitter(recent=1), 1)
     position = clone.next_position()
     for li in range(n_layers):
-        clone.append_block(li, np.ones((1, n_kv, hd)), np.ones((1, n_kv, hd)),
-                           [position], *_handoff(np.full((1, clone.kept(li) + 1), 0.5)))
+        _append_block(clone, li, np.ones((1, n_kv, hd)), np.ones((1, n_kv, hd)),
+                      [position], *_handoff(np.full((1, clone.kept(li) + 1), 0.5)))
     for ls, state in zip(cache.layers, before):
         _assert_same_layer(_layer_state(ls), state)
 
@@ -492,8 +499,8 @@ def test_append_block_rejects_wrong_attention_shape():
         c = make_cache(3)
         before = _layer_state(c.layers[0])
         with pytest.raises(ValueError):
-            c.append_block(0, np.zeros((2, 1, 2)), np.zeros((2, 1, 2)), [3, 4],
-                           mass, rows)
+            _append_block(c, 0, np.zeros((2, 1, 2)), np.zeros((2, 1, 2)), [3, 4],
+                          mass, rows)
         _assert_same_layer(_layer_state(c.layers[0]), before)
         assert c.kept(0) == 3
 
@@ -507,11 +514,86 @@ def test_append_block_rejects_bad_positions(positions):
     before = _layer_state(c.layers[0])
     n = len(positions)
     with pytest.raises(ValueError, match="positions"):
-        c.append_block(0, np.zeros((n, 1, 2)), np.zeros((n, 1, 2)), positions)
+        _append_block(c, 0, np.zeros((n, 1, 2)), np.zeros((n, 1, 2)), positions,
+                      *_handoff(np.zeros((n, 9 + n))))
     _assert_same_layer(_layer_state(c.layers[0]), before)
     assert (c.kept(0), c.next_position()) == (9, 9)
-    c.append_block(0, np.zeros((2, 1, 2)), np.zeros((2, 1, 2)), np.array([9, 11]))
+    _append_block(c, 0, np.zeros((2, 1, 2)), np.zeros((2, 1, 2)), np.array([9, 11]),
+                  *_handoff(np.zeros((2, 11))))
     assert (c.kept(0), c.next_position()) == (11, 12)
+
+
+def test_stage_rejects_a_block_of_another_shape():
+    # a [3, 1, 4] block used to be broadcast into both KV heads
+    c = E.KvCache(1, 2, 4)
+    good = np.ones((3, 2, 4))
+    for k, v in [(np.ones((3, 1, 4)), good), (good, np.ones((3, 1, 4))),
+                 (np.ones((3, 2, 2)), good), (good, np.ones((2, 2, 4))),
+                 (np.ones((3, 8)), np.ones((3, 8)))]:
+        with pytest.raises(ValueError, match="n_kv_heads, head_dim"):
+            c.stage(0, k, v)
+    with pytest.raises(ValueError, match="staged"):
+        c.append_block(0, np.arange(3), *_handoff(np.zeros((3, 3))))
+    assert c.kept(0) == 0
+
+
+def test_a_forward_on_a_cache_of_another_layout_commits_nothing():
+    # spec_decode's draft has one KV head, its target's cache two: the
+    # draft's keys must not fill both heads of the target's cache
+    draft = E.init_model(E.ModelConfig(d_model=32, n_layers=1, n_heads=2,
+                                       n_kv_heads=1, head_dim=16), 0)
+    cache = E.KvCache.for_model(E.ModelConfig())
+    with pytest.raises(ValueError, match="n_kv_heads"):
+        E.forward(draft, np.arange(5), cache=cache)
+    assert (cache.total_kept(), cache.next_position()) == (0, 0)
+
+
+@pytest.mark.parametrize("case", ["fewer", "more", "nothing_staged", "committed",
+                                  "evict", "truncate"])
+def test_append_block_commits_only_the_staged_block(case):
+    # a block of another size than the staged one, or one with nothing
+    # staged, since committed, evicted or truncated, is a ValueError that
+    # leaves the layer as it was
+    c = make_cache(6)
+    n = {"fewer": 2, "more": 4}.get(case, 3)
+    if case != "nothing_staged":
+        c.stage(0, np.ones((3, 1, 2)), np.ones((3, 1, 2)))
+    if case == "committed":
+        c.append_block(0, np.arange(6, 9), *_handoff(np.zeros((3, 9))))
+    elif case == "evict":
+        E.evict(c, E.HeavyHitter(recent=1), 4)
+    elif case == "truncate":
+        c.truncate(2)
+    before, kept, start = _layer_state(c.layers[0]), c.kept(0), c.next_position()
+    with pytest.raises(ValueError, match="staged"):
+        c.append_block(0, np.arange(start, start + n), *_handoff(np.zeros((n, kept + n))))
+    _assert_same_layer(_layer_state(c.layers[0]), before)
+    assert (c.kept(0), c.next_position()) == (kept, start)
+
+
+def test_a_forward_stages_and_commits_each_layer_once():
+    # stage is the one write of a layer's new keys and values, then
+    # append_block commits them, on a cache or without one
+    cfg = E.ModelConfig(vocab_size=64, d_model=32, n_layers=3, n_heads=4,
+                        n_kv_heads=2, head_dim=8)
+    model = E.init_model(cfg, 0)
+    calls = []
+
+    def spy(name):
+        original = getattr(E.KvCache, name)
+
+        def record(cache, layer, *args):
+            calls.append((name, layer))
+            return original(cache, layer, *args)
+        return mock.patch.object(E.KvCache, name, record)
+
+    cache = E.KvCache.for_model(cfg)
+    with spy("stage"), spy("append_block"):
+        for tokens, c in [(np.arange(20), cache), ([3], cache), (np.arange(5), None)]:
+            calls.clear()
+            E.forward(model, tokens, cache=c)
+            assert calls == [(name, li) for li in range(cfg.n_layers)
+                             for name in ("stage", "append_block")]
 
 
 @settings(max_examples=80, deadline=None)
@@ -530,8 +612,8 @@ def test_only_the_window_of_rows_is_read(data):
         k, v = rng.normal(size=(2, n, 1, 1))
         attn = np.tril(rng.integers(0, 17, (n, kept + n)) / 16, kept)
         mass = attn.sum(axis=0)
-        whole.append_block(0, k, v, positions, mass, attn)
-        cut.append_block(0, k, v, positions, mass, attn[n - min(n, window):])
+        _append_block(whole, 0, k, v, positions, mass, attn)
+        _append_block(cut, 0, k, v, positions, mass, attn[n - min(n, window):])
         for i in range(n):
             row = attn[i, :kept + i + 1]
             single.append(0, k[i], v[i], int(positions[i]), row)
@@ -592,8 +674,8 @@ def test_eviction_invariants_hold_for_every_policy(data):
     cache = E.KvCache(2, 1, 1, window=window)
     for li in range(2):
         attn = np.tril(rng.integers(0, 17, (n, n))) / 16
-        cache.append_block(li, rng.normal(size=(n, 1, 1)), rng.normal(size=(n, 1, 1)),
-                           positions, *_handoff(attn))
+        _append_block(cache, li, rng.normal(size=(n, 1, 1)), rng.normal(size=(n, 1, 1)),
+                      positions, *_handoff(attn))
     report = E.evict(cache, policy, budget)
     mandatory = positions[sorted(set(range(min(head, n)))
                                  | set(range(max(0, n - tail), n)))]
@@ -613,8 +695,8 @@ def test_pooling_is_the_clipped_window_mean(data):
     # full-mantissa floats: unlike sixteenths, their sums depend on the order
     row = np.random.default_rng(data.draw(st.integers(0, 2**32))).random(n)
     c = E.KvCache(1, 1, 1, window=1)
-    c.append_block(0, np.zeros((n, 1, 1)), np.zeros((n, 1, 1)), np.arange(n),
-                   *_handoff(np.tril(np.ones((n, n))) * row))
+    _append_block(c, 0, np.zeros((n, 1, 1)), np.zeros((n, 1, 1)), np.arange(n),
+                  *_handoff(np.tril(np.ones((n, n))) * row))
     pooled = kvc._pooled_window_score(c.layers[0], 1, kernel)
     h = kernel // 2
     clipped = np.array([row[max(0, j - h):j + h + 1].mean() for j in range(n)])
@@ -628,8 +710,8 @@ def test_pooled_rows_add_in_order_on_a_one_entry_cache():
     # numpy pairs the terms of a one-column sum over 8 rows or more
     for seed in range(8):
         c = E.KvCache(1, 1, 1, window=8)
-        c.append_block(0, np.zeros((8, 1, 1)), np.zeros((8, 1, 1)), np.arange(8),
-                       *_handoff(np.tril(np.random.default_rng(seed).random((8, 8)))))
+        _append_block(c, 0, np.zeros((8, 1, 1)), np.zeros((8, 1, 1)), np.arange(8),
+                      *_handoff(np.tril(np.random.default_rng(seed).random((8, 8)))))
         E.evict(c, E.AttentionSink(sinks=1, window=0), 1)
         rows = c.layers[0].rows
         assert [r.size for r in rows] == [1] * 8
@@ -671,8 +753,9 @@ def test_every_policy_keeps_the_oracle_set(data):
             kept = cache.kept(li)
             attn = rng.integers(0, 17, (m, kept + m)) / 16 if exact else rng.random(
                 (m, kept + m))
-            cache.append_block(li, rng.normal(size=(m, 1, 1)), rng.normal(size=(m, 1, 1)),
-                               np.arange(start, start + m), *_handoff(np.tril(attn, kept)))
+            _append_block(cache, li, rng.normal(size=(m, 1, 1)),
+                          rng.normal(size=(m, 1, 1)), np.arange(start, start + m),
+                          *_handoff(np.tril(attn, kept)))
         k = cache.kept(0)
         budget = data.draw(st.sampled_from([floor, max(floor, k - 1), max(floor, k + 1)])
                            | st.integers(floor, max(floor, k + 2)))

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import edgelm as E
@@ -41,9 +41,9 @@ def _record_blocks(cache) -> list:
     handed, in order."""
     handed, append_block = [], cache.append_block
 
-    def record(li, k, v, positions, mass, rows):
+    def record(li, positions, mass, rows):
         handed.append((np.array(mass), np.array(rows)))
-        append_block(li, k, v, positions, mass, rows)
+        append_block(li, positions, mass, rows)
 
     cache.append_block = record
     return handed
@@ -186,6 +186,22 @@ class TestForward:
         a = E.forward(m, toks[:4], cache=cache).logits
         b = E.forward(m, toks[4:], cache=cache).logits
         np.testing.assert_allclose(np.vstack([a, b]), full, atol=1e-5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_kv=st.sampled_from([4, 2, 1]),
+           n=st.sampled_from([1, TILE, TILE + 1, 2 * TILE + 1]) | st.integers(1, 40),
+           seed=st.integers(0, 2**16))
+    @example(n_kv=4, n=2 * TILE + 1, seed=0)
+    def test_cacheless_forward_is_a_fresh_cache_forward(self, n_kv, n, seed):
+        # one attention path: GQA groups 1, 2 and 4, on both sides of the
+        # row-tile edge, bit for bit. A cacheless forward that multiplied by
+        # a transposed view of its keys rounded differently when its last
+        # tile held one query (the example)
+        model = E.init_model(small_config(n_kv_heads=n_kv), seed)
+        tokens = np.random.default_rng(seed).integers(0, 64, n)
+        fresh = E.KvCache.for_model(model.config)
+        assert np.array_equal(E.forward(model, tokens).logits,
+                              E.forward(model, tokens, cache=fresh).logits)
 
     def test_causality(self):
         # changing a later token cannot affect earlier logits

@@ -53,6 +53,18 @@ def test_traced_request_records_every_layer(name, tmp_path):
     assert check_forward_spans(tracer)["ok"]
     spans = tracer.spans
     assert TRACED_SPANS[name] <= {s.name for s in spans}
+    # every forward commits each of its model's layers through append_block:
+    # one that wrote its keys and values another way would zero the cache's
+    # figures
+    appends = [0] * len(spans)
+    for s in spans:
+        if s.name == "kvcache.append" and s.parent >= 0:
+            appends[s.parent] += 1
+    for i, s in enumerate(spans):
+        if s.name == "model.forward":
+            model = (state.draft if has_ancestor(spans, i, "specdec.propose")
+                     else state.model)
+            assert appends[i] == model.config.n_layers
     if name == "spec_decode":
         # a round drafts unless it has only the target's last token to emit
         before = [0]
