@@ -24,7 +24,7 @@ from . import quant as quant_mod
 from .errors import ConfigError, ContractViolation
 from .metrics import ROUGE_VARIANT, rouge_n
 from .model import (ModelConfig, TinyLM, forward, greedy_continue, greedy_decode,
-                    init_model)
+                    in_vocab, init_model, token_ids)
 from .specdec import (DraftConfig, FeatureReuseDraft, IndependentDraft,
                       block_efficiency, decode_speculative)
 from .tasks import gen_needle
@@ -76,10 +76,12 @@ PREFILL_CHUNK = 512
 
 def prefill(model: TinyLM, tokens, cache):
     """Cache-extending block forward in chunks of ``PREFILL_CHUNK`` tokens
-    (bounds attention memory)."""
-    tokens = list(tokens)
-    fo = None
-    for start in range(0, len(tokens), PREFILL_CHUNK):
+    (bounds attention memory), after checking the whole prompt as
+    ``forward`` checks a block, so that a rejected one changes nothing."""
+    tokens = in_vocab(token_ids(tokens), model.config.vocab_size)
+    if cache.next_position() + tokens.size > model.config.max_seq:
+        raise ValueError(f"sequence exceeds max_seq ({model.config.max_seq})")
+    for start in range(0, tokens.size, PREFILL_CHUNK):
         fo = forward(model, tokens[start:start + PREFILL_CHUNK], cache=cache)
     return fo
 

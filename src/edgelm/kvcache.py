@@ -16,8 +16,9 @@ over one view of the layer, ``append_block`` commits the staged block,
 ``truncate`` shortens the kept length and ``evict`` gathers the kept
 entries in place. Keys sit in one [head_dim, capacity] panel per KV head,
 so QK reads them unit-strided; values stay [capacity, n_kv_heads,
-head_dim], which PV reads as fast and eviction gathers faster. The arrays
-a layer exposes are views, valid until the next append, truncate or evict.
+head_dim + 1], which PV reads as fast and eviction gathers faster, the last
+lane a 1 so that PV also sums each row (``values``, ``layer_kv`` and
+``cache_bytes`` never show it). The arrays a layer exposes are views.
 
 Score state lives with the cache: an accumulated-mass vector and a ring of
 the last ``window`` head-averaged attention rows. The ring is one
@@ -174,7 +175,8 @@ class EvictionReport:
 
 class _LayerStore:
     """One layer's entries in the first ``kept`` slots of capacity-doubling
-    buffers, the keys as panels ``_keys[n_kv_heads, head_dim, capacity]``.
+    buffers: key panels ``_keys[n_kv_heads, head_dim, capacity]``, values
+    ``_values[capacity, n_kv_heads, head_dim + 1]`` with a last lane of 1.
     ``keys`` ([kept, n_kv_heads, head_dim]), ``values``, ``positions`` and
     ``acc`` are views over those slots, valid until the next append,
     truncate or evict.
@@ -193,7 +195,7 @@ class _LayerStore:
     def __init__(self, n_kv_heads: int, head_dim: int, window: int):
         self.kept = self.next_position = self.staged = 0
         self._keys = np.zeros((n_kv_heads, head_dim, 0))
-        self._values = np.zeros((0, n_kv_heads, head_dim))
+        self._values = np.zeros((0, n_kv_heads, head_dim + 1))
         self._positions = np.zeros(0, dtype=np.int64)
         self._acc = np.zeros(0)                      # accumulated attention mass
         self._rows = np.zeros((window, 0))
@@ -201,7 +203,7 @@ class _LayerStore:
         self._head = self._count = 0
 
     keys = property(lambda self: self._keys[..., :self.kept].transpose(2, 0, 1))
-    values = property(lambda self: self._values[:self.kept])
+    values = property(lambda self: self._values[:self.kept, :, :-1])
     positions = property(lambda self: self._positions[:self.kept])
     acc = property(lambda self: self._acc[:self.kept])
 
@@ -287,7 +289,8 @@ class KvCache:
         head_dim] (any other shape is a ValueError), go in the layer's spare
         capacity until :meth:`append_block` commits them. Returns views of the
         kept+n entries, the kept ones not copied: key panels [n_kv_heads,
-        head_dim, kept+n], unit-strided, and values [n_kv_heads, kept+n, head_dim]."""
+        head_dim, kept+n], unit-strided, and values [n_kv_heads, kept+n,
+        head_dim + 1], the last lane 1 so that PV also sums each row."""
         shape = (len(k), self.n_kv_heads, self.head_dim)
         if k.shape != shape or v.shape != shape:
             raise ValueError(f"keys {k.shape} and values {v.shape} are not "
@@ -296,7 +299,8 @@ class KvCache:
         ls.reserve(len(k))
         end = ls.kept + len(k)
         ls._keys[..., ls.kept:end] = k.transpose(1, 2, 0)
-        ls._values[ls.kept:end] = v
+        ls._values[ls.kept:end, :, :-1] = v
+        ls._values[ls.kept:end, :, -1] = 1.0
         ls.staged = len(k)
         return ls._keys[..., :end], ls._values[:end].transpose(1, 0, 2)
 

@@ -7,15 +7,16 @@ inside the 1e-5 contract.
 
 Attention (``_attend``) runs on tiles of 16 query rows. Each tile does
 the whole job over only the keys it can see: its own QK matmul, which
-batches the KV heads over the queries of their groups, max and exp in
-place, and its own PV matmul on the unnormalised exp, normalised after PV
-as in FlashAttention. So no [heads, n, m+n] score array and no [n, m+n]
-head-averaged block is built, and no masked column past a tile goes
-through a matmul. QK is a plain GEMM on the cache's unit-strided [head_dim,
-capacity] key panels, the tiles' scores share one buffer per call and SiLU
-runs in place, so a prefill takes few fresh pages. In a tile's diagonal
-block a masked score is -inf only for the row max: it passes through exp
-as 0, because numpy's exp takes a slow path on -inf.
+batches the KV heads over the queries of their groups, exp in place, and
+its own PV matmul on the unnormalised exp, normalised after PV as in
+FlashAttention; a ones lane beside the values makes it sum each row. So no
+[heads, n, m+n] score array and no [n, m+n] head-averaged block is built,
+and no masked column past a tile goes through a matmul. QK is a plain GEMM
+on the cache's unit-strided [head_dim, capacity] key panels, the tiles'
+scores share one buffer per call and SiLU runs in place. A call of several
+tiles skips the row max when its scores are bounded so that nothing can
+overflow (``_exp_bounded``), as FlashDecoding++'s unified max does. Rope is
+one complex multiply per pair.
 
 Every forward runs on a :class:`~edgelm.kvcache.KvCache`, by default a
 scratch one with no window of rows: each layer stages its new keys and
@@ -26,6 +27,7 @@ attention: the new queries' column mass and the last ``window`` rows.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -182,28 +184,24 @@ def rms_norm(x: np.ndarray, scale: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 def apply_rope(vec: np.ndarray, position: int, theta: float) -> np.ndarray:
     """Rotate consecutive pairs of an even-length vector by position-scaled angles."""
-    vec = np.asarray(vec, dtype=np.float64)
+    vec = np.ascontiguousarray(vec, dtype=np.float64)
     d = vec.shape[-1]
     if d % 2 != 0:
         raise ShapeError("apply_rope requires an even-length vector")
     rows = vec.reshape(1, -1, d)
-    return _rope_block(rows, *_rope_table(np.array([position]), d, theta)).reshape(vec.shape)
+    return _rope_block(rows, _rope_table(np.array([position]), d, theta)).reshape(vec.shape)
 
 
-def _rope_table(positions: np.ndarray, d: int, theta: float):
-    """cos and sin of the rope angles at positions[n], shaped [n, 1, d/2]."""
-    freqs = theta ** (-2.0 * np.arange(d // 2) / d)
-    ang = positions[:, None] * freqs[None, :]          # [n, half]
-    return np.cos(ang)[:, None, :], np.sin(ang)[:, None, :]
+def _rope_table(positions: np.ndarray, d: int, theta: float) -> np.ndarray:
+    """cos + i sin of the rope angles at positions[n], shaped [n, 1, d/2]."""
+    ang = positions[:, None, None] * theta ** (-2.0 * np.arange(d // 2) / d)
+    return np.cos(ang) + 1j * np.sin(ang)
 
 
-def _rope_block(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Vectorized rope over x[n, heads, head_dim] with a :func:`_rope_table`."""
-    x0, x1 = x[..., 0::2], x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = x0 * cos - x1 * sin
-    out[..., 1::2] = x0 * sin + x1 * cos
-    return out
+def _rope_block(x: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """Rope over x[n, heads, head_dim], unit-strided along head_dim, with a
+    :func:`_rope_table`: one complex multiply of each pair x0 + i x1."""
+    return (x.view(np.complex128) * rot).view(np.float64)
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
@@ -230,12 +228,27 @@ def _proj(h: np.ndarray, model: TinyLM, slots: tuple[str, ...], adapter=None) ->
 
 _ROW_TILE = 16  # query rows per attention tile (8, 32 and 64 measured slower)
 _CAUSAL_TILE = np.triu(np.ones((_ROW_TILE, _ROW_TILE), dtype=bool), 1)
+_EXP_LIMIT = 700.0  # below ln 2^1021 = 707.7, see _exp_bounded
+
+
+def _exp_bounded(q, Kt, Vt) -> bool:
+    """Whether exp may skip the row max for scaled queries q[n, H, hd] over
+    Kt[kv, hd, L] and Vt[kv, L, hd + 1]: B + ln(H L V) <= 700, for B =
+    max|q_i| max|k_j| >= every |score| and V = max|Vt| >= 1. Then each exp
+    is in [e^-B, e^B], a row's σ (its diagonal is never masked) in [e^-B, L
+    e^B] and its PV in ±L e^B V; as H L e^B V <= 2^1021, even with rounding
+    σ, H σ, PV and 1 / (H σ) stay finite and σ and 1 / (H σ) normal, for
+    any finite keys and values. Overflow or NaN reads as unbounded."""
+    qq = float(np.einsum("nhd,nhd->nh", q, q).max())
+    kk = float(np.einsum("khl,khl->kl", Kt, Kt).max())
+    hlv = q.shape[1] * Kt.shape[2] * max(float(Vt.max()), -float(Vt.min()))
+    return math.sqrt(qq * kk) + math.log(hlv) <= _EXP_LIMIT
 
 
 def _attend(q, Kt, Vt, scale, window):
     """Attention of queries q[n, H, hd] over key panels Kt[kv, hd, m+n] and
-    values Vt[kv, m+n, hd], query i seeing keys j <= m + i; head h reads kv
-    head h // (H // kv). Returns the output [n, H * hd] and all the cache
+    values Vt[kv, m+n, hd + 1], query i seeing keys j <= m + i; head h reads
+    kv head h // (H // kv). Returns the output [n, H * hd] and all the cache
     reads of the head-averaged probabilities, which are never built as one
     [n, m+n] block: their column sums over the n queries (the mass, [m+n])
     and the rows of the last min(n, window) queries, zero above the diagonal.
@@ -243,14 +256,16 @@ def _attend(q, Kt, Vt, scale, window):
     Each tile of ``_ROW_TILE`` query rows r0..r1 does the whole job over
     only the keys it can see, Kt[..., :m + r1]: one batched QK GEMM into its
     [H, r1 - r0, m + r1] scores in the call's one score buffer (which nothing
-    returned views), max and exp in place, and one batched PV matmul on the
-    unnormalised exp, divided by the row totals σ only in its [kv, group *
-    rows, hd] result. One vector-matrix product of the weights 1 / (H σ)
-    with the scores gives the tile's mass, and only a tile holding some of
-    the last ``window`` queries builds their rows, by one batched matmul. In
-    the tile's diagonal block a masked score is -inf only for the row max,
-    then passes through exp as 0, since exp is several times slower on -inf.
-    A forward of up to 16 tokens is one tile over all keys: its mass is the
+    returned views), exp in place, and one batched PV matmul on the
+    unnormalised exp, whose ones lane gives the row totals σ: only PV is
+    divided by them. The weights 1 / (H σ) times the scores give the tile's
+    mass, and only a tile holding some of the last ``window`` queries builds
+    their rows, by one batched matmul. A call of several tiles that
+    :func:`_exp_bounded` admits runs exp on the raw scores and zeroes the
+    masked ones after it. Any other subtracts the row max first: in the
+    tile's diagonal block a masked score is -inf only for the max, then
+    passes through exp as 0, since exp is several times slower on -inf. A
+    forward of up to 16 tokens is one tile over all keys: its mass is the
     product itself, and for one token its one row is the mass.
     """
     n, H, hd = q.shape
@@ -259,6 +274,7 @@ def _attend(q, Kt, Vt, scale, window):
     first = n - min(n, window)                          # the first query with a row
     q = q * scale               # exact for a power-of-two scale, as head_dim 16's
     out = np.empty((n, H * hd))
+    max_free = n > _ROW_TILE and _exp_bounded(q, Kt, Vt)
     if n > _ROW_TILE:
         mass, rows = np.zeros(L), np.zeros((n - first, L))
     # every tile's scores, allocated after the arrays that outlive it: first,
@@ -273,18 +289,20 @@ def _attend(q, Kt, Vt, scale, window):
         s = scores.reshape(H, t, seen)
         if t > 1:
             diag, mask = s[..., m + r0:], _CAUSAL_TILE[:t, :t]
-            np.copyto(diag, -np.inf, where=mask)
-        s -= s.max(axis=-1, keepdims=True)
-        if t > 1:
-            np.copyto(diag, 0.0, where=mask)
+        if not max_free:
+            if t > 1:
+                np.copyto(diag, -np.inf, where=mask)
+            s -= s.max(axis=-1, keepdims=True)
+            if t > 1:
+                np.copyto(diag, 0.0, where=mask)
         np.exp(s, out=s)
         if t > 1:
             np.copyto(diag, 0.0, where=mask)
-        sigma = s.sum(axis=-1)                          # [H, t]
-        pv = scores @ Vt[:, :seen]                      # [kv, group * t, hd]
-        pv /= sigma.reshape(n_kv, group * t, 1)
-        out[r0:r1] = pv.reshape(n_kv, group, t, hd).transpose(2, 0, 1, 3).reshape(t, -1)
-        w = 1.0 / (H * sigma)
+        pv = (scores @ Vt[:, :seen]).reshape(n_kv, group, t, hd + 1)
+        sigma = pv[..., hd]                             # [kv, group, t]
+        np.divide(pv[..., :hd].transpose(2, 0, 1, 3), sigma.transpose(2, 0, 1)[..., None],
+                  out=out[r0:r1].reshape(t, n_kv, group, hd))
+        w = 1.0 / (H * sigma.reshape(H, t))
         tile_mass = w.reshape(-1) @ scores.reshape(H * t, seen)
         if n <= _ROW_TILE:
             return out, tile_mass, (tile_mass[None] if n == 1
@@ -330,7 +348,7 @@ def _layer(model: TinyLM, li: int, x, rope, positions, cache, adapter):
     p = f"layers.{li}."
     h = rms_norm(x, model.resolve(p + "attn_norm"))
     qkv = _proj(h, model, (p + "wq", p + "wk", p + "wv"), adapter)
-    qk = _rope_block(qkv[:, :n_qk * hd].reshape(n, n_qk, hd), *rope)
+    qk = _rope_block(qkv[:, :n_qk * hd].reshape(n, n_qk, hd), rope)
     q, k = qk[:, :cfg.n_heads], qk[:, cfg.n_heads:]
     v = qkv[:, n_qk * hd:].reshape(n, cfg.n_kv_heads, hd)
 

@@ -418,6 +418,32 @@ def _pooled_reference(ref, obs, kernel):
     return np.array([win[max(0, j - h):j + h + 1].mean() for j in range(n)])
 
 
+def _assert_arena_values(cache, refs):
+    """The value arena's ones lane is 1 in every kept entry and shows
+    nowhere else: ``values``, ``layer_kv``, ``stage``'s values past the lane
+    and ``cache_bytes`` are those of the concatenating store. Stage hands QK
+    key panels, unit-strided along the entries, over the kept entries and
+    the staged ones."""
+    n_kv, hd = cache.n_kv_heads, cache.head_dim
+    for li, (ls, ref) in enumerate(zip(cache.layers, refs)):
+        assert (ls._values[:ls.kept, :, hd] == 1.0).all()
+        keys, values, positions = cache.layer_kv(li)
+        for got, want in ((keys, ref.keys), (values, ref.values), (ls.values, ref.values),
+                          (positions, ref.positions)):
+            np.testing.assert_array_equal(got, want)
+        staged = np.full((2, n_kv, hd), 7.0)
+        Kt, Vt = cache.stage(li, staged, staged)
+        assert Kt.strides[-1] == Kt.itemsize
+        np.testing.assert_array_equal(
+            Kt, np.concatenate([ref.keys, staged]).transpose(1, 2, 0))
+        np.testing.assert_array_equal(
+            Vt[..., :hd], np.concatenate([ref.values, staged]).transpose(1, 0, 2))
+        assert (Vt[..., hd] == 1.0).all()
+    kept = sum(ref.positions.size for ref in refs)
+    for b in (2, 4, 8):
+        assert E.cache_bytes(cache, b) == kept * n_kv * hd * 2 * b
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_arena_matches_concatenating_store(data):
@@ -461,28 +487,21 @@ def test_arena_matches_concatenating_store(data):
             assert not ls._rows[:, ls.kept:].any()
             np.testing.assert_array_equal(kvc._pooled_window_score(ls, obs, kernel),
                                           _pooled_reference(ref, obs, kernel))
-        assert cache.layer_kv(0)[0].shape == (cache.kept(0), n_kv, hd)
-        # stage hands QK key panels, unit-strided along the entries, over
-        # the kept entries and the staged ones
-        staged = np.full((2, n_kv, hd), 7.0)
-        for li, ls in enumerate(cache.layers):
-            Kt, Vt = cache.stage(li, staged, staged)
-            assert Kt.strides[-1] == Kt.itemsize
-            np.testing.assert_array_equal(
-                Kt, np.concatenate([ls.keys, staged]).transpose(1, 2, 0))
-            np.testing.assert_array_equal(
-                Vt, np.concatenate([ls.values, staged]).transpose(1, 0, 2))
+        _assert_arena_values(cache, refs)
 
     # a clone owns its buffers: evicting and extending it leaves the original as it was
     before = [_layer_state(ls) for ls in cache.layers]
     clone = bench._clone_cache(cache)
+    _assert_arena_values(clone, refs)
     E.evict(clone, E.HeavyHitter(recent=1), 1)
     position = clone.next_position()
     for li in range(n_layers):
         _append_block(clone, li, np.ones((1, n_kv, hd)), np.ones((1, n_kv, hd)),
                       [position], *_handoff(np.full((1, clone.kept(li) + 1), 0.5)))
+    assert all((ls._values[:ls.kept, :, hd] == 1.0).all() for ls in clone.layers)
     for ls, state in zip(cache.layers, before):
         _assert_same_layer(_layer_state(ls), state)
+    _assert_arena_values(cache, refs)
 
 
 def test_append_block_rejects_wrong_attention_shape():

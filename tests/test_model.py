@@ -36,6 +36,19 @@ def _sharpened_model(heads, scale, **kw):
     return m
 
 
+def _bound_recorder(bounded: list):
+    """model._attend, appending to ``bounded`` whether each call of more
+    than one tile passes model._exp_bounded, so runs on raw scores."""
+    attend = M._attend
+
+    def recording(q, Kt, Vt, scale, window):
+        if q.shape[0] > TILE:
+            bounded.append(M._exp_bounded(q * scale, Kt, Vt))
+        return attend(q, Kt, Vt, scale, window)
+
+    return recording
+
+
 def _record_blocks(cache) -> list:
     """Copies of every (mass, rows) pair of attention reads the cache is
     handed, in order."""
@@ -264,8 +277,8 @@ class TestForward:
             assert rows.shape == (min(len(tokens), cache.window), want.shape[1])
             np.testing.assert_allclose(rows, want[-rows.shape[0]:], rtol=0, atol=1e-12)
 
-    @settings(max_examples=25, deadline=None)
-    @given(heads=st.sampled_from(HEAD_LAYOUTS), scale=st.sampled_from([1.0, 8.0]),
+    @settings(max_examples=40, deadline=None)
+    @given(heads=st.sampled_from(HEAD_LAYOUTS), scale=st.sampled_from([1.0, 8.0, 40.0]),
            n=st.sampled_from([1, TILE - 1, TILE, TILE + 1, 2 * TILE + 3]),
            m=st.integers(0, 600), seed=st.integers(0, 2**16))
     def test_row_tiled_softmax_is_bit_identical_to_single_pass(self, heads, scale,
@@ -274,12 +287,16 @@ class TestForward:
         # and every mass and rows handed to the cache equal those of the
         # same arithmetic with a plain -inf mask, run tile by tile over each
         # tile's visible keys, and lie within the block tolerance of one
-        # single pass over the whole score array
+        # single pass over the whole score array. Every multi-tile call on
+        # unscaled weights skips the row max; ×40's scores reach about 420,
+        # which the bound admits as well
         model = _sharpened_model(heads, scale, max_seq=1024)
         tokens = np.random.default_rng(seed).integers(0, 64, m + n)
         parts = [tokens[:m], tokens[m:]] if m else [tokens]
+        bounded = []
         runs = []
-        for attend in (M._attend, _tiled_single_pass_attend, _single_pass_attend):
+        for attend in (_bound_recorder(bounded), _tiled_single_pass_attend,
+                       _single_pass_attend):
             cache = E.KvCache.for_model(model.config)
             handed = _record_blocks(cache)
             with mock.patch.object(M, "_attend", attend):
@@ -291,6 +308,79 @@ class TestForward:
             assert np.array_equal(a, b)
         for a, b in zip(got + got_blocks, whole + whole_blocks):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+        assert len(bounded) == model.config.n_layers * ((m > TILE) + (n > TILE))
+        assert all(bounded) or scale != 1.0
+
+    @settings(max_examples=25, deadline=None)
+    @given(heads=st.sampled_from(HEAD_LAYOUTS),
+           n=st.sampled_from([TILE + 1, 2 * TILE, 3 * TILE + 5]),
+           m=st.integers(0, 300), big=st.floats(1e4, 1e150), seed=st.integers(0, 2**16))
+    def test_unbounded_scores_keep_the_max_path(self, heads, n, m, big, seed):
+        # one key of norm `big` along the one axis no query has leaves every
+        # score as it was but lifts the bound past the limit: the call keeps
+        # the max path, bit-identical to the tiled mirror, and agrees with
+        # the max-free path on the same scores and with one single pass
+        (H, n_kv), hd, L = heads, 8, m + n
+        rng = np.random.default_rng(seed)
+        q = rng.normal(size=(n, H, hd))
+        q[..., -1] = 0.0
+        Kt = rng.normal(size=(n_kv, hd, L))
+        Kt[:, -1] = 0.0
+        Vt = rng.normal(size=(n_kv, L, hd + 1))
+        Vt[..., hd] = 1.0
+        scale = 1.0 / np.sqrt(hd)
+        free = M._attend(q, Kt, Vt, scale, 8)
+        assert M._exp_bounded(q * scale, Kt, Vt)
+        Kt[:, -1, rng.integers(L)] = big
+        assert not M._exp_bounded(q * scale, Kt, Vt)
+        got = M._attend(q, Kt, Vt, scale, 8)
+        for a, b, c, d in zip(got, _tiled_single_pass_attend(q, Kt, Vt, scale, 8), free,
+                              _single_pass_attend(q, Kt, Vt, scale, 8)):
+            assert np.array_equal(a, b)
+            np.testing.assert_allclose(a, c, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(a, d, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("big", [1.0, 1e300])
+    def test_exp_bound_edge_keeps_sums_finite(self, sign, big):
+        # every score at ±B, the largest bound the limit admits beside values
+        # of magnitude big, the worst case for σ and PV (+) and for 1 / (H σ)
+        # (-): B is 693.8 beside values of 1, and 3.1 beside values of 1e300
+        H, n_kv, hd, n, m = 4, 2, 16, TILE + 1, 100
+        L = m + n
+        B = (M._EXP_LIMIT - np.log(H * L * big)) * (1 - 1e-12)
+        q = np.zeros((n, H, hd))
+        q[..., 0] = sign * np.sqrt(B)
+        Kt = np.zeros((n_kv, hd, L))
+        Kt[:, 0] = np.sqrt(B)
+        Vt = np.full((n_kv, L, hd + 1), big)
+        Vt[..., hd] = 1.0
+        assert M._exp_bounded(q, Kt, Vt)
+        assert not M._exp_bounded(q * (1 + 1e-9), Kt, Vt)
+        group = H // n_kv
+        qg = q.reshape(n, n_kv, group, hd).transpose(1, 2, 0, 3).reshape(n_kv, group * n, hd)
+        pv = np.exp(qg @ Kt) @ Vt                      # every key, masked or not
+        sigma = pv[..., hd]
+        assert np.isfinite(pv).all()
+        assert (sigma >= np.finfo(float).tiny).all()
+        assert (1.0 / (H * sigma) >= np.finfo(float).tiny).all()
+        assert np.isfinite(1.0 / (H * sigma)).all()
+        out, mass, rows = M._attend(q, Kt, Vt, 1.0, 4)
+        np.testing.assert_allclose(out, big, rtol=1e-12)
+        # each query spreads its mass evenly over the keys it sees
+        np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(mass.sum(), n, rtol=1e-12)
+
+    def test_default_prefill_is_max_free(self):
+        # a later change cannot drop the default model's long prefill back
+        # to the max path without failing here
+        cfg = E.ModelConfig()
+        model = E.init_model(cfg, 0)
+        tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, 2048)
+        bounded = []
+        with mock.patch.object(M, "_attend", _bound_recorder(bounded)):
+            bench.prefill(model, tokens, E.KvCache.for_model(cfg))
+        assert bounded == [True] * (cfg.n_layers * 2048 // bench.PREFILL_CHUNK)
 
     def test_prefill_peak_memory_holds_one_score_array(self):
         cfg, length = E.ModelConfig(), 2048
@@ -313,6 +403,19 @@ class TestForward:
         # 8 MiB; the last chunk's [512, 2048] head-averaged block (8 MiB) and a
         # whole chunk's [H, 512, 2048] score array (32 MiB) do not
         assert peak < scores + rows + arena + 8 * 2**20
+
+    @pytest.mark.parametrize("bad", [[], [3] * 600 + [999], [3] * 600 + [-1],
+                                     [3] * 600 + [1.0], [3] * 1022])
+    def test_prefill_checks_the_whole_prompt_first(self, bad):
+        # an empty, out-of-vocabulary, non-integer or too long prompt raises
+        # before its first 512-token chunk reaches the cache
+        m = E.init_model(small_config(max_seq=1024), 0)
+        cache = E.KvCache.for_model(m.config)
+        bench.prefill(m, [1, 2, 3], cache)
+        with pytest.raises(ValueError):
+            bench.prefill(m, bad, cache)
+        assert [cache.kept(li) for li in range(m.config.n_layers)] == [3, 3]
+        assert cache.next_position() == 3
 
     def test_attention_rows_are_distributions(self):
         m = E.init_model(small_config(), 5)
@@ -448,11 +551,13 @@ class TestWeightMemo:
 
 def _single_pass_attend(q, Kt, Vt, scale, window):
     """model._attend as one pass over the whole [H, n, m+n] score array of
-    the same key panels Kt[kv, hd, m+n]: masked scores set to -inf by a
-    boolean index, then exp, normalise before PV, and the head-averaged
-    block as sum(axis=0) / H; its column sums and last min(n, window) rows
-    are returned."""
+    the same key panels Kt[kv, hd, m+n] and the values Vt without their ones
+    lane: masked scores set to -inf by a boolean index, then the row max
+    subtracted, exp, normalise before PV, and the head-averaged block as
+    sum(axis=0) / H; its column sums and last min(n, window) rows are
+    returned."""
     n, H, hd = q.shape
+    Vt = Vt[..., :hd]
     n_kv, L = Kt.shape[0], Kt.shape[2]
     m, group = L - n, H // n_kv
     qg = q.reshape(n, n_kv, group, hd).transpose(1, 2, 0, 3).reshape(n_kv, group * n, hd)
@@ -472,15 +577,19 @@ def _tiled_single_pass_attend(q, Kt, Vt, scale, window):
     """model._attend's arithmetic with a plain mask and a fresh score array
     per tile: on each tile of ``TILE`` query rows r0..r1 over the key
     panels it can see, Kt[..., :m + r1], the masked scores are set to -inf
-    by a boolean index before the max and exp. PV runs on the exp and is
-    divided by the row totals σ; the mass and rows take the weights
-    1 / (H σ). Every matmul and reduction has model._attend's shape, and
-    one token's row is its mass."""
+    by a boolean index and the row max is subtracted, both skipped on a
+    call of more than one tile that model._exp_bounded admits; then exp
+    runs and the masked entries are zeroed. PV runs on the exp against the
+    values with their ones lane, which gives the row totals σ, and is
+    divided by them; the mass and rows take the weights 1 / (H σ). Every
+    matmul and reduction has model._attend's shape, and one token's row is
+    its mass."""
     n, H, hd = q.shape
     n_kv, L = Kt.shape[0], Kt.shape[2]
     m, group = L - n, H // n_kv
     first = n - min(n, window)
     q = q * scale
+    max_free = n > TILE and M._exp_bounded(q, Kt, Vt)
     out, mass, rows = np.empty((n, H * hd)), np.zeros(L), np.zeros((n - first, L))
     for r0 in range(0, n, TILE):
         r1 = min(r0 + TILE, n)
@@ -488,12 +597,16 @@ def _tiled_single_pass_attend(q, Kt, Vt, scale, window):
         qg = q[r0:r1].reshape(t, n_kv, group, hd).transpose(1, 2, 0, 3)
         scores = qg.reshape(n_kv, group * t, hd) @ Kt[..., :seen]
         s = scores.reshape(H, t, seen)
-        s[:, :, m + r0:][:, np.triu(np.ones((t, t), dtype=bool), 1)] = -np.inf
-        s -= s.max(axis=-1, keepdims=True)
+        mask = np.zeros((H, t, seen), dtype=bool)
+        mask[:, :, m + r0:] = np.triu(np.ones((t, t), dtype=bool), 1)
+        if not max_free:
+            s[mask] = -np.inf
+            s -= s.max(axis=-1, keepdims=True)
         np.exp(s, out=s)
-        sigma = s.sum(axis=-1)
+        s[mask] = 0.0
         pv = scores @ Vt[:, :seen]
-        pv /= sigma.reshape(n_kv, group * t, 1)
+        sigma = pv[..., hd].reshape(H, t)
+        pv = pv[..., :hd] / pv[..., hd:]
         out[r0:r1] = pv.reshape(n_kv, group, t, hd).transpose(2, 0, 1, 3).reshape(t, -1)
         w = 1.0 / (H * sigma)
         mass[:seen] += w.reshape(-1) @ scores.reshape(H * t, seen)
@@ -519,8 +632,8 @@ def _reference_forward(model, tokens, past, start):
     for li, (past_k, past_v) in enumerate(past):
         p = f"layers.{li}."
         h = M.rms_norm(x, w(p + "attn_norm"))
-        q = M._rope_block((h @ w(p + "wq")).reshape(n, cfg.n_heads, hd), *rope)
-        k = M._rope_block((h @ w(p + "wk")).reshape(n, cfg.n_kv_heads, hd), *rope)
+        q = M._rope_block((h @ w(p + "wq")).reshape(n, cfg.n_heads, hd), rope)
+        k = M._rope_block((h @ w(p + "wk")).reshape(n, cfg.n_kv_heads, hd), rope)
         keys = np.concatenate([past_k, k])
         values = np.concatenate([past_v, (h @ w(p + "wv")).reshape(n, cfg.n_kv_heads, hd)])
         m = past_k.shape[0]
