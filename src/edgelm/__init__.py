@@ -22,7 +22,7 @@ from .quant import (PrecisionPlan, QuantSpec, QuantTensor, Structured,
                     save_quant_model, sparsify, top1_overlap, uniform_plan,
                     unpack_bits)
 from .lora import (AdapterRegistry, LinearFit, LoraAdapter, create_adapter,
-                   load_adapter, merge, qalft_fit, qalft_gradient_check,
+                   load_adapter, qalft_fit, qalft_gradient_check,
                    save_adapter)
 from .trainmath import (CaptionStats, FilterDecision, Image, InterleavedDoc,
                         MpoWeights, PairSim, PrefBatch, RolloutRecord, Text,

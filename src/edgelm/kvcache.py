@@ -7,18 +7,21 @@ policy keeps its own rule: ``evict`` asks its ``keep(layer_store, budget,
 layer)`` for the sorted kept indices of every layer over budget.
 Attention-sink keeps its sinks and the most recent entries; the others keep
 their mandatory tail plus their best-scoring other entries (see
-:func:`_tail_and_best`), and the hybrid computes only its weighted terms.
+:func:`_tail_and_best`; a one-drop, each decode step's eviction under a
+budget, is one ``argmin``), and the hybrid computes only its weighted terms.
 
 Each layer keeps its entries in capacity-doubling buffers (a single-sequence
 take on PagedAttention's KV blocks): ``stage``, the one write of keys and
 values, puts a forward's new ones in spare capacity, the forward attends
 over one view of the layer, ``append_block`` commits the staged block,
 ``truncate`` shortens the kept length and ``evict`` gathers the kept
-entries in place. Keys sit in one [head_dim, capacity] panel per KV head,
-so QK reads them unit-strided; values stay [capacity, n_kv_heads,
-head_dim + 1], which PV reads as fast and eviction gathers faster, the last
-lane a 1 so that PV also sums each row (``values``, ``layer_kv`` and
-``cache_bytes`` never show it). The arrays a layer exposes are views.
+entries in place, moving only those past the first dropped one, by one
+slice per buffer when they form one run. Keys sit in one [head_dim,
+capacity] panel per KV head, so QK reads them unit-strided; values stay
+[capacity, n_kv_heads, head_dim + 1], which PV reads as fast and eviction
+gathers faster, the last lane a 1 so that PV also sums each row
+(``values``, ``layer_kv`` and ``cache_bytes`` never show it). The arrays a
+layer exposes are views.
 
 Score state lives with the cache: an accumulated-mass vector and a ring of
 the last ``window`` head-averaged attention rows. The ring is one
@@ -32,6 +35,7 @@ columns of every slot.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -135,7 +139,7 @@ class Hybrid:
         if self.lambda_sink > 0 and self.sinks < n:
             scores[:self.sinks] = self.lambda_sink
         if self.lambda_recent > 0:
-            scores += self.lambda_recent * (np.arange(n) / (n - 1))
+            scores += self.lambda_recent * _count_terms(n, self.pool_kernel)[0]
         if self.lambda_acc > 0:
             scores += self.lambda_acc * _minmax(ls.acc)
         if self.lambda_win > 0:
@@ -253,10 +257,16 @@ class _LayerStore:
         self.next_position = int(self._positions[kept - 1]) + 1 if kept else 0
 
     def gather(self, idx: np.ndarray):
-        """Keep only the entries at the sorted indices idx, in place."""
-        self._values[:idx.size] = self._values[idx]
-        for buf in (self._keys, self._positions, self._acc, self._rows):
-            buf[..., :idx.size] = buf[..., idx]
+        """Keep only the entries at the sorted indices idx, in place. Those
+        before the first dropped index stay; the rest move back by one slice
+        per buffer when they form one run (every one-drop), else by a gather."""
+        shift = idx - np.arange(idx.size)       # nondecreasing: how far each moves
+        i = int(np.searchsorted(shift, 0, side="right"))
+        if i < idx.size:
+            src = slice(idx[i], idx[-1] + 1) if shift[i] == shift[-1] else idx[i:]
+            self._values[i:idx.size] = self._values[src]
+            for buf in (self._keys, self._positions, self._acc, self._rows):
+                buf[..., i:idx.size] = buf[..., src]
         self._rows[:, idx.size:self.kept] = 0.0
         self._lens = np.searchsorted(idx, self._lens)
         self.kept, self.staged = idx.size, 0
@@ -394,33 +404,53 @@ def _minmax(x: np.ndarray) -> np.ndarray:
     return (x - lo) / (hi - lo)
 
 
+@functools.lru_cache(maxsize=16)
+def _count_terms(n: int, kernel: int) -> tuple[np.ndarray, np.ndarray]:
+    """The score terms an n-entry layer's count alone fixes, built once and
+    read-only: the recency ramp i / (n - 1) and the clipped pooling widths."""
+    j, h = np.arange(n), kernel // 2
+    terms = j / max(n - 1, 1), np.minimum(j + h, n - 1) - np.maximum(j - h, 0) + 1.0
+    for t in terms:
+        t.flags.writeable = False
+    return terms
+
+
 def _pooled_window_score(ls: _LayerStore, obs: int, kernel: int) -> np.ndarray:
     """Mean attention over the last `obs` rows, then clipped 1-D mean pooling:
     each position averages the entries of its `kernel`-wide window that lie
-    inside the cache. The rows are summed oldest first, and their zeros past
-    each row's length and the padding add exact zeros; numpy sums fewer than
-    8 terms in order, so for kernels up to 7 every mean is bit-identical to
-    the mean of the clipped slice."""
+    inside the cache. The rows are summed oldest first, then the kernel's
+    shifted slices of the zero-padded mean row in order; the zeros past each
+    row's length and the padding add exact zeros, so every mean is
+    bit-identical to the in-order mean of the clipped slice (numpy's ``mean``
+    for kernels up to 7)."""
     n, h = ls.kept, kernel // 2
     if obs > ls._lens.size:
         raise ConfigError(f"observation window {obs} exceeds the cache's "
                           f"{ls._lens.size}-row window")
-    slots = ls.slots()[-obs:]
+    count = min(obs, ls._count)
     m = np.zeros(h + n + h)             # the mean row, zero-padded by h
-    if slots:
+    if count:
         # numpy adds the rows in order only when it sums two columns or more;
         # past n every slot is zero, and the capacity is at least 16
-        m[h:h + n] = ls._rows[slots, :max(n, 2)].sum(axis=0)[:n] / len(slots)
-    j = np.arange(n)
-    width = np.minimum(j + h, n - 1) - np.maximum(j - h, 0) + 1
-    return m[j[:, None] + np.arange(kernel)].sum(-1) / width
+        slots = np.arange(ls._head - count, ls._head)
+        m[h:h + n] = ls._rows[slots, :max(n, 2)].sum(axis=0)[:n] / count
+    pooled = m[:n].copy()
+    for d in range(1, kernel):
+        pooled += m[d:d + n]
+    return pooled / _count_terms(n, kernel)[1]
 
 
 def _tail_and_best(scores: np.ndarray, tail: int, budget: int) -> np.ndarray:
     """The sorted indices of the last ``tail`` entries and of the
     ``budget - tail`` best-scoring others: highest score first, ties toward
-    the more recent (larger) index."""
+    the more recent (larger) index. A one-drop (``budget`` one below the
+    size) drops the lowest-scoring other entry, the oldest on a tie: the
+    last in that order."""
     m = scores.size - tail
+    if budget == scores.size - 1:
+        keep = np.arange(budget)
+        keep[np.argmin(scores[:m]):] += 1
+        return keep
     order = np.lexsort((-np.arange(m), -scores[:m]))
     return np.concatenate([np.sort(order[:budget - tail]), np.arange(m, scores.size)])
 

@@ -2,9 +2,8 @@
 on a frozen quantized linear map with analytic gradients.
 
 The base model (float or quantized) is never mutated: adapter deltas are
-applied on the fly during forward, or materialized by `merge` into a separate
-model. A cryptographic hash of the base weights is exposed so deployments can
-assert the frozen contract.
+applied on the fly during forward. A cryptographic hash of the base weights
+is exposed so deployments can assert the frozen contract.
 """
 from __future__ import annotations
 
@@ -39,10 +38,6 @@ class LoraAdapter:
             entry = self._memo[slot] = (a, b, a.astype(np.float64), b.astype(np.float64))
         return entry[2], entry[3]
 
-    def delta(self, slot: str) -> np.ndarray:
-        """Effective delta, shaped like the stored [in_dim, out_dim] weight."""
-        return (self.alpha / self.r) * (self.B[slot] @ self.A[slot]).T
-
 
 def create_adapter(model: TinyLM, target_slots, r: int, alpha: float,
                    seed: int, name: str = "adapter") -> LoraAdapter:
@@ -68,15 +63,6 @@ def create_adapter(model: TinyLM, target_slots, r: int, alpha: float,
         B[slot] = np.zeros((out_dim, r), dtype=np.float32)
     return LoraAdapter(name=name, r=r, alpha=alpha, target_slots=target_slots,
                        A=A, B=B)
-
-
-def merge(w: np.ndarray, adapter: LoraAdapter, slot: str) -> np.ndarray:
-    """W' = W + (alpha/r) * (B A)^T for the dense [in_dim, out_dim] weight W."""
-    w = np.asarray(w)
-    d = adapter.delta(slot)
-    if d.shape != w.shape:
-        raise ConfigError(f"delta shape {d.shape} != weight shape {w.shape}")
-    return (w.astype(np.float64) + d).astype(np.float32)
 
 
 class AdapterRegistry:
@@ -109,18 +95,6 @@ class AdapterRegistry:
         """Forward with the active adapter's delta applied per use; the stored
         base weights are never touched."""
         return forward(self.base, tokens, cache=cache, adapter=self.active_adapter())
-
-    def merged_model(self) -> TinyLM:
-        """Offline merge of the active adapter into a fresh float model."""
-        adapter = self.active_adapter()
-        weights = {}
-        for name in self.base.config.slot_shapes():
-            w = self.base.weight(name)
-            if adapter is not None and name in adapter.target_slots:
-                weights[name] = merge(w, adapter, name)
-            else:
-                weights[name] = np.array(w, copy=True)
-        return TinyLM(config=self.base.config, weights=weights)
 
     def base_hash(self) -> str:
         h = hashlib.sha256()
@@ -261,12 +235,14 @@ def load_adapter(path) -> LoraAdapter:
         raise ManifestError(f"adapter {name}: rank {r} must be >= 1")
     A, B = {}, {}
     for i, s in enumerate(slots):
-        _manifest.fields(s, f"slots[{i}]", slot=str, a_shape=list, a_offset=int,
-                         b_shape=list, b_offset=int)
-        A[s["slot"]] = blobs.array("<f4", s["a_shape"], s["a_offset"])
-        B[s["slot"]] = blobs.array("<f4", s["b_shape"], s["b_offset"])
-        if A[s["slot"]].shape[:1] != (r,) or B[s["slot"]].shape[1:] != (r,):
-            raise ManifestError(f"slot {s['slot']}: A {s['a_shape']} and "
-                                f"B {s['b_shape']} do not have rank {r}")
-    return LoraAdapter(name=name, r=r, alpha=alpha,
-                       target_slots=tuple(s["slot"] for s in slots), A=A, B=B)
+        slot, a_shape, a_offset, b_shape, b_offset = _manifest.fields(
+            s, f"slots[{i}]", slot=str, a_shape=list, a_offset=int, b_shape=list,
+            b_offset=int)
+        if slot in A:
+            raise ManifestError(f"slot {slot} is listed twice")
+        A[slot] = blobs.array("<f4", a_shape, a_offset)
+        B[slot] = blobs.array("<f4", b_shape, b_offset)
+        if A[slot].shape[:1] + B[slot].shape[1:] != (r, r) or A[slot].ndim != 2:
+            raise ManifestError(f"slot {slot}: A {a_shape} and B {b_shape} are "
+                                f"not [r, in] and [out, r] with r = {r}")
+    return LoraAdapter(name=name, r=r, alpha=alpha, target_slots=tuple(A), A=A, B=B)

@@ -467,12 +467,16 @@ _MAGIC = b"EDGELM01"
 def read_slots(header: dict, **kinds) -> tuple[ModelConfig, list[dict]]:
     """A model manifest's config and slot entries. Each entry needs a ``name``,
     a ``shape`` and the fields in ``kinds`` (name -> type), and the entries
-    must list exactly the config's slots with their shapes."""
+    must list exactly the config's slots, each once, with their shapes."""
     config, slots = _manifest.fields(header, "header", config=dict, slots=list)
     config = _manifest.dataclass_from(ModelConfig, config, "config")
+    shapes = {}
     for i, entry in enumerate(slots):
-        _manifest.fields(entry, f"slots[{i}]", name=str, shape=list, **kinds)
-    shapes = {entry["name"]: entry["shape"] for entry in slots}
+        name, shape = _manifest.fields(entry, f"slots[{i}]", name=str, shape=list,
+                                       **kinds)[:2]
+        if name in shapes:
+            raise ManifestError(f"slot {name} is listed twice")
+        shapes[name] = shape
     expected = config.slot_shapes()
     if set(shapes) != set(expected):
         raise ManifestError("manifest slots do not match config: "

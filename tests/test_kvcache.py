@@ -1,4 +1,5 @@
 import copy
+import types
 from collections import deque
 from unittest import mock
 
@@ -706,6 +707,13 @@ def test_eviction_invariants_hold_for_every_policy(data):
         assert np.isin(kept, positions).all()
 
 
+def _in_order_mean(x):
+    total = 0.0
+    for v in x:
+        total += v
+    return total / len(x)
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_pooling_is_the_clipped_window_mean(data):
@@ -718,11 +726,11 @@ def test_pooling_is_the_clipped_window_mean(data):
                   *_handoff(np.tril(np.ones((n, n))) * row))
     pooled = kvc._pooled_window_score(c.layers[0], 1, kernel)
     h = kernel // 2
-    clipped = np.array([row[max(0, j - h):j + h + 1].mean() for j in range(n)])
-    if kernel <= 7:
-        np.testing.assert_array_equal(pooled, clipped)
-    else:
-        np.testing.assert_allclose(pooled, clipped, rtol=1e-15, atol=0)
+    clipped = [row[max(0, j - h):j + h + 1] for j in range(n)]
+    # the shifted slices add in order, for every kernel
+    np.testing.assert_array_equal(pooled, [_in_order_mean(x) for x in clipped])
+    if kernel <= 7:     # numpy's mean adds fewer than 8 terms in order
+        np.testing.assert_array_equal(pooled, [x.mean() for x in clipped])
 
 
 def test_pooled_rows_add_in_order_on_a_one_entry_cache():
@@ -807,3 +815,80 @@ def test_every_policy_keeps_the_oracle_set(data):
 def test_edge_case_keeps_the_oracle_set(policy, n, budget):
     _assert_keeps_oracle_set(make_cache(n, n_layers=2, seed=n + budget, window=8),
                              policy, budget)
+
+
+def _lexsort_tail_and_best(scores, tail, budget):
+    """The selection by one full lexsort: the last ``tail`` entries and the
+    best-scoring others, highest score first, ties toward the larger index."""
+    m = scores.size - tail
+    order = np.lexsort((-np.arange(m), -scores[:m]))
+    return np.concatenate([np.sort(order[:budget - tail]), np.arange(m, scores.size)])
+
+
+def _fancy_gather(ls, idx):
+    """The gather by one fancy index of every buffer over all kept indices."""
+    ls._values[:idx.size] = ls._values[idx]
+    for buf in (ls._keys, ls._positions, ls._acc, ls._rows):
+        buf[..., :idx.size] = buf[..., idx]
+    ls._rows[:, idx.size:ls.kept] = 0.0
+    ls._lens = np.searchsorted(idx, ls._lens)
+    ls.kept, ls.staged = idx.size, 0
+
+
+def _full_layer_state(ls):
+    return [ls._keys.copy(), ls._values.copy(), ls._positions.copy(), ls._acc.copy(),
+            ls._rows.copy(), ls._lens.copy(), ls._head, ls._count, ls.kept,
+            ls.staged, ls.next_position]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_selection_and_gather_match_lexsort_and_fancy_gather(data):
+    tail = data.draw(st.integers(0, 16))
+    n = data.draw(st.integers(tail + 1, tail + 30))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # scores in a few values force ties; a planted minimum at index 0 or
+    # just before the tail puts a one-drop there
+    scores = rng.integers(0, data.draw(st.integers(1, 4)), n) / 2
+    planted = data.draw(st.sampled_from([None, 0, n - tail - 1]))
+    if planted is not None:
+        scores[planted] = -1.0
+    budget = n - 1 - data.draw(st.integers(0, n - 1 - tail))
+    idx = kvc._tail_and_best(scores, tail, budget)
+    np.testing.assert_array_equal(idx, _lexsort_tail_and_best(scores, tail, budget))
+    if budget == n - 1 and planted is not None:
+        assert planted not in idx
+
+    # the same indices, an attention-sink drop (one run moves) or a drop of
+    # only the newest entries (nothing moves) gather what a fancy index does
+    kind = data.draw(st.sampled_from(["selected", "sink", "newest"]))
+    if kind == "sink":
+        sinks = data.draw(st.integers(0, budget))
+        idx = E.AttentionSink(sinks=sinks, window=budget - sinks).keep(
+            types.SimpleNamespace(kept=n), budget, 0)
+    elif kind == "newest":
+        idx = np.arange(budget)
+    if budget == 0:
+        return
+    window = data.draw(st.integers(1, 8))
+    cache = E.KvCache(1, 2, 3, window=window)
+    positions = np.cumsum(rng.integers(1, 3, n))
+    _append_block(cache, 0, *rng.normal(size=(2, n, 2, 3)), positions,
+                  *_handoff(np.tril(rng.random((n, n)))))
+    ls, ref = cache.layers[0], copy.deepcopy(cache.layers[0])
+    ls.gather(idx)
+    _fancy_gather(ref, idx)
+    for got, want in zip(_full_layer_state(ls), _full_layer_state(ref)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("policy", [
+    E.HeavyHitter(recent=3),
+    E.Hybrid(lambda_sink=0, lambda_recent=0, lambda_acc=1, lambda_win=0)])
+def test_one_drop_on_equal_scores_drops_the_oldest_other_entry(policy):
+    c = make_cache(20, n_layers=2, seed=16)
+    for ls in c.layers:
+        ls._acc[:ls.kept] = 0.5
+    E.evict(c, policy, 19)
+    for li in range(2):
+        assert c.kept_positions(li).tolist() == list(range(1, 20))

@@ -91,6 +91,22 @@ def _rank_zero(h):
         s.update(a_shape=[0, 16], b_shape=[16, 0])
 
 
+def _a_of_one_axis(h):
+    # A is [r, in]: an [r] A would fail in AdapterRegistry.register
+    _first(h).update(a_shape=[2])
+
+
+def _a_of_three_axes(h):
+    # an [r, in, 1] A would register, then fail to broadcast in the first forward
+    _first(h).update(a_shape=[2, 16, 1])
+
+
+def _slot_twice(h):
+    # a manifest's later entry would replace the first; an adapter's slot
+    # would be applied twice
+    h["slots"].append(dict(_first(h)))
+
+
 def _five_bits(h):
     _first(h)["spec"].update(bits=5)
 
@@ -120,6 +136,11 @@ def _negative_rope_theta(h):
     ("asym_sparse.edgelmq", lambda h: _first(h).update(zero_points=[-4, 4])),
     # A is [r, in]: a rank-1 A under a rank-2 adapter
     ("adapter.edgelma", lambda h: _first(h).update(a_shape=[1, 16])),
+    ("adapter.edgelma", _a_of_one_axis),
+    ("adapter.edgelma", _a_of_three_axes),
+    ("adapter.edgelma", _slot_twice),
+    ("float.edgelm", _slot_twice),
+    ("sym.edgelmq", _slot_twice),
     ("adapter.edgelma", _nan_alpha),
     ("adapter.edgelma", _rank_zero),
     # in-type values that the spec or config rejects
