@@ -21,21 +21,15 @@ from . import _manifest
 from . import kvcache as kvc
 from . import lora as lora_mod
 from . import quant as quant_mod
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, at_least
 from .metrics import ROUGE_VARIANT, rouge_n
-from .model import (ModelConfig, TinyLM, forward, greedy_continue, greedy_decode,
-                    in_vocab, init_model, token_ids)
+from .model import (ModelConfig, TinyLM, check_decode_fits, forward, greedy_continue,
+                    greedy_decode, in_vocab, init_model, token_ids)
 from .specdec import (DraftConfig, FeatureReuseDraft, IndependentDraft,
                       block_efficiency, decode_speculative)
 from .tasks import gen_needle
 
 ARTIFACT_VERSION = "0.1.0"
-
-
-def _at_least(low: int, **values):
-    for name, value in values.items():
-        if value < low:
-            raise ConfigError(f"{name} ({value}) must be >= {low}")
 
 
 def read(cls, obj, where: str):
@@ -52,8 +46,8 @@ class Experiment:
     method: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _at_least(0, seed=self.seed)
-        _at_least(1, trials=self.trials)
+        at_least(0, seed=self.seed)
+        at_least(1, trials=self.trials)
 
 
 def validate_config(config: dict) -> Experiment:
@@ -112,7 +106,9 @@ class EvictTask:
     decode_len: int = 16
 
     def __post_init__(self):
-        _at_least(1, decode_len=self.decode_len)
+        # the needle starts at 16 or later; its 10 tokens and the 3-token query follow
+        at_least(29, context_len=self.context_len)
+        at_least(1, decode_len=self.decode_len)
 
 
 @dataclass(frozen=True)
@@ -129,7 +125,7 @@ class EvictMethod:
 
     def __post_init__(self):
         for ratio in self.eviction_ratios:
-            _at_least(0, eviction_ratio=ratio)
+            at_least(0, eviction_ratio=ratio)
 
 
 def _clone_cache(cache: kvc.KvCache) -> kvc.KvCache:
@@ -147,7 +143,14 @@ def needle_retained(cache: kvc.KvCache, answer_start: int, answer_end: int) -> b
 
 def run_evict_bench(config: dict) -> dict:
     exp, task, method = read_config(config, EvictTask, EvictMethod)
+    check_decode_fits(exp.model, task.context_len, task.decode_len, "model")
     policies = [policy_from_spec(p) for p in method.policies]
+    for pspec, policy in zip(method.policies, policies):
+        reads_rows = isinstance(policy, kvc.ObsWindow) or (
+            isinstance(policy, kvc.Hybrid) and policy.lambda_win > 0)
+        if reads_rows and policy.obs > kvc.WINDOW:
+            raise ConfigError(f"policy {pspec['kind']} reads obs {policy.obs} rows, "
+                              f"past the cache's {kvc.WINDOW}-row window")
     kept = task.context_len - 1    # the prefill holds back the final query token
     budgets = {ratio: kept - int(round(ratio * kept))
                for ratio in method.eviction_ratios}
@@ -229,7 +232,7 @@ class SpecTask:
     prompt_len: int = 8
 
     def __post_init__(self):
-        _at_least(1, max_new=self.max_new, prompt_len=self.prompt_len)
+        at_least(1, max_new=self.max_new, prompt_len=self.prompt_len)
 
 
 @dataclass(frozen=True)
@@ -241,8 +244,8 @@ class SpecMethod:
         unknown = sorted(set(self.draft_kinds) - set(_DRAFTS))
         if unknown:
             raise ConfigError(f"draft kinds {unknown} are not in {sorted(_DRAFTS)}")
-        if any(k < 1 for k in self.k):
-            raise ConfigError(f"draft lengths k {list(self.k)} must be >= 1")
+        for k in self.k:
+            at_least(1, k=k)
 
 
 def run_spec_bench(config: dict) -> dict:
@@ -286,7 +289,7 @@ class QuantTask:
     seq_len: int = 32
 
     def __post_init__(self):
-        _at_least(1, sequences=self.sequences, seq_len=self.seq_len)
+        at_least(1, sequences=self.sequences, seq_len=self.seq_len)
 
 
 @dataclass(frozen=True)
@@ -352,7 +355,7 @@ class LoraMethod:
     base_bits: int = 4
 
     def __post_init__(self):
-        _at_least(0, adapters=self.adapters, swaps=self.swaps)
+        at_least(0, adapters=self.adapters, swaps=self.swaps)
 
 
 def run_lora_demo(config: dict) -> dict:

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one count check."""
 
 
 class ConfigError(ValueError):
@@ -19,3 +19,10 @@ class ContractViolation(RuntimeError):
 
 class ManifestError(ValueError):
     """A weight, quant or adapter file is truncated, malformed or inconsistent."""
+
+
+def at_least(low, **counts):
+    """A ConfigError naming the first of ``counts`` (name -> value) below ``low``."""
+    for name, count in counts.items():
+        if count < low:
+            raise ConfigError(f"{name} ({count}) must be >= {low}")

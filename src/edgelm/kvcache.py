@@ -41,23 +41,16 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, at_least
 
 
 # --- policies ----------------------------------------------------------------
 
-def _check_nonnegative(**counts):
-    for name, count in counts.items():
-        if count < 0:
-            raise ConfigError(f"{name} ({count}) must be nonnegative")
-
-
 def _check_window(obs: int, pool_kernel: int):
     """The observation-window rule ObsWindow and Hybrid share."""
-    if obs < 1:
-        raise ConfigError(f"obs ({obs}) must be >= 1")
-    if pool_kernel % 2 == 0 or pool_kernel < 1:
-        raise ConfigError("pool_kernel must be odd and positive")
+    at_least(1, obs=obs, pool_kernel=pool_kernel)
+    if pool_kernel % 2 == 0:
+        raise ConfigError(f"pool_kernel ({pool_kernel}) must be odd")
 
 
 @dataclass(frozen=True)
@@ -66,7 +59,7 @@ class AttentionSink:
     window: int = 4
 
     def __post_init__(self):
-        _check_nonnegative(sinks=self.sinks, window=self.window)
+        at_least(0, sinks=self.sinks, window=self.window)
 
     def floor(self) -> int:
         return self.sinks + self.window
@@ -81,7 +74,7 @@ class HeavyHitter:
     recent: int = 1
 
     def __post_init__(self):
-        _check_nonnegative(recent=self.recent)
+        at_least(0, recent=self.recent)
 
     def floor(self) -> int:
         return self.recent
@@ -122,7 +115,7 @@ class Hybrid:
             raise ConfigError(f"hybrid weights {lams} must be finite and nonnegative")
         if sum(lams) == 0:
             raise ConfigError("hybrid weights must not all be zero")
-        _check_nonnegative(sinks=self.sinks)
+        at_least(0, sinks=self.sinks)
         _check_window(self.obs, self.pool_kernel)
 
     def floor(self) -> int:
@@ -272,8 +265,13 @@ class _LayerStore:
         self.kept, self.staged = idx.size, 0
 
 
+WINDOW = 32  # a cache's default window of recent attention rows
+
+
 class KvCache:
-    def __init__(self, n_layers: int, n_kv_heads: int, head_dim: int, window: int = 32):
+    def __init__(self, n_layers: int, n_kv_heads: int, head_dim: int,
+                 window: int = WINDOW):
+        at_least(0, window=window)
         self.n_layers = n_layers
         self.n_kv_heads = n_kv_heads
         self.head_dim = head_dim
@@ -281,7 +279,7 @@ class KvCache:
         self.layers = [_LayerStore(n_kv_heads, head_dim, window) for _ in range(n_layers)]
 
     @classmethod
-    def for_model(cls, config, window: int = 32) -> "KvCache":
+    def for_model(cls, config, window: int = WINDOW) -> "KvCache":
         return cls(config.n_layers, config.n_kv_heads, config.head_dim, window)
 
     def next_position(self) -> int:
@@ -457,8 +455,7 @@ def _tail_and_best(scores: np.ndarray, tail: int, budget: int) -> np.ndarray:
 
 def evict(cache: KvCache, policy: EvictionPolicy, budget: int) -> EvictionReport:
     """Shrink every layer to at most `budget` entries, per the policy."""
-    if budget < 1:
-        raise ConfigError("budget must be positive")
+    at_least(1, budget=budget)
     if budget < policy.floor():
         raise ConfigError(
             f"budget {budget} below the policy's mandatory floor {policy.floor()}")

@@ -2,7 +2,8 @@
 on a frozen quantized linear map with analytic gradients.
 
 The base model (float or quantized) is never mutated: adapter deltas are
-applied on the fly during forward. A cryptographic hash of the base weights
+applied on the fly during forward, from factors held as float64 in memory
+and written as float32 on disk. A cryptographic hash of the base weights
 is exposed so deployments can assert the frozen contract.
 """
 from __future__ import annotations
@@ -14,53 +15,50 @@ from typing import Optional
 import numpy as np
 
 from . import _manifest
-from .errors import ConfigError, FrozenEncodingError, ManifestError
+from .errors import ConfigError, FrozenEncodingError, ManifestError, at_least
 from .model import TinyLM, ForwardOutput, forward, slot_rng
 from .quant import QuantTensor
 
 
 @dataclass
 class LoraAdapter:
+    """Factors per target slot, which the forward reads as they are.
+    :func:`create_adapter` and :func:`load_adapter` store them as float64
+    holding float32 values, which :func:`save_adapter` writes exactly."""
     name: str
     r: int
     alpha: float
     target_slots: tuple[str, ...]
     A: dict[str, np.ndarray]  # slot -> [r, in_dim]
     B: dict[str, np.ndarray]  # slot -> [out_dim, r]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def factors(self, slot: str) -> tuple[np.ndarray, np.ndarray]:
-        """A and B of a slot as float64, memoised while ``A[slot]`` and
-        ``B[slot]`` hold the same objects (as :meth:`TinyLM.resolve`)."""
-        a, b = self.A[slot], self.B[slot]
-        entry = self._memo.get(slot)
-        if entry is None or entry[0] is not a or entry[1] is not b:
-            entry = self._memo[slot] = (a, b, a.astype(np.float64), b.astype(np.float64))
-        return entry[2], entry[3]
+
+def _projected_shapes(config) -> dict[str, tuple[int, ...]]:
+    """The slots forward multiplies through an adapter's delta: every matrix
+    but the embedding, which it reads by row (and, tied, as the head)."""
+    return {slot: shape for slot, shape in config.slot_shapes().items()
+            if len(shape) == 2 and slot != "token_embed"}
 
 
 def create_adapter(model: TinyLM, target_slots, r: int, alpha: float,
                    seed: int, name: str = "adapter") -> LoraAdapter:
-    """A ~ Normal(0, 0.02) seeded per slot; B = 0 (identity at creation)."""
-    shapes = model.config.slot_shapes()
+    """A ~ Normal(0, 0.02) seeded per slot, drawn as float32; B = 0 (identity
+    at creation)."""
+    shapes = _projected_shapes(model.config)
     target_slots = tuple(target_slots)
-    if r < 1:
-        raise ConfigError("rank must be >= 1")
+    at_least(1, r=r)
     if not np.isfinite(alpha):
         raise ConfigError(f"alpha ({alpha}) must be finite")
     A, B = {}, {}
     for slot in target_slots:
         if slot not in shapes:
-            raise ConfigError(f"unknown slot {slot!r}")
-        shape = shapes[slot]
-        if len(shape) != 2:
-            raise ConfigError(f"slot {slot!r} is not a matrix")
-        in_dim, out_dim = shape
+            raise ConfigError(f"slot {slot!r} is not a projection the forward adapts")
+        in_dim, out_dim = shape = shapes[slot]
         if r > min(in_dim, out_dim):
             raise ConfigError(f"rank {r} exceeds slot {slot!r} dims {shape}")
         rng = slot_rng(seed, f"lora.{name}.{slot}")
-        A[slot] = rng.normal(0, 0.02, (r, in_dim)).astype(np.float32)
-        B[slot] = np.zeros((out_dim, r), dtype=np.float32)
+        A[slot] = rng.normal(0, 0.02, (r, in_dim)).astype(np.float32).astype(np.float64)
+        B[slot] = np.zeros((out_dim, r))
     return LoraAdapter(name=name, r=r, alpha=alpha, target_slots=target_slots,
                        A=A, B=B)
 
@@ -74,13 +72,14 @@ class AdapterRegistry:
         self.active: Optional[str] = None
 
     def register(self, adapter: LoraAdapter):
-        """Add an adapter whose every delta has its base slot's shape."""
-        shapes = self.base.config.slot_shapes()
+        """Add an adapter whose every delta has the shape of a base slot the
+        forward projects through."""
+        shapes = _projected_shapes(self.base.config)
         for slot in adapter.target_slots:
             delta = (adapter.A[slot].shape[1], adapter.B[slot].shape[0])
             if shapes.get(slot) != delta:
-                raise ConfigError(f"adapter {adapter.name} slot {slot!r}: delta "
-                                  f"shape {delta}, base shape {shapes.get(slot)}")
+                raise ConfigError(f"adapter {adapter.name} slot {slot!r}: delta shape "
+                                  f"{delta}, projected base shape {shapes.get(slot)}")
         self.adapters[adapter.name] = adapter
 
     def activate(self, name: Optional[str]):
@@ -214,7 +213,8 @@ _MAGIC = b"EDGELMA1"
 
 
 def save_adapter(adapter: LoraAdapter, path):
-    """JSON header + row-major little-endian float32 A/B blobs."""
+    """JSON header + row-major little-endian float32 A/B blobs (the factors'
+    values are float32, so this is exact)."""
     slots = []
     blobs = _manifest.Blobs()
     for slot in adapter.target_slots:
@@ -228,6 +228,7 @@ def save_adapter(adapter: LoraAdapter, path):
 
 
 def load_adapter(path) -> LoraAdapter:
+    """The adapter :func:`save_adapter` wrote, its factors cast to float64."""
     header, blobs = _manifest.read(path, _MAGIC)
     name, r, alpha, slots = _manifest.fields(header, "header", name=str, r=int,
                                              alpha=float, slots=list)
@@ -240,8 +241,8 @@ def load_adapter(path) -> LoraAdapter:
             b_offset=int)
         if slot in A:
             raise ManifestError(f"slot {slot} is listed twice")
-        A[slot] = blobs.array("<f4", a_shape, a_offset)
-        B[slot] = blobs.array("<f4", b_shape, b_offset)
+        A[slot] = blobs.array("<f4", a_shape, a_offset).astype(np.float64)
+        B[slot] = blobs.array("<f4", b_shape, b_offset).astype(np.float64)
         if A[slot].shape[:1] + B[slot].shape[1:] != (r, r) or A[slot].ndim != 2:
             raise ManifestError(f"slot {slot}: A {a_shape} and B {b_shape} are "
                                 f"not [r, in] and [out, r] with r = {r}")

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import _manifest
-from .errors import ConfigError, ManifestError, ShapeError
+from .errors import ConfigError, ManifestError, ShapeError, at_least
 from .kvcache import KvCache
 
 
@@ -57,10 +57,10 @@ class ModelConfig:
     max_seq: int = 4096
 
     def __post_init__(self):
-        for name in ("vocab_size", "d_model", "n_layers", "n_heads",
-                     "n_kv_heads", "head_dim", "ffn_mult", "max_seq"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        at_least(1, vocab_size=self.vocab_size, d_model=self.d_model,
+                 n_layers=self.n_layers, n_heads=self.n_heads,
+                 n_kv_heads=self.n_kv_heads, head_dim=self.head_dim,
+                 ffn_mult=self.ffn_mult, max_seq=self.max_seq)
         if self.n_heads % self.n_kv_heads != 0:
             raise ConfigError(
                 f"n_heads ({self.n_heads}) must be divisible by n_kv_heads ({self.n_kv_heads})")
@@ -220,7 +220,10 @@ def _proj(h: np.ndarray, model: TinyLM, slots: tuple[str, ...], adapter=None) ->
     for slot in slots:
         width = model.weights[slot].shape[-1]
         if slot in adapter.target_slots:
-            a, b = adapter.factors(slot)             # [r, in], [out, r]
+            # [r, in] and [out, r]; a float32 factor assigned by hand is cast,
+            # since a mixed-dtype matmul sums in another order
+            a = adapter.A[slot].astype(np.float64, copy=False)
+            b = adapter.B[slot].astype(np.float64, copy=False)
             y[:, col:col + width] += (adapter.alpha / adapter.r) * ((h @ a.T) @ b.T)
         col += width
     return y
@@ -262,11 +265,10 @@ def _attend(q, Kt, Vt, scale, window):
     mass, and only a tile holding some of the last ``window`` queries builds
     their rows, by one batched matmul. A call of several tiles that
     :func:`_exp_bounded` admits runs exp on the raw scores and zeroes the
-    masked ones after it. Any other subtracts the row max first: in the
-    tile's diagonal block a masked score is -inf only for the max, then
-    passes through exp as 0, since exp is several times slower on -inf. A
-    forward of up to 16 tokens is one tile over all keys: its mass is the
-    product itself, and for one token its one row is the mass.
+    masked ones after it. Any other writes -inf over them before the row
+    max, and exp turns them into 0. A forward of up to 16 tokens is one
+    tile over all keys: its mass is the product itself, and for one token
+    its one row is the mass.
     """
     n, H, hd = q.shape
     n_kv, L = Kt.shape[0], Kt.shape[2]
@@ -293,10 +295,8 @@ def _attend(q, Kt, Vt, scale, window):
             if t > 1:
                 np.copyto(diag, -np.inf, where=mask)
             s -= s.max(axis=-1, keepdims=True)
-            if t > 1:
-                np.copyto(diag, 0.0, where=mask)
         np.exp(s, out=s)
-        if t > 1:
+        if t > 1 and max_free:
             np.copyto(diag, 0.0, where=mask)
         pv = (scores @ Vt[:, :seen]).reshape(n_kv, group, t, hd + 1)
         sigma = pv[..., hd]                             # [kv, group, t]
@@ -366,7 +366,8 @@ def _layer(model: TinyLM, li: int, x, rope, positions, cache, adapter):
 
 
 def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
-    """Run the model over new tokens, extending a KV cache (by default a scratch one).
+    """Run the model over new tokens, extending a KV cache (by default a scratch
+    one) of the model's layers, KV heads and head dim.
 
     Positions continue one past the last position the cache appended, even
     when eviction dropped that entry; keys are stored post-rotation, so
@@ -377,6 +378,11 @@ def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
     n = tokens.size
     if cache is None:
         cache = KvCache.for_model(cfg, window=0)
+    layout = (cfg.n_layers, cfg.n_kv_heads, cfg.head_dim)
+    if (cache.n_layers, cache.n_kv_heads, cache.head_dim) != layout:
+        raise ValueError(f"cache (n_layers, n_kv_heads, head_dim) ({cache.n_layers}, "
+                         f"{cache.n_kv_heads}, {cache.head_dim}) does not fit the "
+                         f"model's {layout}")
     start = cache.next_position()
     positions = np.arange(start, start + n)
     if positions[-1] >= cfg.max_seq:

@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _manifest
-from .errors import ConfigError, ManifestError, ShapeError
+from .errors import ConfigError, ManifestError, ShapeError, at_least
 from .model import TinyLM, forward, read_slots
 
 _ALLOWED_BITS = (2, 3, 4, 8)
@@ -39,8 +39,7 @@ class QuantSpec:
             raise ConfigError("scheme must be symmetric or asymmetric")
         if self.granularity not in ("per-tensor", "per-row", "per-group"):
             raise ConfigError("granularity must be per-tensor, per-row, or per-group")
-        if self.group_size < 1:
-            raise ConfigError("group_size must be >= 1")
+        at_least(1, group_size=self.group_size)
 
 
 @dataclass(frozen=True)

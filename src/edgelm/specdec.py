@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolation
+from .errors import ConfigError, ContractViolation, at_least
 from .kvcache import KvCache
 from .model import (TinyLM, check_decode_fits, forward, greedy_continue, in_vocab,
                     slot_rng, token_ids)
@@ -112,8 +112,7 @@ class DraftConfig:
     k: int = 4
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("draft length k must be >= 1")
+        at_least(1, k=self.k)
 
 
 @dataclass

@@ -137,12 +137,25 @@ class TestConfig:
         ("quant", ("task", "seq_len"), 0, "seq_len"),
         ("spec", ("task", "max_new"), 0, "max_new"),
         ("spec", ("task", "prompt_len"), 0, "prompt_len"),
+        # each used to fail inside the first trial: the needle did not fit,
+        # the prompt passed max_seq, or the first eviction read 40 rows of 32
+        ("evict", ("task", "context_len"), 28, "context_len"),
+        ("evict", ("task", "context_len"), 5000, "max_seq"),
+        ("evict", ("method", "policies", 1, "obs"), 40, "obs"),
     ])
     def test_bad_value_is_a_config_error_before_any_forward(self, command, path,
                                                              value, named):
         code, err, forwards = run_cli(command, replaced(command, path, value))
         assert (code, err.get("error"), forwards) == (1, "ConfigError", 0)
         assert named in err["message"]
+
+    def test_evict_config_checks_admit_their_edges(self):
+        # the shortest context the needle fits, and a hybrid that weights
+        # no window rows, however many it would read
+        config = replaced("evict", ("task", "context_len"), 29)
+        config["method"]["policies"][2].update(lambda_win=0.0, obs=40)
+        code, err, forwards = run_cli("evict", config)
+        assert code == 0 and err == {} and forwards > 0
 
     def test_config_that_is_not_an_object_rejected_with_seed_override(self, tmp_path,
                                                                        capsys):

@@ -568,6 +568,18 @@ def test_a_forward_on_a_cache_of_another_layout_commits_nothing():
     assert (cache.total_kept(), cache.next_position()) == (0, 0)
 
 
+@pytest.mark.parametrize("n_layers", [2, 6])
+@pytest.mark.parametrize("run", [E.forward, bench.prefill])
+def test_a_forward_on_a_cache_of_another_depth_commits_nothing(n_layers, run):
+    # a 2-layer cache used to take 2 layers' entries before an IndexError,
+    # and a 6-layer one to run with its last 2 layers left empty
+    m = E.init_model(E.ModelConfig(), 0)
+    cache = E.KvCache(n_layers, 2, 16)
+    with pytest.raises(ValueError, match=rf"\({n_layers}, 2, 16\) .* \(4, 2, 16\)"):
+        run(m, [1, 2, 3], cache)
+    assert (cache.total_kept(), cache.next_position()) == (0, 0)
+
+
 @pytest.mark.parametrize("case", ["fewer", "more", "nothing_staged", "committed",
                                   "evict", "truncate"])
 def test_append_block_commits_only_the_staged_block(case):

@@ -61,6 +61,44 @@ class TestAdapterCreation:
         with pytest.raises(ConfigError):
             E.create_adapter(small_model(), TARGETS, r=100, alpha=1.0, seed=0)
 
+    def test_factors_are_float64_holding_float32_values(self, tmp_path):
+        ad = E.create_adapter(small_model(), TARGETS, r=2, alpha=4.0, seed=0)
+        E.save_adapter(ad, tmp_path / "a.bin")
+        for adapter in (ad, E.load_adapter(tmp_path / "a.bin")):
+            for factor in (*adapter.A.values(), *adapter.B.values()):
+                assert factor.dtype == np.float64
+                np.testing.assert_array_equal(factor.astype(np.float32), factor)
+
+    @pytest.mark.parametrize("tie", [True, False])
+    def test_embedding_slot_rejected(self, tie):
+        # the forward reads the embedding by row and, tied, as the head: no
+        # projection would add the delta, so the adapter would do nothing
+        m = E.init_model(E.ModelConfig(vocab_size=32, d_model=16, n_layers=1,
+                                       n_heads=2, n_kv_heads=1, head_dim=8,
+                                       max_seq=128, tie_embeddings=tie), 0)
+        with pytest.raises(ConfigError, match="token_embed"):
+            E.create_adapter(m, ("token_embed",), r=2, alpha=4.0, seed=0)
+        ad = E.create_adapter(m, TARGETS, r=2, alpha=4.0, seed=0)
+        ad.target_slots += ("token_embed",)
+        ad.A["token_embed"] = np.zeros((2, 32))
+        ad.B["token_embed"] = np.full((16, 2), 5.0)
+        reg = E.AdapterRegistry(m)
+        with pytest.raises(ConfigError, match="token_embed"):
+            reg.register(ad)
+        assert reg.adapters == {}
+
+    def test_untied_head_adapter_changes_logits(self):
+        m = E.init_model(E.ModelConfig(vocab_size=32, d_model=16, n_layers=1,
+                                       n_heads=2, n_kv_heads=1, head_dim=8,
+                                       max_seq=128, tie_embeddings=False), 0)
+        ad = E.create_adapter(m, ("lm_head",), r=2, alpha=4.0, seed=0)
+        ad.B["lm_head"][:] = 5.0
+        reg = E.AdapterRegistry(m)
+        reg.register(ad)
+        reg.activate(ad.name)
+        assert not np.allclose(reg.apply_forward([1, 2]).logits,
+                               E.forward(m, [1, 2]).logits)
+
     @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_alpha_rejected(self, alpha):
         # a NaN alpha turns every logit NaN once B is trained away from zero
@@ -82,6 +120,28 @@ class TestMergeEquivalence:
         on_the_fly = reg.apply_forward(toks).logits
         merged = E.forward(_merged_model(reg), toks).logits
         np.testing.assert_allclose(on_the_fly, merged, atol=1e-4)
+
+    @pytest.mark.parametrize("factor", ["A", "B"])
+    @pytest.mark.parametrize("how", ["rebind", "mutate"])
+    def test_next_forward_reads_the_factors_as_they_are(self, factor, how):
+        # no copy of a factor outlives a rebinding or an in-place write
+        m = small_model(2)
+        ad = E.create_adapter(m, TARGETS, r=2, alpha=4.0, seed=3)
+        for slot in TARGETS:
+            ad.B[slot] = np.random.default_rng(7).normal(0, 0.1, ad.B[slot].shape)
+        reg = E.AdapterRegistry(m)
+        reg.register(ad)
+        reg.activate(ad.name)
+        before = reg.apply_forward([4, 8, 15]).logits
+        factors = getattr(ad, factor)
+        if how == "rebind":
+            factors[TARGETS[0]] = factors[TARGETS[0]] * 3.0
+        else:
+            factors[TARGETS[0]] *= 3.0
+        after = reg.apply_forward([4, 8, 15]).logits
+        assert not np.allclose(after, before)
+        np.testing.assert_allclose(after, E.forward(_merged_model(reg), [4, 8, 15]).logits,
+                                   atol=1e-4)
 
     def test_delta_shape_matches_weight(self):
         m = small_model(2)
