@@ -3,12 +3,16 @@
 Policies: attention-sink (positional), heavy-hitter (accumulated attention
 mass), observation-window (pooled attention of the last W queries), a
 weighted hybrid over all four signal types, and a random control. Each
-policy keeps its own rule: ``evict`` asks its ``keep(layer_store, budget,
-layer)`` for the sorted kept indices of every layer over budget.
-Attention-sink keeps its sinks and the most recent entries; the others keep
-their mandatory tail plus their best-scoring other entries (see
-:func:`_tail_and_best`; a one-drop, each decode step's eviction under a
-budget, is one ``argmin``), and the hybrid computes only its weighted terms.
+policy keeps its own rule as a score: ``evict`` scores all the layers over
+budget that hold the same count in one pass, through the policy's
+``score(layer_stores, layers)``, which returns their [layers, n] score
+matrix and the policy's mandatory tail (attention-sink scores recency, its
+sinks above every other entry, and has no tail; the hybrid computes only
+its weighted terms). One selection rule, :func:`_tail_and_best`, then picks
+every layer's kept set: its tail plus its best-scoring other entries. A
+one-drop, each decode step's eviction under a budget, is one ``argmin``
+over the rows, and moves each buffer's tail back by one slice. Layers of
+different counts (single-layer appends) are scored as groups of one.
 
 Each layer keeps its entries in capacity-doubling buffers (a single-sequence
 take on PagedAttention's KV blocks): ``stage``, the one write of keys and
@@ -64,9 +68,13 @@ class AttentionSink:
     def floor(self) -> int:
         return self.sinks + self.window
 
-    def keep(self, ls: _LayerStore, budget: int, layer: int) -> np.ndarray:
-        # the sinks, then the most recent entries fill the rest of the budget
-        return np.r_[:self.sinks, ls.kept - budget + self.sinks:ls.kept]
+    def score(self, stores: list[_LayerStore], layers: list[int]):
+        # recency, the sinks above every other entry: they, then the most
+        # recent entries fill the budget; no mandatory tail
+        n = stores[0].kept
+        scores = np.arange(n, dtype=np.float64)
+        scores[:self.sinks] = n
+        return np.broadcast_to(scores, (len(stores), n)), 0
 
 
 @dataclass(frozen=True)
@@ -79,8 +87,8 @@ class HeavyHitter:
     def floor(self) -> int:
         return self.recent
 
-    def keep(self, ls: _LayerStore, budget: int, layer: int) -> np.ndarray:
-        return _tail_and_best(ls.acc, self.recent, budget)
+    def score(self, stores: list[_LayerStore], layers: list[int]):
+        return np.stack([ls.acc for ls in stores]), self.recent
 
 
 @dataclass(frozen=True)
@@ -94,9 +102,8 @@ class ObsWindow:
     def floor(self) -> int:
         return self.obs
 
-    def keep(self, ls: _LayerStore, budget: int, layer: int) -> np.ndarray:
-        return _tail_and_best(_pooled_window_score(ls, self.obs, self.pool_kernel),
-                              self.obs, budget)
+    def score(self, stores: list[_LayerStore], layers: list[int]):
+        return _pooled_window_score(stores, self.obs, self.pool_kernel), self.obs
 
 
 @dataclass(frozen=True)
@@ -122,23 +129,23 @@ class Hybrid:
         # observation window stays resident whenever it contributes a score
         return self.obs if self.lambda_win > 0 else 1
 
-    def keep(self, ls: _LayerStore, budget: int, layer: int) -> np.ndarray:
+    def score(self, stores: list[_LayerStore], layers: list[int]):
         """The weighted sum of the four min-max normalised components. The
         sink indicator normalises to itself unless every entry is a sink (a
         constant normalises to 0), recency i to i / (n - 1); a term with
         weight 0 is not computed."""
-        n = ls.kept
-        scores = np.zeros(n)
+        n = stores[0].kept
+        scores = np.zeros((len(stores), n))
         if self.lambda_sink > 0 and self.sinks < n:
-            scores[:self.sinks] = self.lambda_sink
+            scores[:, :self.sinks] = self.lambda_sink
         if self.lambda_recent > 0:
             scores += self.lambda_recent * _count_terms(n, self.pool_kernel)[0]
         if self.lambda_acc > 0:
-            scores += self.lambda_acc * _minmax(ls.acc)
+            scores += self.lambda_acc * _minmax(np.stack([ls.acc for ls in stores]))
         if self.lambda_win > 0:
             scores += self.lambda_win * _minmax(
-                _pooled_window_score(ls, self.obs, self.pool_kernel))
-        return _tail_and_best(scores, self.floor(), budget)
+                _pooled_window_score(stores, self.obs, self.pool_kernel))
+        return scores, self.floor()
 
 
 @dataclass(frozen=True)
@@ -148,10 +155,10 @@ class RandomPolicy:
     def floor(self) -> int:
         return 1
 
-    def keep(self, ls: _LayerStore, budget: int, layer: int) -> np.ndarray:
-        rng = np.random.default_rng(
-            np.random.SeedSequence([self.seed & (2**64 - 1), layer, ls.kept]))
-        return _tail_and_best(rng.random(ls.kept), 1, budget)
+    def score(self, stores: list[_LayerStore], layers: list[int]):
+        n = stores[0].kept
+        return np.stack([np.random.default_rng(np.random.SeedSequence(
+            [self.seed & (2**64 - 1), layer, n])).random(n) for layer in layers]), 1
 
 
 EvictionPolicy = Union[AttentionSink, HeavyHitter, ObsWindow, Hybrid, RandomPolicy]
@@ -220,6 +227,7 @@ class _LayerStore:
             return
         cap = max(need, 2 * self._positions.size, 16)
         values = np.empty((cap,) + self._values.shape[1:])
+        values[..., -1] = 1.0                        # the ones lane, written once
         values[:self.kept] = self._values[:self.kept]
         self._values = values
         for name in ("_keys", "_positions", "_acc", "_rows"):   # capacity last
@@ -249,20 +257,28 @@ class _LayerStore:
         self.kept, self.staged = kept, 0
         self.next_position = int(self._positions[kept - 1]) + 1 if kept else 0
 
-    def gather(self, idx: np.ndarray):
-        """Keep only the entries at the sorted indices idx, in place. Those
-        before the first dropped index stay; the rest move back by one slice
-        per buffer when they form one run (every one-drop), else by a gather."""
-        shift = idx - np.arange(idx.size)       # nondecreasing: how far each moves
+    def gather(self, keep):
+        """Keep only the entries at the sorted indices ``keep``, in place; an
+        int ``keep`` is instead a one-drop's dropped index. Those before the
+        first dropped index stay; the rest move back by one slice per buffer
+        when they form one run (every one-drop), else by a gather."""
+        if isinstance(keep, int):
+            self._lens -= self._lens > keep
+            return self._move(keep, slice(keep + 1, self.kept), self.kept - 1)
+        shift = keep - np.arange(keep.size)     # nondecreasing: how far each moves
         i = int(np.searchsorted(shift, 0, side="right"))
-        if i < idx.size:
-            src = slice(idx[i], idx[-1] + 1) if shift[i] == shift[-1] else idx[i:]
-            self._values[i:idx.size] = self._values[src]
-            for buf in (self._keys, self._positions, self._acc, self._rows):
-                buf[..., i:idx.size] = buf[..., src]
-        self._rows[:, idx.size:self.kept] = 0.0
-        self._lens = np.searchsorted(idx, self._lens)
-        self.kept, self.staged = idx.size, 0
+        run = i < keep.size and shift[i] == shift[-1]
+        self._lens = np.searchsorted(keep, self._lens)
+        self._move(i, slice(keep[i], keep[-1] + 1) if run else keep[i:], keep.size)
+
+    def _move(self, i: int, src, kept: int):
+        """Move the entries at src (a slice or indices) to slots i..kept - 1,
+        then cut the layer to its first ``kept`` entries."""
+        self._values[i:kept] = self._values[src]
+        for buf in (self._keys, self._positions, self._acc, self._rows):
+            buf[..., i:kept] = buf[..., src]
+        self._rows[:, kept:self.kept] = 0.0
+        self.kept, self.staged = kept, 0
 
 
 WINDOW = 32  # a cache's default window of recent attention rows
@@ -308,7 +324,6 @@ class KvCache:
         end = ls.kept + len(k)
         ls._keys[..., ls.kept:end] = k.transpose(1, 2, 0)
         ls._values[ls.kept:end, :, :-1] = v
-        ls._values[ls.kept:end, :, -1] = 1.0
         ls.staged = len(k)
         return ls._keys[..., :end], ls._values[:end].transpose(1, 0, 2)
 
@@ -396,10 +411,9 @@ def cache_bytes(cache: KvCache, bytes_per_element: int) -> int:
 # --- scoring -----------------------------------------------------------------
 
 def _minmax(x: np.ndarray) -> np.ndarray:
-    lo, hi = x.min(), x.max()
-    if hi == lo:
-        return np.zeros_like(x)
-    return (x - lo) / (hi - lo)
+    """Each row of x[g, n] min-max normalised; a constant row to 0."""
+    lo, hi = x.min(axis=1, keepdims=True), x.max(axis=1, keepdims=True)
+    return np.divide(x - lo, hi - lo, out=np.zeros(x.shape), where=hi != lo)
 
 
 @functools.lru_cache(maxsize=16)
@@ -413,59 +427,66 @@ def _count_terms(n: int, kernel: int) -> tuple[np.ndarray, np.ndarray]:
     return terms
 
 
-def _pooled_window_score(ls: _LayerStore, obs: int, kernel: int) -> np.ndarray:
-    """Mean attention over the last `obs` rows, then clipped 1-D mean pooling:
-    each position averages the entries of its `kernel`-wide window that lie
-    inside the cache. The rows are summed oldest first, then the kernel's
-    shifted slices of the zero-padded mean row in order; the zeros past each
-    row's length and the padding add exact zeros, so every mean is
-    bit-identical to the in-order mean of the clipped slice (numpy's ``mean``
-    for kernels up to 7)."""
-    n, h = ls.kept, kernel // 2
-    if obs > ls._lens.size:
+def _pooled_window_score(stores: list[_LayerStore], obs: int, kernel: int) -> np.ndarray:
+    """Per layer of ``stores``, all n entries long, the mean attention over
+    its last `obs` rows, then clipped 1-D mean pooling: each position
+    averages the entries of its `kernel`-wide window that lie inside the
+    cache. The rows are summed oldest first, then the kernel's shifted
+    slices of the zero-padded mean rows in order; the zeros past each row's
+    length and the padding add exact zeros, so every mean is bit-identical
+    to the in-order mean of the clipped slice (numpy's ``mean`` for kernels
+    up to 7). Returns [layers, n]."""
+    n, h = stores[0].kept, kernel // 2
+    if obs > stores[0]._lens.size:
         raise ConfigError(f"observation window {obs} exceeds the cache's "
-                          f"{ls._lens.size}-row window")
-    count = min(obs, ls._count)
-    m = np.zeros(h + n + h)             # the mean row, zero-padded by h
-    if count:
-        # numpy adds the rows in order only when it sums two columns or more;
-        # past n every slot is zero, and the capacity is at least 16
-        slots = np.arange(ls._head - count, ls._head)
-        m[h:h + n] = ls._rows[slots, :max(n, 2)].sum(axis=0)[:n] / count
-    pooled = m[:n].copy()
+                          f"{stores[0]._lens.size}-row window")
+    m = np.zeros((len(stores), h + n + h))      # the mean rows, zero-padded by h
+    for mean, ls in zip(m, stores):
+        count = min(obs, ls._count)
+        if count:
+            # numpy adds the rows in order only when it sums two columns or
+            # more; past n every slot is zero, and the capacity is at least 16
+            slots = np.arange(ls._head - count, ls._head)
+            mean[h:h + n] = ls._rows[slots, :max(n, 2)].sum(axis=0)[:n] / count
+    pooled = m[:, :n].copy()
     for d in range(1, kernel):
-        pooled += m[d:d + n]
+        pooled += m[:, d:d + n]
     return pooled / _count_terms(n, kernel)[1]
 
 
-def _tail_and_best(scores: np.ndarray, tail: int, budget: int) -> np.ndarray:
-    """The sorted indices of the last ``tail`` entries and of the
-    ``budget - tail`` best-scoring others: highest score first, ties toward
-    the more recent (larger) index. A one-drop (``budget`` one below the
-    size) drops the lowest-scoring other entry, the oldest on a tie: the
-    last in that order."""
-    m = scores.size - tail
-    if budget == scores.size - 1:
-        keep = np.arange(budget)
-        keep[np.argmin(scores[:m]):] += 1
-        return keep
-    order = np.lexsort((-np.arange(m), -scores[:m]))
-    return np.concatenate([np.sort(order[:budget - tail]), np.arange(m, scores.size)])
+def _tail_and_best(scores: np.ndarray, tail: int, budget: int):
+    """Per row of scores [layers, n], the sorted indices [layers, budget] of
+    the last ``tail`` entries and of the ``budget - tail`` best-scoring
+    others: highest score first, ties toward the more recent (larger)
+    index. A one-drop (``budget`` one below n) gives instead each row's
+    dropped index, as a list of ints: its lowest-scoring other entry, the
+    oldest on a tie, the last in that order (one ``argmin`` over rows)."""
+    g, n = scores.shape
+    m = n - tail
+    if budget == n - 1:
+        return scores[:, :m].argmin(axis=1).tolist()
+    order = np.lexsort((np.broadcast_to(-np.arange(m), (g, m)), -scores[:, :m]))
+    return np.hstack([np.sort(order[:, :budget - tail]),
+                      np.broadcast_to(np.arange(m, n), (g, tail))])
 
 
 def evict(cache: KvCache, policy: EvictionPolicy, budget: int) -> EvictionReport:
-    """Shrink every layer to at most `budget` entries, per the policy."""
+    """Shrink every layer to at most `budget` entries, per the policy: the
+    layers over budget that hold the same count are scored in one pass
+    (``policy.score`` gives their [layers, n] scores and the mandatory tail)
+    and :func:`_tail_and_best` picks each one's kept set."""
     at_least(1, budget=budget)
     if budget < policy.floor():
         raise ConfigError(
             f"budget {budget} below the policy's mandatory floor {policy.floor()}")
-    reports = []
-    for li, ls in enumerate(cache.layers):
-        n = ls.kept
-        if n > budget:
-            ls.gather(policy.keep(ls, budget, li))
-        reports.append(LayerReport(kept_count=ls.kept, evicted_count=n - ls.kept))
-    return EvictionReport(layers=reports)
+    counts = [ls.kept for ls in cache.layers]
+    for n in dict.fromkeys(c for c in counts if c > budget):    # each count once
+        layers = [li for li, c in enumerate(counts) if c == n]
+        stores = [cache.layers[li] for li in layers]
+        for ls, keep in zip(stores, _tail_and_best(*policy.score(stores, layers), budget)):
+            ls.gather(keep)
+    return EvictionReport(layers=[LayerReport(kept_count=ls.kept, evicted_count=n - ls.kept)
+                                  for ls, n in zip(cache.layers, counts)])
 
 
 def eviction_ratio(report: EvictionReport) -> float:

@@ -23,11 +23,20 @@ scratch one with no window of rows: each layer stages its new keys and
 values once, attends over one view of the cached and new entries, then
 commits them with the eviction policies' reads of the head-averaged
 attention: the new queries' column mass and the last ``window`` rows.
+
+A one-token forward costs numpy calls more than arithmetic, so each model
+keeps a per-layer plan (:meth:`TinyLM.plan`): its fused float64 weights,
+with the norm scales folded in, and each adapted slot's columns, checked
+by identity once per forward and rebuilt only for the layers whose slots
+were rebound. Rope reads cached inverse frequencies.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -110,11 +119,23 @@ class TinyLM:
     while every one of its slots still holds the object it was built from, so
     rebinding ``weights[name]`` to another array or ``QuantTensor`` is picked
     up; an array or encoding mutated in place after the first forward is not.
+
+    ``forward`` reads them through :meth:`plan`: one record per layer, then
+    one for the head, each holding its fused float64 projections ([wq|wk|wv],
+    wo, [w_gate|w_up], w_down; the embedding and the head) and each adapted
+    slot's column range. A norm's scale is folded into the projection after
+    it, the final norm's into the head; a unit scale, which every served
+    model has, quantized ones included, folds to the memo's own array, so the
+    fused arrays are the memo's and the logits are unchanged. A record is
+    rebuilt by the same identity rule, for its own slots only, so rebinding
+    one slot rebuilds one layer's record. ``_layer`` stays a function, so
+    that a layer's temporaries are freed when it returns.
     """
     config: ModelConfig
     weights: dict  # slot name -> np.ndarray (float32) or QuantTensor
     stats: dict = field(default_factory=lambda: {"forwards": 0})
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _plan: tuple = field(default=((), (), ()), init=False, repr=False, compare=False)
 
     def weight(self, name: str) -> np.ndarray:
         """Resolve a slot to a dense float array, dequantizing if needed."""
@@ -139,8 +160,53 @@ class TinyLM:
         self._memo[names] = (tuple(self.weights[n] for n in names), out)
         return out
 
+    def plan(self) -> list:
+        """Each layer's record, then the head's (see the class docstring):
+        a layer's is its (qkv, wo, gate_up, down) projections, the head's
+        (embedding, head projection). A projection is (folded weight, its
+        slots' (name, first, end) columns, the scale of the norm before it,
+        or None when there is none or it is a unit one)."""
+        names, sources, records = self._plan
+        if records and all(map(operator.is_, sources, map(self.weights.__getitem__, names))):
+            return records
+        groups = [tuple(f"layers.{i}.{slot}" for slot in _LAYER_SLOTS)
+                  for i in range(self.config.n_layers)]
+        groups.append(("token_embed", "final_norm", "lm_head")[:3 - self.config.tie_embeddings])
+        built = dict(zip(names, sources))   # the objects the records were built from
+        records = [record if record and all(self.weights[s] is built[s] for s in group)
+                   else _record(self, *group)
+                   for group, record in zip(groups, records or [None] * len(groups))]
+        names = sum(groups, ())
+        self._plan = (names, tuple(map(self.weights.__getitem__, names)), records)
+        return records
+
     def reset_counters(self):
         self.stats["forwards"] = 0
+
+
+_LAYER_SLOTS = ("attn_norm", "wq", "wk", "wv", "wo", "ffn_norm", "w_gate", "w_up",
+                "w_down")
+
+
+def _projection(model: TinyLM, norm, *slots: str, w=None):
+    """The slots side by side (or ``w``) with the scale of the norm slot
+    ``norm`` folded into their rows, each slot's (name, first, end) columns,
+    and the scale: None with no norm or a unit one, which folds to ``w``."""
+    scale = model.resolve(norm) if norm and (model.resolve(norm) != 1.0).any() else None
+    w = model.resolve(*slots) if w is None else w
+    ends = list(itertools.accumulate(model.weights[s].shape[-1] for s in slots))
+    return (w if scale is None else scale[:, None] * w,
+            tuple(zip(slots, [0] + ends[:-1], ends)), scale)
+
+
+def _record(model: TinyLM, *names: str):
+    """The plan record of one layer's nine slots, or of the head's."""
+    if names[0] == "token_embed":
+        embed = model.resolve("token_embed")
+        return embed, _projection(model, "final_norm", *names[2:],
+                                  w=None if names[2:] else embed.T)
+    return (_projection(model, names[0], *names[1:4]), _projection(model, None, names[4]),
+            _projection(model, names[5], *names[6:8]), _projection(model, None, names[8]))
 
 
 @dataclass
@@ -178,8 +244,14 @@ def init_model(config: ModelConfig, seed: int) -> TinyLM:
 
 
 def rms_norm(x: np.ndarray, scale: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    rms = np.sqrt((x * x).sum(axis=-1, keepdims=True) / x.shape[-1] + eps)
-    return (x / rms) * scale
+    return _normed(x, eps) * scale
+
+
+def _normed(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
+    """RMS norm with unit scale: x over the root mean square of its rows."""
+    # (x * x).sum(axis=-1, keepdims=True), without the keyword parsing that
+    # takes a third of a one-row norm
+    return x / np.sqrt(np.add.reduce(x * x, -1, None, None, True) / x.shape[-1] + eps)
 
 
 def apply_rope(vec: np.ndarray, position: int, theta: float) -> np.ndarray:
@@ -194,8 +266,16 @@ def apply_rope(vec: np.ndarray, position: int, theta: float) -> np.ndarray:
 
 def _rope_table(positions: np.ndarray, d: int, theta: float) -> np.ndarray:
     """cos + i sin of the rope angles at positions[n], shaped [n, 1, d/2]."""
-    ang = positions[:, None, None] * theta ** (-2.0 * np.arange(d // 2) / d)
+    ang = positions[:, None, None] * _inverse_frequencies(d, theta)
     return np.cos(ang) + 1j * np.sin(ang)
+
+
+@functools.lru_cache(maxsize=8)
+def _inverse_frequencies(d: int, theta: float) -> np.ndarray:
+    """theta ** (-2p / d) for each rope pair p, built once and read-only."""
+    out = theta ** (-2.0 * np.arange(d // 2) / d)
+    out.setflags(write=False)
+    return out
 
 
 def _rope_block(x: np.ndarray, rot: np.ndarray) -> np.ndarray:
@@ -211,21 +291,22 @@ def _silu(x: np.ndarray) -> np.ndarray:
     return np.divide(x, y, out=y)
 
 
-def _proj(h: np.ndarray, model: TinyLM, slots: tuple[str, ...], adapter=None) -> np.ndarray:
-    """h @ the slots side by side; each slot's columns add its adapter delta."""
-    y = h @ model.resolve(*slots)
+def _proj(h: np.ndarray, proj, adapter=None) -> np.ndarray:
+    """h @ a plan projection (see :meth:`TinyLM.plan`); each adapted slot's
+    columns add its delta, which reads the norm's output with its scale."""
+    w, cols, scale = proj
+    y = h @ w
     if adapter is None:
         return y
-    col = 0
-    for slot in slots:
-        width = model.weights[slot].shape[-1]
+    if scale is not None:
+        h = h * scale
+    for slot, first, end in cols:
         if slot in adapter.target_slots:
             # [r, in] and [out, r]; a float32 factor assigned by hand is cast,
             # since a mixed-dtype matmul sums in another order
             a = adapter.A[slot].astype(np.float64, copy=False)
             b = adapter.B[slot].astype(np.float64, copy=False)
-            y[:, col:col + width] += (adapter.alpha / adapter.r) * ((h @ a.T) @ b.T)
-        col += width
+            y[:, first:end] += (adapter.alpha / adapter.r) * ((h @ a.T) @ b.T)
     return y
 
 
@@ -294,7 +375,7 @@ def _attend(q, Kt, Vt, scale, window):
         if not max_free:
             if t > 1:
                 np.copyto(diag, -np.inf, where=mask)
-            s -= s.max(axis=-1, keepdims=True)
+            s -= np.maximum.reduce(s, -1, None, None, True)    # the row max
         np.exp(s, out=s)
         if t > 1 and max_free:
             np.copyto(diag, 0.0, where=mask)
@@ -339,30 +420,27 @@ def in_vocab(ids: np.ndarray, vocab_size: int) -> np.ndarray:
     return ids
 
 
-def _layer(model: TinyLM, li: int, x, rope, positions, cache, adapter):
-    """Layer li over the residual stream x [n, d_model]; its temporaries
-    are freed when it returns."""
-    cfg = model.config
+def _layer(cfg: ModelConfig, record, li: int, x, rope, positions, cache, adapter):
+    """Layer li over the residual stream x [n, d_model], from its plan
+    record; its temporaries are freed when it returns."""
+    qkv_proj, wo, gate_up_proj, down = record
     n, hd = x.shape[0], cfg.head_dim
     n_qk = cfg.n_heads + cfg.n_kv_heads
-    p = f"layers.{li}."
-    h = rms_norm(x, model.resolve(p + "attn_norm"))
-    qkv = _proj(h, model, (p + "wq", p + "wk", p + "wv"), adapter)
+    qkv = _proj(_normed(x), qkv_proj, adapter)
     qk = _rope_block(qkv[:, :n_qk * hd].reshape(n, n_qk, hd), rope)
     q, k = qk[:, :cfg.n_heads], qk[:, cfg.n_heads:]
     v = qkv[:, n_qk * hd:].reshape(n, cfg.n_kv_heads, hd)
 
     # views of the cached and new keys, as [kv, hd, m+n] panels, and values
     Kt, Vt = cache.stage(li, k, v)
-    out, mass, rows = _attend(q, Kt, Vt, 1.0 / np.sqrt(hd), cache.window)
-    x = x + _proj(out, model, (p + "wo",), adapter)
+    out, mass, rows = _attend(q, Kt, Vt, 1.0 / math.sqrt(hd), cache.window)
+    x = x + _proj(out, wo, adapter)
     cache.append_block(li, positions, mass, rows)
 
-    h2 = rms_norm(x, model.resolve(p + "ffn_norm"))
-    gate_up = _proj(h2, model, (p + "w_gate", p + "w_up"), adapter)
+    gate_up = _proj(_normed(x), gate_up_proj, adapter)
     gate = _silu(gate_up[:, :cfg.ffn_dim])
     gate *= gate_up[:, cfg.ffn_dim:]
-    return x + _proj(gate, model, (p + "w_down",), adapter)
+    return x + _proj(gate, down, adapter)
 
 
 def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
@@ -389,17 +467,14 @@ def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
         raise ValueError(f"sequence exceeds max_seq ({cfg.max_seq})")
 
     model.stats["forwards"] += 1
+    *layers, (embed, head) = model.plan()
     rope = _rope_table(positions, cfg.head_dim, cfg.rope_theta)
-    x = model.resolve("token_embed")[tokens]
-    for li in range(cfg.n_layers):
-        x = _layer(model, li, x, rope, positions, cache, adapter)
-
-    fh = rms_norm(x, model.resolve("final_norm"))
-    if cfg.tie_embeddings:
-        logits = fh @ model.resolve("token_embed").T
-    else:
-        logits = _proj(fh, model, ("lm_head",), adapter)
-    return ForwardOutput(logits=logits, final_hidden=fh)
+    x = embed[tokens]
+    for li, record in enumerate(layers):
+        x = _layer(cfg, record, li, x, rope, positions, cache, adapter)
+    h = _normed(x)
+    return ForwardOutput(logits=_proj(h, head, adapter),
+                         final_hidden=h if head[2] is None else h * head[2])
 
 
 def greedy_continue(model: TinyLM, cache, tokens, n: int, adapter=None) -> list[int]:

@@ -358,14 +358,14 @@ def assign_precision(model: TinyLM, calibration, bpw_budget: float,
         return quantize(np.asarray(model.weight(name), dtype=np.float64),
                         replace(base[name], bits=bits))
 
-    def overlap_for(levels: dict[str, int]) -> float:
-        qm = TinyLM(config=model.config,
-                    weights={s: quantized_slot(s, levels[s]) for s in slots})
-        return _agreement(qm, calibration, ref_preds)
+    # one trial model: a trial rebinds the slot it moves, then rebinds it
+    # back, so each forward's plan rebuilds only that slot's layer record
+    trial_model = TinyLM(config=model.config, weights={})
 
     def best_step(levels: dict[str, int], step: int):
         """Levels with the one-rung move (+1 demotes, -1 promotes within the
         budget) that keeps the most overlap, first slot on ties; None if none."""
+        trial_model.weights.update((s, quantized_slot(s, levels[s])) for s in slots)
         best, best_ov = None, None
         for s in slots:
             i = _LADDER.index(levels[s]) + step
@@ -374,7 +374,9 @@ def assign_precision(model: TinyLM, calibration, bpw_budget: float,
             trial = {**levels, s: _LADDER[i]}
             if step < 0 and not fits(trial):
                 continue
-            ov = overlap_for(trial)
+            trial_model.weights[s] = quantized_slot(s, trial[s])
+            ov = _agreement(trial_model, calibration, ref_preds)
+            trial_model.weights[s] = quantized_slot(s, levels[s])
             if best is None or ov > best_ov:
                 best, best_ov = trial, ov
         return best

@@ -1,0 +1,31 @@
+"""tools/ab_inprocess.py --quick, with this checkout on both sides."""
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+from tools import ab_inprocess
+
+ROOT = Path(__file__).resolve().parents[1]
+FIELDS = {"unit", "parent_median", "change_median", "median_ratio", "change_faster",
+          "tokens_equal"}
+
+
+def test_quick_run_writes_every_shape_and_keeps_other_keys(tmp_path):
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"summary": {"kept": True}}))
+    # a process of its own: the tool sets this process's BLAS thread variables
+    proc = subprocess.run([sys.executable, "tools/ab_inprocess.py", str(ROOT), str(ROOT),
+                           "--out", str(out), "--quick"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["summary"] == {"kept": True}
+    shapes = doc["in_process"]["shapes"]
+    assert set(shapes) == set(ab_inprocess.SHAPES)
+    for name, shape in shapes.items():
+        assert set(shape) == FIELDS, name
+        assert math.isfinite(shape["median_ratio"]) and shape["median_ratio"] > 0
+        assert shape["change_faster"].endswith("of 2")
+        assert shape["tokens_equal"] is True, name

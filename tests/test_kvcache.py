@@ -486,7 +486,7 @@ def test_arena_matches_concatenating_store(data):
             _assert_same_layer(_layer_state(ls), _layer_state(ref))
             # every ring slot, live or not, is zero past the kept count
             assert not ls._rows[:, ls.kept:].any()
-            np.testing.assert_array_equal(kvc._pooled_window_score(ls, obs, kernel),
+            np.testing.assert_array_equal(kvc._pooled_window_score([ls], obs, kernel)[0],
                                           _pooled_reference(ref, obs, kernel))
         _assert_arena_values(cache, refs)
 
@@ -736,7 +736,7 @@ def test_pooling_is_the_clipped_window_mean(data):
     c = E.KvCache(1, 1, 1, window=1)
     _append_block(c, 0, np.zeros((n, 1, 1)), np.zeros((n, 1, 1)), np.arange(n),
                   *_handoff(np.tril(np.ones((n, n))) * row))
-    pooled = kvc._pooled_window_score(c.layers[0], 1, kernel)
+    pooled = kvc._pooled_window_score(c.layers, 1, kernel)[0]
     h = kernel // 2
     clipped = [row[max(0, j - h):j + h + 1] for j in range(n)]
     # the shifted slices add in order, for every kernel
@@ -757,7 +757,7 @@ def test_pooled_rows_add_in_order_on_a_one_entry_cache():
         mean = 0.0
         for r in rows:
             mean += r[0]
-        assert kvc._pooled_window_score(c.layers[0], 8, 1).tolist() == [mean / 8]
+        assert kvc._pooled_window_score(c.layers, 8, 1).tolist() == [[mean / 8]]
 
 
 @pytest.mark.parametrize("policy", [E.HeavyHitter(recent=0),
@@ -829,6 +829,53 @@ def test_edge_case_keeps_the_oracle_set(policy, n, budget):
                              policy, budget)
 
 
+HYBRID_EDGE_CASES = [
+    E.Hybrid(sinks=0, obs=4), E.Hybrid(sinks=20, obs=4), E.Hybrid(sinks=30, obs=4),
+    E.Hybrid(sinks=19, obs=4),
+    E.Hybrid(lambda_sink=1, lambda_recent=0, lambda_acc=0, lambda_win=0),
+    E.Hybrid(lambda_sink=0, lambda_recent=0, lambda_acc=1, lambda_win=0),
+    E.Hybrid(lambda_sink=0, lambda_recent=1, lambda_acc=0, lambda_win=1, obs=4),
+    E.Hybrid(lambda_sink=1, lambda_recent=0, lambda_acc=0, lambda_win=0, sinks=0),
+    E.Hybrid(obs=4), E.Hybrid(lambda_win=0, obs=16)]
+ONE_PASS_POLICIES = [bench.policy_from_spec(spec)
+                     for spec in bench.EvictMethod().policies] + HYBRID_EDGE_CASES
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_pass_keeps_each_layers_oracle_set(data):
+    # layers that hold one count are scored together; single-layer appends
+    # give layers counts of their own, which evict in groups of one
+    policy = data.draw(st.sampled_from(ONE_PASS_POLICIES))
+    floor = max(policy.floor(), 1)
+    n_layers = data.draw(st.integers(1, 4))
+    n = data.draw(st.integers(floor + 1, floor + 24))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32)))
+    exact = data.draw(st.booleans())    # sixteenths tie; full-mantissa floats rarely do
+    cache = E.KvCache(n_layers, 1, 1, window=16)
+    for li in range(n_layers):
+        attn = rng.integers(0, 17, (n, n)) / 16 if exact else rng.random((n, n))
+        _append_block(cache, li, rng.normal(size=(n, 1, 1)), rng.normal(size=(n, 1, 1)),
+                      np.arange(n), *_handoff(np.tril(attn)))
+    if data.draw(st.booleans()):
+        for li, ls in enumerate(cache.layers):
+            for _ in range(data.draw(st.integers(0, 2))):
+                row = rng.random(ls.kept + 1)
+                cache.append(li, rng.normal(size=1), rng.normal(size=1), ls.next_position,
+                             row / row.sum())
+    k = min(cache.kept(li) for li in range(n_layers))
+    budget = max(floor, data.draw(st.sampled_from([k - 1, floor]) | st.integers(floor, k + 1)))
+    _assert_keeps_oracle_set(cache, policy, budget)
+
+
+def test_one_drops_in_one_pass_drop_each_layers_own_argmin():
+    c = make_cache(20, n_layers=4, seed=17)
+    before = [c.kept_positions(li) for li in range(4)]
+    _assert_keeps_oracle_set(c, E.HeavyHitter(recent=3), 19)
+    dropped = [np.setdiff1d(b, c.kept_positions(li)).tolist() for li, b in enumerate(before)]
+    assert len(set(map(tuple, dropped))) > 1
+
+
 def _lexsort_tail_and_best(scores, tail, budget):
     """The selection by one full lexsort: the last ``tail`` entries and the
     best-scoring others, highest score first, ties toward the larger index."""
@@ -845,6 +892,12 @@ def _fancy_gather(ls, idx):
     ls._rows[:, idx.size:ls.kept] = 0.0
     ls._lens = np.searchsorted(idx, ls._lens)
     ls.kept, ls.staged = idx.size, 0
+
+
+def _kept_indices(keep, n):
+    """The kept indices of a _tail_and_best row: the row itself, or all n
+    but the one dropped index of a one-drop."""
+    return np.delete(np.arange(n), keep) if isinstance(keep, int) else keep
 
 
 def _full_layer_state(ls):
@@ -866,7 +919,8 @@ def test_selection_and_gather_match_lexsort_and_fancy_gather(data):
     if planted is not None:
         scores[planted] = -1.0
     budget = n - 1 - data.draw(st.integers(0, n - 1 - tail))
-    idx = kvc._tail_and_best(scores, tail, budget)
+    keep = kvc._tail_and_best(scores[None], tail, budget)[0]
+    idx = _kept_indices(keep, n)
     np.testing.assert_array_equal(idx, _lexsort_tail_and_best(scores, tail, budget))
     if budget == n - 1 and planted is not None:
         assert planted not in idx
@@ -876,10 +930,11 @@ def test_selection_and_gather_match_lexsort_and_fancy_gather(data):
     kind = data.draw(st.sampled_from(["selected", "sink", "newest"]))
     if kind == "sink":
         sinks = data.draw(st.integers(0, budget))
-        idx = E.AttentionSink(sinks=sinks, window=budget - sinks).keep(
-            types.SimpleNamespace(kept=n), budget, 0)
+        keep = kvc._tail_and_best(*E.AttentionSink(sinks=sinks, window=budget - sinks)
+                                  .score([types.SimpleNamespace(kept=n)], [0]), budget)[0]
+        idx = _kept_indices(keep, n)
     elif kind == "newest":
-        idx = np.arange(budget)
+        keep = idx = np.arange(budget)
     if budget == 0:
         return
     window = data.draw(st.integers(1, 8))
@@ -888,7 +943,7 @@ def test_selection_and_gather_match_lexsort_and_fancy_gather(data):
     _append_block(cache, 0, *rng.normal(size=(2, n, 2, 3)), positions,
                   *_handoff(np.tril(rng.random((n, n)))))
     ls, ref = cache.layers[0], copy.deepcopy(cache.layers[0])
-    ls.gather(idx)
+    ls.gather(keep)
     _fancy_gather(ref, idx)
     for got, want in zip(_full_layer_state(ls), _full_layer_state(ref)):
         np.testing.assert_array_equal(got, want)

@@ -143,6 +143,27 @@ class TestMergeEquivalence:
         np.testing.assert_allclose(after, E.forward(_merged_model(reg), [4, 8, 15]).logits,
                                    atol=1e-4)
 
+    def test_wo_and_untied_head_deltas_read_the_scaled_norms(self):
+        # non-unit norm scales are folded into the base weights; each delta
+        # still reads its projection's input with the norm's scale
+        m = E.init_model(E.ModelConfig(vocab_size=32, d_model=16, n_layers=1,
+                                       n_heads=2, n_kv_heads=1, head_dim=8,
+                                       max_seq=128, tie_embeddings=False), 4)
+        rng = np.random.default_rng(4)
+        for name in ("layers.0.attn_norm", "layers.0.ffn_norm", "final_norm"):
+            m.weights[name] = rng.uniform(0.5, 2.0, 16).astype(np.float32)
+        reg = E.AdapterRegistry(m)
+        for slots in (["layers.0.wo"], ["lm_head"], ["layers.0.wq", "layers.0.w_up"]):
+            ad = E.create_adapter(m, slots, r=2, alpha=4.0, seed=5, name=slots[0])
+            for slot in slots:
+                ad.B[slot] = rng.normal(0, 0.1, ad.B[slot].shape).astype(np.float32)
+            reg.register(ad)
+            reg.activate(ad.name)
+            logits = reg.apply_forward([4, 8, 15]).logits
+            assert not np.allclose(logits, E.forward(m, [4, 8, 15]).logits)
+            np.testing.assert_allclose(logits, E.forward(_merged_model(reg), [4, 8, 15]).logits,
+                                       atol=1e-4)
+
     def test_delta_shape_matches_weight(self):
         m = small_model(2)
         ad = E.create_adapter(m, TARGETS, r=2, alpha=4.0, seed=3)

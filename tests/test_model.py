@@ -549,6 +549,68 @@ class TestWeightMemo:
                                           E.forward(dense, part, cache=cache_f).logits)
 
 
+class TestPlan:
+    TOKENS = [3, 17, 40, 8, 22, 9]
+
+    def test_rebound_slots_reach_the_next_forward(self):
+        # norm scales fold into the projections after them; a non-unit one
+        # is folded into a copy, and the tied embedding is also the head
+        m = E.init_model(small_config(), 5)
+        fo = E.forward(m, self.TOKENS)
+        rng = np.random.default_rng(5)
+        cfg = m.config
+        past = [(np.zeros((0, cfg.n_kv_heads, cfg.head_dim)),) * 2] * cfg.n_layers
+        for name in ("layers.0.attn_norm", "layers.1.ffn_norm", "final_norm",
+                     "layers.1.wq", "layers.0.w_down", "token_embed"):
+            w = m.weights[name]
+            m.weights[name] = (w * rng.uniform(0.5, 2.0, w.shape)).astype(np.float32)
+            before, fo = fo, E.forward(m, self.TOKENS)
+            assert not np.allclose(fo.logits, before.logits)
+            want, _ = _reference_forward(m, self.TOKENS, past, 0)
+            np.testing.assert_allclose(fo.logits, want, rtol=0, atol=1e-10)
+            # the final hidden state keeps the final norm's scale
+            np.testing.assert_allclose(fo.final_hidden @ m.weight("token_embed").T,
+                                       fo.logits, rtol=0, atol=1e-10)
+
+    def test_one_rebound_slot_rebuilds_one_layer(self):
+        m = E.init_model(small_config(n_layers=3), 6)
+        E.forward(m, self.TOKENS)
+        first = m.plan()
+        m.weights["layers.1.w_up"] = m.weights["layers.1.w_up"] * np.float32(2)
+        second = m.plan()
+        assert [a is b for a, b in zip(first, second)] == [True, False, True, True]
+
+    @pytest.mark.parametrize("kind", ["float", "quant"])
+    def test_a_reloaded_model_builds_its_own_plan(self, kind, tmp_path):
+        m = E.init_model(small_config(), 7)
+        if kind == "quant":
+            m = E.ptq_model(m, E.uniform_plan(m, 4), freeze=True)
+            E.save_quant_model(m, tmp_path / "m")
+            loaded = E.load_quant_model(tmp_path / "m")
+        else:
+            E.save_model(m, tmp_path / "m")
+            loaded = E.load_model(tmp_path / "m")
+        want = E.forward(m, self.TOKENS).logits
+        np.testing.assert_array_equal(E.forward(loaded, self.TOKENS).logits, want)
+        ours = [a for rec in m.plan() for a in _plan_arrays(rec)]
+        assert not any(np.shares_memory(a, b) for rec in loaded.plan()
+                       for a in _plan_arrays(rec) for b in ours)
+        # rebinding a slot of the reloaded model leaves the original as it was
+        loaded.weights["layers.0.wv"] = np.zeros(m.config.slot_shapes()["layers.0.wv"],
+                                                 dtype=np.float32)
+        assert not np.allclose(E.forward(loaded, self.TOKENS).logits, want)
+        np.testing.assert_array_equal(E.forward(m, self.TOKENS).logits, want)
+
+
+def _plan_arrays(record):
+    """Every array a plan record holds."""
+    if isinstance(record, np.ndarray):
+        return [record]
+    if isinstance(record, tuple):
+        return [a for part in record for a in _plan_arrays(part)]
+    return []
+
+
 def _single_pass_attend(q, Kt, Vt, scale, window):
     """model._attend as one pass over the whole [H, n, m+n] score array of
     the same key panels Kt[kv, hd, m+n] and the values Vt without their ones

@@ -313,6 +313,60 @@ class TestAssignPrecision:
         plan = E.assign_precision(m, [[1, 2, 3]], 100.0, group_size=8)
         assert all(s.bits == 8 for s in plan.specs.values())
 
+    @pytest.mark.parametrize("budget", [5.0, 3.0])
+    def test_one_trial_model_picks_the_full_rebuild_plan(self, budget):
+        # each trial rebinds one slot of one model and rebinds it back; the
+        # reference builds a new model, so resolves every slot, per trial.
+        # Weights x5 make the overlap differ between trials, so that the
+        # choice depends on each trial's own levels
+        m = E.init_model(E.ModelConfig(d_model=32, n_layers=1, n_heads=2, n_kv_heads=1,
+                                       head_dim=16), 5)
+        for name, w in m.weights.items():
+            if not name.endswith("norm"):
+                m.weights[name] = w * np.float32(5)
+        rng = np.random.default_rng(5)
+        calibration = [rng.integers(0, 256, 16).tolist() for _ in range(2)]
+        plan = E.assign_precision(m, calibration, budget)
+        want = _full_rebuild_assign_precision(m, calibration, budget)
+        assert plan.specs == want.specs and plan.sparsity == want.sparsity
+        assert len({s.bits for s in plan.specs.values()}) > 1
+
+
+def _full_rebuild_assign_precision(model, calibration, budget):
+    """assign_precision's greedy search with a new TinyLM for every trial."""
+    base = E.uniform_plan(model, 8).specs
+    slots = list(base)
+    make_plan = lambda levels: E.PrecisionPlan(
+        specs={s: Q.replace(base[s], bits=levels[s]) for s in slots})
+    fits = lambda levels: E.plan_bpw(model, make_plan(levels)) <= budget
+    ref_preds = Q._argmaxes(model, calibration)
+
+    def overlap(levels):
+        weights = {s: E.quantize(np.asarray(model.weight(s), dtype=np.float64),
+                                 make_plan(levels).specs[s]) for s in slots}
+        return Q._agreement(E.TinyLM(model.config, weights), calibration, ref_preds)
+
+    def best_step(levels, step):
+        best, best_ov = None, None
+        for s in slots:
+            i = Q._LADDER.index(levels[s]) + step
+            if not 0 <= i < len(Q._LADDER):
+                continue
+            trial = {**levels, s: Q._LADDER[i]}
+            if step < 0 and not fits(trial):
+                continue
+            ov = overlap(trial)
+            if best is None or ov > best_ov:
+                best, best_ov = trial, ov
+        return best
+
+    levels = dict.fromkeys(slots, 8)
+    while not fits(levels):
+        levels = best_step(levels, +1)
+    while (promoted := best_step(levels, -1)) is not None:
+        levels = promoted
+    return make_plan(levels)
+
 
 class TestPacking:
     @pytest.mark.parametrize("bits", [2, 3, 4, 8])
