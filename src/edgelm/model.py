@@ -26,7 +26,7 @@ attention: the new queries' column mass and the last ``window`` rows.
 
 A one-token forward costs numpy calls more than arithmetic, so each model
 keeps a per-layer plan (:meth:`TinyLM.plan`): its fused float64 weights,
-with the norm scales folded in, and each adapted slot's columns, checked
+its norm scales (none for a unit one) and each adapted slot's columns, checked
 by identity once per forward and rebuilt only for the layers whose slots
 were rebound. Rope reads cached inverse frequencies.
 """
@@ -123,12 +123,11 @@ class TinyLM:
     ``forward`` reads them through :meth:`plan`: one record per layer, then
     one for the head, each holding its fused float64 projections ([wq|wk|wv],
     wo, [w_gate|w_up], w_down; the embedding and the head) and each adapted
-    slot's column range. A norm's scale is folded into the projection after
-    it, the final norm's into the head; a unit scale, which every served
-    model has, quantized ones included, folds to the memo's own array, so the
-    fused arrays are the memo's and the logits are unchanged. A record is
-    rebuilt by the same identity rule, for its own slots only, so rebinding
-    one slot rebuilds one layer's record. ``_layer`` stays a function, so
+    slot's column range, and the scale of each norm, None for a unit one,
+    which every served model has, quantized ones included, so that no
+    forward multiplies by ones. The fused arrays are the memo's own. A
+    record is rebuilt by the same identity rule, for its own slots only, so
+    rebinding one slot rebuilds one layer's record. ``_layer`` stays a function, so
     that a layer's temporaries are freed when it returns.
     """
     config: ModelConfig
@@ -162,10 +161,10 @@ class TinyLM:
 
     def plan(self) -> list:
         """Each layer's record, then the head's (see the class docstring):
-        a layer's is its (qkv, wo, gate_up, down) projections, the head's
-        (embedding, head projection). A projection is (folded weight, its
-        slots' (name, first, end) columns, the scale of the norm before it,
-        or None when there is none or it is a unit one)."""
+        a layer's is (attn_norm scale, qkv, wo, ffn_norm scale, gate_up,
+        down), the head's (embedding, final_norm scale, head projection). A
+        scale is None for a unit one; a projection is (weight, its slots'
+        (name, first, end) columns)."""
         names, sources, records = self._plan
         if records and all(map(operator.is_, sources, map(self.weights.__getitem__, names))):
             return records
@@ -188,25 +187,29 @@ _LAYER_SLOTS = ("attn_norm", "wq", "wk", "wv", "wo", "ffn_norm", "w_gate", "w_up
                 "w_down")
 
 
-def _projection(model: TinyLM, norm, *slots: str, w=None):
-    """The slots side by side (or ``w``) with the scale of the norm slot
-    ``norm`` folded into their rows, each slot's (name, first, end) columns,
-    and the scale: None with no norm or a unit one, which folds to ``w``."""
-    scale = model.resolve(norm) if norm and (model.resolve(norm) != 1.0).any() else None
+def _projection(model: TinyLM, *slots: str, w=None):
+    """The slots side by side (or ``w``) and each slot's (name, first, end)
+    columns."""
     w = model.resolve(*slots) if w is None else w
     ends = list(itertools.accumulate(model.weights[s].shape[-1] for s in slots))
-    return (w if scale is None else scale[:, None] * w,
-            tuple(zip(slots, [0] + ends[:-1], ends)), scale)
+    return w, tuple(zip(slots, [0] + ends[:-1], ends))
+
+
+def _scale(model: TinyLM, norm: str):
+    """The norm slot's scale, or None for a unit one, which is skipped."""
+    scale = model.resolve(norm)
+    return scale if (scale != 1.0).any() else None
 
 
 def _record(model: TinyLM, *names: str):
     """The plan record of one layer's nine slots, or of the head's."""
     if names[0] == "token_embed":
         embed = model.resolve("token_embed")
-        return embed, _projection(model, "final_norm", *names[2:],
-                                  w=None if names[2:] else embed.T)
-    return (_projection(model, names[0], *names[1:4]), _projection(model, None, names[4]),
-            _projection(model, names[5], *names[6:8]), _projection(model, None, names[8]))
+        return embed, _scale(model, "final_norm"), _projection(
+            model, *names[2:], w=None if names[2:] else embed.T)
+    return (_scale(model, names[0]), _projection(model, *names[1:4]),
+            _projection(model, names[4]), _scale(model, names[5]),
+            _projection(model, *names[6:8]), _projection(model, names[8]))
 
 
 @dataclass
@@ -243,8 +246,11 @@ def init_model(config: ModelConfig, seed: int) -> TinyLM:
     return TinyLM(config=config, weights=weights)
 
 
-def rms_norm(x: np.ndarray, scale: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    return _normed(x, eps) * scale
+def rms_norm(x: np.ndarray, scale, eps: float = 1e-6) -> np.ndarray:
+    """RMS norm of x's rows times ``scale``; None, a plan's unit scale, is
+    not multiplied."""
+    h = _normed(x, eps)
+    return h if scale is None else h * scale
 
 
 def _normed(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -293,13 +299,11 @@ def _silu(x: np.ndarray) -> np.ndarray:
 
 def _proj(h: np.ndarray, proj, adapter=None) -> np.ndarray:
     """h @ a plan projection (see :meth:`TinyLM.plan`); each adapted slot's
-    columns add its delta, which reads the norm's output with its scale."""
-    w, cols, scale = proj
+    columns add its delta."""
+    w, cols = proj
     y = h @ w
     if adapter is None:
         return y
-    if scale is not None:
-        h = h * scale
     for slot, first, end in cols:
         if slot in adapter.target_slots:
             # [r, in] and [out, r]; a float32 factor assigned by hand is cast,
@@ -423,10 +427,10 @@ def in_vocab(ids: np.ndarray, vocab_size: int) -> np.ndarray:
 def _layer(cfg: ModelConfig, record, li: int, x, rope, positions, cache, adapter):
     """Layer li over the residual stream x [n, d_model], from its plan
     record; its temporaries are freed when it returns."""
-    qkv_proj, wo, gate_up_proj, down = record
+    attn_scale, qkv_proj, wo, ffn_scale, gate_up_proj, down = record
     n, hd = x.shape[0], cfg.head_dim
     n_qk = cfg.n_heads + cfg.n_kv_heads
-    qkv = _proj(_normed(x), qkv_proj, adapter)
+    qkv = _proj(rms_norm(x, attn_scale), qkv_proj, adapter)
     qk = _rope_block(qkv[:, :n_qk * hd].reshape(n, n_qk, hd), rope)
     q, k = qk[:, :cfg.n_heads], qk[:, cfg.n_heads:]
     v = qkv[:, n_qk * hd:].reshape(n, cfg.n_kv_heads, hd)
@@ -437,7 +441,7 @@ def _layer(cfg: ModelConfig, record, li: int, x, rope, positions, cache, adapter
     x = x + _proj(out, wo, adapter)
     cache.append_block(li, positions, mass, rows)
 
-    gate_up = _proj(_normed(x), gate_up_proj, adapter)
+    gate_up = _proj(rms_norm(x, ffn_scale), gate_up_proj, adapter)
     gate = _silu(gate_up[:, :cfg.ffn_dim])
     gate *= gate_up[:, cfg.ffn_dim:]
     return x + _proj(gate, down, adapter)
@@ -467,14 +471,13 @@ def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
         raise ValueError(f"sequence exceeds max_seq ({cfg.max_seq})")
 
     model.stats["forwards"] += 1
-    *layers, (embed, head) = model.plan()
+    *layers, (embed, final_scale, head) = model.plan()
     rope = _rope_table(positions, cfg.head_dim, cfg.rope_theta)
     x = embed[tokens]
     for li, record in enumerate(layers):
         x = _layer(cfg, record, li, x, rope, positions, cache, adapter)
-    h = _normed(x)
-    return ForwardOutput(logits=_proj(h, head, adapter),
-                         final_hidden=h if head[2] is None else h * head[2])
+    h = rms_norm(x, final_scale)
+    return ForwardOutput(logits=_proj(h, head, adapter), final_hidden=h)
 
 
 def greedy_continue(model: TinyLM, cache, tokens, n: int, adapter=None) -> list[int]:

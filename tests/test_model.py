@@ -553,8 +553,8 @@ class TestPlan:
     TOKENS = [3, 17, 40, 8, 22, 9]
 
     def test_rebound_slots_reach_the_next_forward(self):
-        # norm scales fold into the projections after them; a non-unit one
-        # is folded into a copy, and the tied embedding is also the head
+        # a non-unit norm scale is kept in the plan and multiplied, and the
+        # tied embedding is also the head
         m = E.init_model(small_config(), 5)
         fo = E.forward(m, self.TOKENS)
         rng = np.random.default_rng(5)

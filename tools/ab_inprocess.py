@@ -1,15 +1,15 @@
 """In-process A/B of two checkouts' edgelm on fixed shapes, paired per round.
 
-    python3 tools/ab_inprocess.py PARENT CHANGE --out BENCH_slug.json \
-        [--rounds 12] [--quick]
+    python3 tools/ab_inprocess.py PARENT CHANGE --out BENCH_slug.json [--quick]
 
 PARENT and CHANGE are two checkouts (for example ``git archive`` copies of
 the parent commit and of the change). Each tree's ``src/edgelm`` package is
 imported under a module name of its own (``edgelm_parent``,
 ``edgelm_change``; its imports are relative), so both run in one process on
-the same inputs. Each round times every shape once on each tree, the tree
-that goes first alternating by round, in thread CPU time with one BLAS
-thread (the thread variables are set for this process before numpy loads).
+the same inputs. Each of ``ROUNDS`` rounds times every shape once on each
+tree, the tree that goes first alternating by round, in thread CPU time with
+one BLAS thread (the thread variables are set for this process before numpy
+loads).
 
 The shapes, on the default ``ModelConfig`` unless named otherwise:
 
@@ -45,6 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TREES = ("parent", "change")
+ROUNDS = 20
 
 
 def load_edgelm(tree: Path, name: str):
@@ -178,7 +179,6 @@ def main(argv=None) -> int:
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--rounds", type=int, default=12)
     ap.add_argument("--quick", action="store_true",
                     help="small shapes, two rounds: checks the tool, measures nothing")
     args = ap.parse_args(argv)
@@ -186,13 +186,12 @@ def main(argv=None) -> int:
     from perfbench import THREAD_VARS  # stdlib only: numpy is not loaded yet
     for var in THREAD_VARS:
         os.environ[var] = "1"
-    rounds = 2 if args.quick else args.rounds
+    rounds = 2 if args.quick else ROUNDS
     shapes = run({"parent": args.parent.resolve(), "change": args.change.resolve()},
                  rounds, args.quick)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["in_process"] = {
-        "command": f"python3 tools/ab_inprocess.py PARENT CHANGE --rounds {rounds}"
-                   + " --quick" * args.quick,
+        "command": "python3 tools/ab_inprocess.py PARENT CHANGE" + " --quick" * args.quick,
         "how": "both trees' edgelm imported side by side in one process; each round "
                "times every shape on both trees, the first tree alternating by round; "
                "thread CPU time, one BLAS thread",
