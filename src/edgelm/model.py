@@ -5,18 +5,22 @@ MLP, optionally tied embeddings. Weights are stored as float32; all compute
 runs in float64 so that blockwise and token-by-token decoding agree to well
 inside the 1e-5 contract.
 
-Attention (``_attend``) runs on tiles of 16 query rows. Each tile does
-the whole job over only the keys it can see: its own QK matmul, which
-batches the KV heads over the queries of their groups, exp in place, and
-its own PV matmul on the unnormalised exp, normalised after PV as in
-FlashAttention; a ones lane beside the values makes it sum each row. So no
-[heads, n, m+n] score array and no [n, m+n] head-averaged block is built,
-and no masked column past a tile goes through a matmul. QK is a plain GEMM
-on the cache's unit-strided [head_dim, capacity] key panels, the tiles'
-scores share one buffer per call and SiLU runs in place. A call of several
-tiles skips the row max when its scores are bounded so that nothing can
-overflow (``_exp_bounded``), as FlashDecoding++'s unified max does. Rope is
-one complex multiply per pair.
+Attention (``_attend``) runs one tile body (``_tile``) on each tile of 16
+query rows. Each tile does the whole job over only the keys it can see:
+its own QK matmul, which batches the KV heads over the queries of their
+groups, exp in place, and its own PV matmul on the unnormalised exp,
+normalised after PV as in FlashAttention; a ones lane beside the values
+makes it sum each row. So no [heads, n, m+n] score array and no [n, m+n]
+head-averaged block is built, and no masked column past a tile goes
+through a matmul. QK is a plain GEMM on the cache's unit-strided
+[head_dim, capacity] key panels. A forward of up to 16 tokens (a decode
+step, a draft step, a verify) calls the body once, with no loop and no
+buffer; the tiles of a longer call share one score buffer, and skip the
+row max when their scores are bounded so that nothing can overflow
+(``_exp_bounded``), as FlashDecoding++'s unified max does. SiLU runs in
+place, and rope is one complex multiply per pair. The RMS norm of one row
+takes its mean square and root as Python floats, three numpy calls in
+place of six, which round as the block's do.
 
 Every forward runs on a :class:`~edgelm.kvcache.KvCache`, by default a
 scratch one with no window of rows: each layer stages its new keys and
@@ -255,8 +259,10 @@ def rms_norm(x: np.ndarray, scale, eps: float = 1e-6) -> np.ndarray:
 
 def _normed(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """RMS norm with unit scale: x over the root mean square of its rows."""
-    # (x * x).sum(axis=-1, keepdims=True), without the keyword parsing that
-    # takes a third of a one-row norm
+    if 0 < x.size == x.shape[-1]:
+        # one row: the same sum, then its mean and root in Python floats,
+        # which round as numpy's do
+        return x / math.sqrt(float(np.add.reduce(x * x, None)) / x.size + eps)
     return x / np.sqrt(np.add.reduce(x * x, -1, None, None, True) / x.shape[-1] + eps)
 
 
@@ -293,8 +299,8 @@ def _rope_block(x: np.ndarray, rot: np.ndarray) -> np.ndarray:
 def _silu(x: np.ndarray) -> np.ndarray:
     """x / (1 + exp(-x)), computed in place in one new array."""
     y = np.negative(x)
-    np.add(np.exp(y, out=y), 1.0, out=y)
-    return np.divide(x, y, out=y)
+    np.add(np.exp(y, y), 1.0, y)
+    return np.divide(x, y, y)
 
 
 def _proj(h: np.ndarray, proj, adapter=None) -> np.ndarray:
@@ -341,62 +347,76 @@ def _attend(q, Kt, Vt, scale, window):
     [n, m+n] block: their column sums over the n queries (the mass, [m+n])
     and the rows of the last min(n, window) queries, zero above the diagonal.
 
-    Each tile of ``_ROW_TILE`` query rows r0..r1 does the whole job over
-    only the keys it can see, Kt[..., :m + r1]: one batched QK GEMM into its
-    [H, r1 - r0, m + r1] scores in the call's one score buffer (which nothing
-    returned views), exp in place, and one batched PV matmul on the
-    unnormalised exp, whose ones lane gives the row totals σ: only PV is
-    divided by them. The weights 1 / (H σ) times the scores give the tile's
-    mass, and only a tile holding some of the last ``window`` queries builds
-    their rows, by one batched matmul. A call of several tiles that
-    :func:`_exp_bounded` admits runs exp on the raw scores and zeroes the
-    masked ones after it. Any other writes -inf over them before the row
-    max, and exp turns them into 0. A forward of up to 16 tokens is one
-    tile over all keys: its mass is the product itself, and for one token
-    its one row is the mass.
+    One tile body, :func:`_tile`, runs each tile of ``_ROW_TILE`` query rows
+    r0..r1 over only the keys it can see, Kt[..., :m + r1]. The weights
+    1 / (H σ) times its exp give the tile's mass, and only a tile holding
+    some of the last ``window`` queries builds their rows, by one batched
+    matmul. A forward of up to 16 tokens is one call of the body over all
+    keys, with no loop and no buffer: its mass is the product itself, and
+    for one token its one row is the mass. A call of several tiles shares
+    one score buffer, which nothing returned views, and runs exp on the raw
+    scores when :func:`_exp_bounded` admits it.
     """
     n, H, hd = q.shape
-    n_kv, L = Kt.shape[0], Kt.shape[2]
-    m, group = L - n, H // n_kv
+    L = Kt.shape[2]
+    m = L - n
     first = n - min(n, window)                          # the first query with a row
     q = q * scale               # exact for a power-of-two scale, as head_dim 16's
+    if n <= _ROW_TILE:
+        out, w, s = _tile(q, Kt, Vt, m)
+        out, mass = out.reshape(n, H * hd), w.reshape(-1) @ s.reshape(H * n, L)
+        if first == n:                  # no window: no rows, an empty [0, L] view
+            return out, mass, s[0, n:]
+        return out, mass, mass[None] if n == 1 else _head_mean(w[:, first:], s[:, first:])
     out = np.empty((n, H * hd))
-    max_free = n > _ROW_TILE and _exp_bounded(q, Kt, Vt)
-    if n > _ROW_TILE:
-        mass, rows = np.zeros(L), np.zeros((n - first, L))
+    max_free = _exp_bounded(q, Kt, Vt)
+    mass, rows = np.zeros(L), np.zeros((n - first, L))
     # every tile's scores, allocated after the arrays that outlive it: first,
     # it raised a 2,048-token request's peak RSS by 1 MB (glibc, 2 vCPUs)
-    buf = np.empty(H * min(n, _ROW_TILE) * L)
+    buf = np.empty(H * _ROW_TILE * L)
     for r0 in range(0, n, _ROW_TILE):
         r1 = min(r0 + _ROW_TILE, n)
         t, seen = r1 - r0, m + r1
-        qg = q[r0:r1].reshape(t, n_kv, group, hd).transpose(1, 2, 0, 3)
-        scores = np.matmul(qg.reshape(n_kv, group * t, hd), Kt[..., :seen],
-                           out=buf[:H * t * seen].reshape(n_kv, group * t, seen))
-        s = scores.reshape(H, t, seen)
-        if t > 1:
-            diag, mask = s[..., m + r0:], _CAUSAL_TILE[:t, :t]
-        if not max_free:
-            if t > 1:
-                np.copyto(diag, -np.inf, where=mask)
-            s -= np.maximum.reduce(s, -1, None, None, True)    # the row max
-        np.exp(s, out=s)
-        if t > 1 and max_free:
-            np.copyto(diag, 0.0, where=mask)
-        pv = (scores @ Vt[:, :seen]).reshape(n_kv, group, t, hd + 1)
-        sigma = pv[..., hd]                             # [kv, group, t]
-        np.divide(pv[..., :hd].transpose(2, 0, 1, 3), sigma.transpose(2, 0, 1)[..., None],
-                  out=out[r0:r1].reshape(t, n_kv, group, hd))
-        w = 1.0 / (H * sigma.reshape(H, t))
-        tile_mass = w.reshape(-1) @ scores.reshape(H * t, seen)
-        if n <= _ROW_TILE:
-            return out, tile_mass, (tile_mass[None] if n == 1
-                                    else _head_mean(w[:, first:], s[:, first:]))
-        mass[:seen] += tile_mass
+        _, w, s = _tile(q[r0:r1], Kt[..., :seen], Vt[:, :seen], m + r0, max_free,
+                        buf[:H * t * seen], out[r0:r1])
+        mass[:seen] += w.reshape(-1) @ s.reshape(H * t, seen)
         lo = max(first - r0, 0)                         # first tile row in the window
         if lo < t:
             rows[r0 + lo - first:r1 - first, :seen] = _head_mean(w[:, lo:], s[:, lo:])
     return out, mass, rows
+
+
+def _tile(q, Kt, Vt, d, max_free=False, buf=None, out=None):
+    """The tile body of :func:`_attend`: queries q[t, H, hd] over the keys
+    Kt[kv, hd, seen] and values Vt[kv, seen, hd + 1] they see, the query i
+    seeing keys j <= d + i. One batched QK GEMM into ``buf`` (None: a new
+    array), exp in place, and one batched PV matmul on the unnormalised exp,
+    whose ones lane gives the row totals σ: only PV is divided by them, into
+    ``out`` [t, H * hd] (None: a new array). Unless ``max_free``, -inf is
+    written over the masked scores before the row max, and exp turns them
+    into 0; with it, exp runs on the raw scores and zeroes them after. Returns
+    the output, laid out [t, kv, group, hd], the weights 1 / (H σ) [H, t] and
+    the exp [H, t, seen]."""
+    t, H, hd = q.shape
+    n_kv, seen = Kt.shape[0], Kt.shape[2]
+    group = H // n_kv
+    qg = q.reshape(t, n_kv, group, hd).transpose(1, 2, 0, 3).reshape(n_kv, group * t, hd)
+    scores = np.matmul(qg, Kt, None if buf is None else buf.reshape(n_kv, group * t, seen))
+    s = scores.reshape(H, t, seen)
+    if t > 1:
+        diag, mask = s[..., d:], _CAUSAL_TILE[:t, :t]
+    if not max_free:
+        if t > 1:
+            np.copyto(diag, -np.inf, where=mask)
+        s -= np.maximum.reduce(s, -1, None, None, True)    # the row max
+    np.exp(s, s)
+    if t > 1 and max_free:
+        np.copyto(diag, 0.0, where=mask)
+    pv = (scores @ Vt).reshape(n_kv, group, t, hd + 1)
+    sigma = pv[..., hd]                                 # [kv, group, t]
+    out = np.divide(pv[..., :hd].transpose(2, 0, 1, 3), sigma.transpose(2, 0, 1)[..., None],
+                    None if out is None else out.reshape(t, n_kv, group, hd))
+    return out, 1.0 / (H * sigma.reshape(H, t)), s
 
 
 def _head_mean(w, s):
@@ -419,7 +439,7 @@ def token_ids(tokens) -> np.ndarray:
 
 def in_vocab(ids: np.ndarray, vocab_size: int) -> np.ndarray:
     """``ids`` (from :func:`token_ids`), if each lies in [0, vocab_size)."""
-    if ids.min() < 0 or ids.max() >= vocab_size:
+    if ids.astype(np.uint64).max() >= vocab_size:      # a negative id wraps past it
         raise ValueError(f"token id out of range [0, {vocab_size})")
     return ids
 
@@ -466,9 +486,9 @@ def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
                          f"{cache.n_kv_heads}, {cache.head_dim}) does not fit the "
                          f"model's {layout}")
     start = cache.next_position()
-    positions = np.arange(start, start + n)
-    if positions[-1] >= cfg.max_seq:
+    if start + n > cfg.max_seq:
         raise ValueError(f"sequence exceeds max_seq ({cfg.max_seq})")
+    positions = np.arange(start, start + n)
 
     model.stats["forwards"] += 1
     *layers, (embed, final_scale, head) = model.plan()
@@ -506,12 +526,13 @@ def check_decode_fits(config: ModelConfig, prompt_len: int, max_new: int, role: 
 
 
 def greedy_decode(model: TinyLM, prompt, max_new: int, adapter=None) -> list[int]:
-    """Argmax decoding with a full (non-evicting) cache; ties go to the lowest id."""
+    """Argmax decoding with a full cache, which nothing evicts, so it keeps
+    no window of rows; ties go to the lowest id."""
     prompt = token_ids(prompt).tolist()
     if max_new < 0:
         raise ValueError("max_new must be nonnegative")
     check_decode_fits(model.config, len(prompt), max_new, "model")
-    cache = KvCache.for_model(model.config)
+    cache = KvCache.for_model(model.config, window=0)
     return prompt + greedy_continue(model, cache, prompt, max_new, adapter)
 
 

@@ -9,6 +9,11 @@ Each draft kind keeps its own rule in four methods: ``check`` rejects a draft
 that does not fit the request, ``start`` builds its state for one request,
 ``propose`` drafts k tokens and ``rollback`` drops what was not accepted.
 Only the module-level :func:`propose` calls a draft's ``propose``.
+
+Nothing evicts the target's KV cache or an independent draft's: both only
+truncate. So both are built with no window of attention rows, and neither
+the verify nor the draft forwards build or keep the rows that only an
+eviction policy reads.
 """
 from __future__ import annotations
 
@@ -45,7 +50,7 @@ class IndependentDraft:
         check_decode_fits(dc, prompt_len, max_new - 1, "draft")
 
     def start(self, target: TinyLM) -> KvCache:
-        return KvCache.for_model(self.model.config)
+        return KvCache.for_model(self.model.config, window=0)
 
     def propose(self, cache: KvCache, target: TinyLM, context, k, last_hidden):
         seen = cache.next_position()
@@ -175,7 +180,7 @@ def decode_speculative(target: TinyLM, draft_cfg: DraftConfig, prompt,
     draft = draft_cfg.draft
     draft.check(target, len(prompt), max_new)
 
-    cache = KvCache.for_model(target.config)
+    cache = KvCache.for_model(target.config, window=0)
     draft_state = draft.start(target)
     stats = SpecStats()
     out = list(prompt)

@@ -143,6 +143,25 @@ class TestRmsNorm:
         out = E.rms_norm(x, np.full(4, 2.0))
         np.testing.assert_allclose(out, 2 * np.ones((1, 4)), atol=1e-5)
 
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.integers(1, 8), d=st.sampled_from([8, 32, 64]),
+           magnitude=st.sampled_from([1e-150, 1e-100, 1e-3, 1.0, 1e3, 1e100, 1e150]),
+           scale=st.sampled_from(["none", "ones", "drawn"]), data=st.data())
+    def test_one_row_is_bit_identical_to_its_row_in_a_block(self, rows, d, magnitude,
+                                                             scale, data):
+        # one row takes its mean square and root in Python floats, a block in
+        # numpy: every bit agrees, also where the squares underflow or overflow
+        x = magnitude * data.draw(hnp.arrays(np.float64, (rows, d),
+                                             elements=st.floats(-10, 10)))
+        scale = {"none": None, "ones": np.ones(d),
+                 "drawn": data.draw(hnp.arrays(np.float64, d,
+                                               elements=st.floats(-4, 4)))}[scale]
+        with np.errstate(over="ignore", under="ignore"):
+            block = E.rms_norm(x, scale)
+            for i in range(rows):
+                assert E.rms_norm(x[i:i + 1], scale).tobytes() == block[i:i + 1].tobytes()
+                assert E.rms_norm(x[i], scale).tobytes() == block[i].tobytes()
+
 
 class TestRope:
     def test_position_zero_is_identity(self):
@@ -339,6 +358,28 @@ class TestForward:
             assert np.array_equal(a, b)
             np.testing.assert_allclose(a, c, rtol=0, atol=1e-12)
             np.testing.assert_allclose(a, d, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [0, 1, 37])
+    @pytest.mark.parametrize("n", range(1, TILE + 1))
+    @settings(max_examples=6, deadline=None)
+    @given(heads=st.sampled_from(HEAD_LAYOUTS), window=st.sampled_from([0, 1, 4, 32]),
+           sharp=st.sampled_from([1.0, 8.0, 40.0]), seed=st.integers(0, 2**16))
+    def test_one_tile_is_bit_identical_to_the_tiled_reference(self, n, m, heads,
+                                                              window, sharp, seed):
+        # every forward of 1-16 tokens is one call of the tile body, with no
+        # score or output buffer: each of its results equals the tiled
+        # reference bit for bit, with and without a window of rows
+        (H, n_kv), hd, L = heads, 8, m + n
+        rng = np.random.default_rng(seed)
+        q = sharp * rng.normal(size=(n, H, hd))
+        Kt = rng.normal(size=(n_kv, hd, L))
+        Vt = rng.normal(size=(n_kv, L, hd + 1))
+        Vt[..., hd] = 1.0
+        got = M._attend(q, Kt, Vt, 1 / np.sqrt(hd), window)
+        want = _tiled_single_pass_attend(q, Kt, Vt, 1 / np.sqrt(hd), window)
+        assert got[2].shape == (min(n, window), L)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("big", [1.0, 1e300])
@@ -645,7 +686,7 @@ def _tiled_single_pass_attend(q, Kt, Vt, scale, window):
     values with their ones lane, which gives the row totals σ, and is
     divided by them; the mass and rows take the weights 1 / (H σ). Every
     matmul and reduction has model._attend's shape, and one token's row is
-    its mass."""
+    its mass (no window, no rows)."""
     n, H, hd = q.shape
     n_kv, L = Kt.shape[0], Kt.shape[2]
     m, group = L - n, H // n_kv
@@ -676,7 +717,7 @@ def _tiled_single_pass_attend(q, Kt, Vt, scale, window):
         if lo < t:
             rows[r0 + lo - first:r1 - first, :seen] = (
                 w[:, lo:].T[:, None, :] @ s[:, lo:].transpose(1, 0, 2))[:, 0]
-    return out, mass, mass[None] if n == 1 else rows
+    return out, mass, mass[None] if n == 1 and window else rows
 
 
 def _reference_forward(model, tokens, past, start):

@@ -332,25 +332,31 @@ def _assert_same_entries(cache, ref, n):
         np.testing.assert_allclose(v, rv, rtol=0, atol=1e-12)
 
 
+def _building_caches(run, *args, **kwargs):
+    """run(*args, **kwargs) and every KvCache it builds through ``for_model``."""
+    made, for_model = [], E.KvCache.for_model
+
+    def spy_for_model(config, *a, **kw):
+        made.append(for_model(config, *a, **kw))
+        return made[-1]
+
+    with mock.patch.object(E.KvCache, "for_model", spy_for_model):
+        return run(*args, **kwargs), made
+
+
 def _decode_spying(target, draft_cfg, prompt, max_new):
     """decode_speculative, recording every KvCache it builds and, for every
     draft catch-up forward (greedy_continue's first), its token count and cache."""
-    made, feeds = [], []
-    for_model, greedy_continue = E.KvCache.for_model, specdec.greedy_continue
-
-    def spy_for_model(config, *args, **kwargs):
-        made.append(for_model(config, *args, **kwargs))
-        return made[-1]
+    feeds, greedy_continue = [], specdec.greedy_continue
 
     def spy_continue(model, cache, tokens, n):
         feeds.append((len(tokens), cache))
         return greedy_continue(model, cache, tokens, n)
 
     trace: list = []
-    with mock.patch.object(specdec.KvCache, "for_model", spy_for_model), \
-            mock.patch.object(specdec, "greedy_continue", spy_continue):
-        out, stats = E.decode_speculative(target, draft_cfg, prompt, max_new,
-                                          trace=trace)
+    with mock.patch.object(specdec, "greedy_continue", spy_continue):
+        (out, stats), made = _building_caches(E.decode_speculative, target, draft_cfg,
+                                              prompt, max_new, trace=trace)
     return out, stats, trace, made, feeds
 
 
@@ -365,7 +371,10 @@ PARTIAL_ACCEPT_CASES = dict(
 @given(**PARTIAL_ACCEPT_CASES)
 def test_one_draft_cache_matches_a_fresh_prefill_every_round(draft, k, prompt, max_new):
     draft_cfg = E.DraftConfig(E.IndependentDraft(DRAFTS[draft]), k)
-    out, stats, trace, _, feeds = _decode_spying(VARIED, draft_cfg, prompt, max_new)
+    out, stats, trace, made, feeds = _decode_spying(VARIED, draft_cfg, prompt, max_new)
+    # nothing evicts the target's cache or the draft's, so neither keeps a
+    # window of rows; the reference's target cache keeps the default one
+    assert [cache.window for cache in made] == [0, 0]
 
     ref_out, ref_stats, ref_trace = _reprefill_reference(VARIED, draft_cfg, prompt, max_new)
     assert out == ref_out == E.greedy_decode(VARIED, prompt, max_new)
@@ -399,6 +408,20 @@ def test_target_cache_rolls_back_to_the_greedy_cache(draft, k, prompt, max_new):
     assert prompt + specdec.greedy_continue(VARIED, greedy, prompt, max_new) == out
     # decode_speculative builds the target's cache first; it lags the stream by one
     _assert_same_entries(made[0], greedy, len(out) - 1)
+
+
+def test_caches_that_nothing_evicts_refuse_a_window_policy():
+    # greedy_decode's cache and decode_speculative's two keep no window of
+    # rows; a policy that scores those rows is refused on them, not run
+    out, made = _building_caches(E.greedy_decode, VARIED, list(range(12)), 20)
+    draft_cfg = E.DraftConfig(E.IndependentDraft(DRAFTS["truncated"]), 4)
+    (spec_out, _), spec_made = _building_caches(E.decode_speculative, VARIED, draft_cfg,
+                                                list(range(12)), 20)
+    assert spec_out == out
+    for cache in made + spec_made:
+        assert cache.window == 0 and cache.kept(0) > E.ObsWindow().floor()
+        with pytest.raises(ConfigError, match="exceeds the cache's 0-row window"):
+            E.evict(cache, E.ObsWindow(), E.ObsWindow().floor())
 
 
 # --- the draft contract -------------------------------------------------------

@@ -21,6 +21,14 @@ The shapes, on the default ``ModelConfig`` unless named otherwise:
   per step;
 - ``spec_decode_request``: perfbench spec_decode's request, a 1-layer d=32
   independent draft, k=4, a 512-token prompt and 64 new tokens, in ms;
+- ``draft_step`` and ``verify_step``: the two forwards a speculative round
+  is made of, each truncated back, in us per forward: that draft's
+  one-token forward at 512 cached entries, on the cache its
+  ``IndependentDraft.start`` builds, and the default model's 5-token
+  forward at 516 cached entries, on a cache of the same window (the tree
+  builds both of a request's caches by one rule);
+- ``cacheless_8``, ``cacheless_32`` and ``cacheless_512``: forwards of 8,
+  32 and 512 tokens with no cache, in us per forward;
 - ``prefill_2048`` and ``prefill_516``: ``bench.prefill`` into a new cache,
   in ms.
 
@@ -29,7 +37,9 @@ per-round change/parent ratios, the rounds the change was faster in, and
 whether both trees produced the same tokens in every round. It writes them
 under ``in_process`` in ``--out`` and keeps the keys it does not write.
 ``--quick`` runs smaller shapes (16 and 256 cached, 16 steps, a 128-token
-prompt, prefills of 64 and 20 tokens) for two rounds, under the same keys.
+prompt, draft and verify steps at 64 and 68 cached, cacheless forwards of
+8, 32 and 64 tokens, prefills of 64 and 20 tokens) for two rounds, under
+the same keys.
 """
 from __future__ import annotations
 
@@ -88,21 +98,50 @@ class Shapes:
         self.base = base
         self.draft = E.init_model(E.ModelConfig(d_model=32, n_layers=1, n_heads=2,
                                                 n_kv_heads=1, head_dim=16), 1)
+        self.draft_cache = E.IndependentDraft(self.draft).start(self.model)
+        self.verify_cache = E.KvCache.for_model(self.model.config,
+                                                window=self.draft_cache.window)
+        at = 64 if quick else 512
+        E.forward(self.draft, self.stream[:at], cache=self.draft_cache)
+        E.forward(self.model, self.stream[:at + 4], cache=self.verify_cache)
 
-    def _forward_at(self, n):
-        E, cache = self.E, self.caches[n]
+    def _step(self, model, cache, width):
+        """``width`` tokens forwarded on ``cache`` and truncated back, per forward."""
+        reps, toks, at = 20 if self.quick else 60, [], cache.next_position()
+        t0 = time.thread_time()
+        for i in range(reps):
+            fo = self.E.forward(model, self.stream[at + i:at + i + width], cache=cache)
+            toks.append(fo.logits.argmax(axis=-1).tolist())
+            cache.truncate(width)
+        return (time.thread_time() - t0) / reps * 1e6, toks
+
+    def draft_step(self):
+        return self._step(self.draft, self.draft_cache, 1)
+
+    def verify_step(self):
+        return self._step(self.model, self.verify_cache, 5)
+
+    def _cacheless(self, n):
         reps, toks = 20 if self.quick else 60, []
         t0 = time.thread_time()
         for i in range(reps):
-            toks.append(_argmax(E.forward(self.model, [self.stream[n + i]], cache=cache)))
-            cache.truncate(1)
+            toks.append(_argmax(self.E.forward(self.model, self.stream[i:i + n])))
         return (time.thread_time() - t0) / reps * 1e6, toks
 
+    def cacheless_8(self):
+        return self._cacheless(8)
+
+    def cacheless_32(self):
+        return self._cacheless(32)
+
+    def cacheless_512(self):
+        return self._cacheless(64 if self.quick else 512)
+
     def forward_64(self):
-        return self._forward_at(16 if self.quick else 64)
+        return self._step(self.model, self.caches[16 if self.quick else 64], 1)
 
     def forward_2000(self):
-        return self._forward_at(256 if self.quick else 2000)
+        return self._step(self.model, self.caches[256 if self.quick else 2000], 1)
 
     def edge_stream_step(self):
         E = self.E
@@ -144,6 +183,9 @@ class Shapes:
 
 SHAPES = {"forward_64": "us per forward", "forward_2000": "us per forward",
           "edge_stream_step": "us per step", "spec_decode_request": "ms per request",
+          "draft_step": "us per forward", "verify_step": "us per forward",
+          "cacheless_8": "us per forward", "cacheless_32": "us per forward",
+          "cacheless_512": "us per forward",
           "prefill_2048": "ms per prefill", "prefill_516": "ms per prefill"}
 
 
