@@ -22,10 +22,8 @@ over one view of the layer, ``append_block`` commits the staged block,
 entries in place, moving only those past the first dropped one, by one
 slice per buffer when they form one run. Keys sit in one [head_dim,
 capacity] panel per KV head, so QK reads them unit-strided; values stay
-[capacity, n_kv_heads, head_dim + 1], which PV reads as fast and eviction
-gathers faster, the last lane a 1 so that PV also sums each row
-(``values``, ``layer_kv`` and ``cache_bytes`` never show it). The arrays a
-layer exposes are views.
+[capacity, n_kv_heads, head_dim], which PV reads as fast and eviction
+gathers faster. The arrays a layer exposes are views.
 
 Score state lives with the cache: an accumulated-mass vector and a ring of
 the last ``window`` head-averaged attention rows. The ring is one
@@ -179,11 +177,10 @@ class EvictionReport:
 
 class _LayerStore:
     """One layer's entries in the first ``kept`` slots of capacity-doubling
-    buffers: key panels ``_keys[n_kv_heads, head_dim, capacity]``, values
-    ``_values[capacity, n_kv_heads, head_dim + 1]`` with a last lane of 1.
-    ``keys`` ([kept, n_kv_heads, head_dim]), ``values``, ``positions`` and
-    ``acc`` are views over those slots, valid until the next append,
-    truncate or evict.
+    buffers: key panels ``_keys[n_kv_heads, head_dim, capacity]`` and values
+    ``_values[capacity, n_kv_heads, head_dim]``. ``keys`` ([kept,
+    n_kv_heads, head_dim]), ``values``, ``positions`` and ``acc`` are views
+    over those slots, valid until the next append, truncate or evict.
 
     The window of recent attention rows is a ring: ``_rows[s, :_lens[s]]``
     is the row in slot s, the newest row sits just before ``_head`` and
@@ -199,7 +196,7 @@ class _LayerStore:
     def __init__(self, n_kv_heads: int, head_dim: int, window: int):
         self.kept = self.next_position = self.staged = 0
         self._keys = np.zeros((n_kv_heads, head_dim, 0))
-        self._values = np.zeros((0, n_kv_heads, head_dim + 1))
+        self._values = np.zeros((0, n_kv_heads, head_dim))
         self._positions = np.zeros(0, dtype=np.int64)
         self._acc = np.zeros(0)                      # accumulated attention mass
         self._rows = np.zeros((window, 0))
@@ -207,7 +204,7 @@ class _LayerStore:
         self._head = self._count = 0
 
     keys = property(lambda self: self._keys[..., :self.kept].transpose(2, 0, 1))
-    values = property(lambda self: self._values[:self.kept, :, :-1])
+    values = property(lambda self: self._values[:self.kept])
     positions = property(lambda self: self._positions[:self.kept])
     acc = property(lambda self: self._acc[:self.kept])
 
@@ -227,7 +224,6 @@ class _LayerStore:
             return
         cap = max(need, 2 * self._positions.size, 16)
         values = np.empty((cap,) + self._values.shape[1:])
-        values[..., -1] = 1.0                        # the ones lane, written once
         values[:self.kept] = self._values[:self.kept]
         self._values = values
         for name in ("_keys", "_positions", "_acc", "_rows"):   # capacity last
@@ -314,7 +310,7 @@ class KvCache:
         capacity until :meth:`append_block` commits them. Returns views of the
         kept+n entries, the kept ones not copied: key panels [n_kv_heads,
         head_dim, kept+n], unit-strided, and values [n_kv_heads, kept+n,
-        head_dim + 1], the last lane 1 so that PV also sums each row."""
+        head_dim]."""
         shape = (len(k), self.n_kv_heads, self.head_dim)
         if k.shape != shape or v.shape != shape:
             raise ValueError(f"keys {k.shape} and values {v.shape} are not "
@@ -323,7 +319,7 @@ class KvCache:
         ls.reserve(len(k))
         end = ls.kept + len(k)
         ls._keys[..., ls.kept:end] = k.transpose(1, 2, 0)
-        ls._values[ls.kept:end, :, :-1] = v
+        ls._values[ls.kept:end] = v
         ls.staged = len(k)
         return ls._keys[..., :end], ls._values[:end].transpose(1, 0, 2)
 

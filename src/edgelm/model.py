@@ -9,8 +9,8 @@ Attention (``_attend``) runs one tile body (``_tile``) on each tile of 16
 query rows. Each tile does the whole job over only the keys it can see:
 its own QK matmul, which batches the KV heads over the queries of their
 groups, exp in place, and its own PV matmul on the unnormalised exp,
-normalised after PV as in FlashAttention; a ones lane beside the values
-makes it sum each row. So no [heads, n, m+n] score array and no [n, m+n]
+normalised after PV by the row totals it sums from the same exp, as in
+FlashAttention. So no [heads, n, m+n] score array and no [n, m+n]
 head-averaged block is built, and no masked column past a tile goes
 through a matmul. QK is a plain GEMM on the cache's unit-strided
 [head_dim, capacity] key panels. A forward of up to 16 tokens (a decode
@@ -19,8 +19,8 @@ buffer; the tiles of a longer call share one score buffer, and skip the
 row max when their scores are bounded so that nothing can overflow
 (``_exp_bounded``), as FlashDecoding++'s unified max does. SiLU runs in
 place, and rope is one complex multiply per pair. The RMS norm of one row
-takes its mean square and root as Python floats, three numpy calls in
-place of six, which round as the block's do.
+takes its mean square and root as Python floats, which round as the
+block's do.
 
 Every forward runs on a :class:`~edgelm.kvcache.KvCache`, by default a
 scratch one with no window of rows: each layer stages its new keys and
@@ -327,21 +327,23 @@ _EXP_LIMIT = 700.0  # below ln 2^1021 = 707.7, see _exp_bounded
 
 def _exp_bounded(q, Kt, Vt) -> bool:
     """Whether exp may skip the row max for scaled queries q[n, H, hd] over
-    Kt[kv, hd, L] and Vt[kv, L, hd + 1]: B + ln(H L V) <= 700, for B =
-    max|q_i| max|k_j| >= every |score| and V = max|Vt| >= 1. Then each exp
-    is in [e^-B, e^B], a row's σ (its diagonal is never masked) in [e^-B, L
-    e^B] and its PV in ±L e^B V; as H L e^B V <= 2^1021, even with rounding
-    σ, H σ, PV and 1 / (H σ) stay finite and σ and 1 / (H σ) normal, for
-    any finite keys and values. Overflow or NaN reads as unbounded."""
+    Kt[kv, hd, L] and Vt[kv, L, hd]: B + ln(H L V) <= 700, for B =
+    max|q_i| max|k_j| >= every |score| and V = max(max|Vt|, 1), at least 1
+    so that the bound covers H σ as well as PV (all-zero values too). Then
+    each exp is in [e^-B, e^B], a row's σ (its diagonal is never masked) in
+    [e^-B, L e^B] and its PV in ±L e^B V; as H L e^B V <= 2^1021, even with
+    rounding σ, H σ, PV and 1 / (H σ) stay finite and σ and 1 / (H σ)
+    normal, for any finite keys and values. Overflow or NaN reads as
+    unbounded."""
     qq = float(np.einsum("nhd,nhd->nh", q, q).max())
     kk = float(np.einsum("khl,khl->kl", Kt, Kt).max())
-    hlv = q.shape[1] * Kt.shape[2] * max(float(Vt.max()), -float(Vt.min()))
+    hlv = q.shape[1] * Kt.shape[2] * max(float(Vt.max()), -float(Vt.min()), 1.0)
     return math.sqrt(qq * kk) + math.log(hlv) <= _EXP_LIMIT
 
 
 def _attend(q, Kt, Vt, scale, window):
     """Attention of queries q[n, H, hd] over key panels Kt[kv, hd, m+n] and
-    values Vt[kv, m+n, hd + 1], query i seeing keys j <= m + i; head h reads
+    values Vt[kv, m+n, hd], query i seeing keys j <= m + i; head h reads
     kv head h // (H // kv). Returns the output [n, H * hd] and all the cache
     reads of the head-averaged probabilities, which are never built as one
     [n, m+n] block: their column sums over the n queries (the mass, [m+n])
@@ -388,13 +390,13 @@ def _attend(q, Kt, Vt, scale, window):
 
 def _tile(q, Kt, Vt, d, max_free=False, buf=None, out=None):
     """The tile body of :func:`_attend`: queries q[t, H, hd] over the keys
-    Kt[kv, hd, seen] and values Vt[kv, seen, hd + 1] they see, the query i
+    Kt[kv, hd, seen] and values Vt[kv, seen, hd] they see, the query i
     seeing keys j <= d + i. One batched QK GEMM into ``buf`` (None: a new
-    array), exp in place, and one batched PV matmul on the unnormalised exp,
-    whose ones lane gives the row totals σ: only PV is divided by them, into
-    ``out`` [t, H * hd] (None: a new array). Unless ``max_free``, -inf is
-    written over the masked scores before the row max, and exp turns them
-    into 0; with it, exp runs on the raw scores and zeroes them after. Returns
+    array), exp in place, its row totals σ, and one batched PV matmul on the
+    unnormalised exp: only PV is divided by σ, into ``out`` [t, H * hd]
+    (None: a new array). Unless ``max_free``, -inf is written over the
+    masked scores before the row max, and exp turns them into 0; with it,
+    exp runs on the raw scores and zeroes them after. Returns
     the output, laid out [t, kv, group, hd], the weights 1 / (H σ) [H, t] and
     the exp [H, t, seen]."""
     t, H, hd = q.shape
@@ -412,9 +414,9 @@ def _tile(q, Kt, Vt, d, max_free=False, buf=None, out=None):
     np.exp(s, s)
     if t > 1 and max_free:
         np.copyto(diag, 0.0, where=mask)
-    pv = (scores @ Vt).reshape(n_kv, group, t, hd + 1)
-    sigma = pv[..., hd]                                 # [kv, group, t]
-    out = np.divide(pv[..., :hd].transpose(2, 0, 1, 3), sigma.transpose(2, 0, 1)[..., None],
+    sigma = np.add.reduce(scores, -1).reshape(n_kv, group, t)
+    pv = (scores @ Vt).reshape(n_kv, group, t, hd)
+    out = np.divide(pv.transpose(2, 0, 1, 3), sigma.transpose(2, 0, 1)[..., None],
                     None if out is None else out.reshape(t, n_kv, group, hd))
     return out, 1.0 / (H * sigma.reshape(H, t)), s
 

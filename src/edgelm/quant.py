@@ -39,7 +39,8 @@ class QuantSpec:
             raise ConfigError("scheme must be symmetric or asymmetric")
         if self.granularity not in ("per-tensor", "per-row", "per-group"):
             raise ConfigError("granularity must be per-tensor, per-row, or per-group")
-        at_least(1, group_size=self.group_size)
+        at_least(1, group_size=self.group_size, scale_bits=self.scale_bits,
+                 zero_point_bits=self.zero_point_bits)
 
 
 @dataclass(frozen=True)

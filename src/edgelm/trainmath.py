@@ -61,12 +61,14 @@ class MpoWeights:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.w_p < 0 or self.w_q < 0 or self.w_g < 0:
-            raise ConfigError("loss weights must be nonnegative")
+        if not all(0 <= w < np.inf for w in (self.w_p, self.w_q, self.w_g)):
+            raise ConfigError("loss weights must be finite and nonnegative")
         if self.w_p + self.w_q + self.w_g == 0:
             raise ConfigError("at least one loss weight must be positive")
-        if self.beta <= 0:
-            raise ConfigError("beta must be positive")
+        if not 0 < self.beta < np.inf:
+            raise ConfigError("beta must be finite and positive")
+        if not np.isfinite(self.delta):
+            raise ConfigError("delta must be finite")
 
 
 def mpo_preference_loss(batch: PrefBatch, beta: float) -> float:

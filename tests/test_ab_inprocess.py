@@ -24,9 +24,10 @@ def test_quick_run_writes_every_shape_and_keeps_other_keys(tmp_path):
     assert doc["summary"] == {"kept": True}
     shapes = doc["in_process"]["shapes"]
     assert set(shapes) == set(ab_inprocess.SHAPES)
-    # a speculative round's two forwards, and forwards with no cache
+    # a speculative round's two forwards, forwards with no cache, and a plan
     assert {"draft_step", "verify_step", "cacheless_8", "cacheless_32",
-            "cacheless_512"} <= set(shapes)
+            "cacheless_512", "assign_precision"} <= set(shapes)
+    assert shapes["assign_precision"]["unit"] == "ms per plan"
     for name, shape in shapes.items():
         assert set(shape) == FIELDS, name
         assert math.isfinite(shape["median_ratio"]) and shape["median_ratio"] > 0

@@ -116,6 +116,15 @@ def _group_wider_than_row(h):
     entry["spec"].update(group_size=entry["shape"][-1] + 1)
 
 
+def _negative_scale_bits(h):
+    # a reloaded tensor of this spec reported bpw_exact -2
+    _first(h)["spec"].update(scale_bits=-64)
+
+
+def _zero_point_bits_zero(h):
+    _first(h)["spec"].update(zero_point_bits=0)
+
+
 def _three_heads(h):
     # d_model 16 is not 3 heads of head_dim 8
     h["config"].update(n_heads=3)
@@ -146,6 +155,8 @@ def _negative_rope_theta(h):
     # in-type values that the spec or config rejects
     ("sym.edgelmq", _five_bits),
     ("sym.edgelmq", _group_wider_than_row),
+    ("sym.edgelmq", _negative_scale_bits),
+    ("asym_sparse.edgelmq", _zero_point_bits_zero),
     ("float.edgelm", _three_heads),
     ("float.edgelm", _negative_rope_theta),
 ])

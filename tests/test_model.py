@@ -345,8 +345,7 @@ class TestForward:
         q[..., -1] = 0.0
         Kt = rng.normal(size=(n_kv, hd, L))
         Kt[:, -1] = 0.0
-        Vt = rng.normal(size=(n_kv, L, hd + 1))
-        Vt[..., hd] = 1.0
+        Vt = rng.normal(size=(n_kv, L, hd))
         scale = 1.0 / np.sqrt(hd)
         free = M._attend(q, Kt, Vt, scale, 8)
         assert M._exp_bounded(q * scale, Kt, Vt)
@@ -373,13 +372,35 @@ class TestForward:
         rng = np.random.default_rng(seed)
         q = sharp * rng.normal(size=(n, H, hd))
         Kt = rng.normal(size=(n_kv, hd, L))
-        Vt = rng.normal(size=(n_kv, L, hd + 1))
-        Vt[..., hd] = 1.0
+        Vt = rng.normal(size=(n_kv, L, hd))
         got = M._attend(q, Kt, Vt, 1 / np.sqrt(hd), window)
         want = _tiled_single_pass_attend(q, Kt, Vt, 1 / np.sqrt(hd), window)
         assert got[2].shape == (min(n, window), L)
         for a, b in zip(got, want):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(heads=st.sampled_from(HEAD_LAYOUTS),
+           n=st.sampled_from([1, 5, TILE, TILE + 1, 40]), m=st.integers(0, 60),
+           top=st.just(0.0) | st.floats(0.0, 1.0, exclude_max=True),
+           sharp=st.sampled_from([1.0, 40.0, 1e3]), seed=st.integers(0, 2**16))
+    def test_values_below_one_keep_the_bound_of_a_floor_of_one(self, heads, n, m, top,
+                                                              sharp, seed):
+        # values of max magnitude top < 1, all zeros included: every result
+        # equals the tiled reference bit for bit, and the bound gives the
+        # verdict it gives once a lane of ones lifts max|V| to 1
+        (H, n_kv), hd, L = heads, 8, m + n
+        rng = np.random.default_rng(seed)
+        q = sharp * rng.normal(size=(n, H, hd))
+        Kt = rng.normal(size=(n_kv, hd, L))
+        Vt = top * rng.uniform(-1.0, 1.0, size=(n_kv, L, hd))
+        scale = 1 / np.sqrt(hd)
+        lane = np.concatenate([Vt, np.ones((n_kv, L, 1))], axis=-1)
+        assert M._exp_bounded(q * scale, Kt, Vt) == M._exp_bounded(q * scale, Kt, lane)
+        got = M._attend(q, Kt, Vt, scale, 8)
+        for a, b in zip(got, _tiled_single_pass_attend(q, Kt, Vt, scale, 8)):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert np.isfinite(got[0]).all() and (top > 0 or not got[0].any())
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     @pytest.mark.parametrize("big", [1.0, 1e300])
@@ -394,14 +415,13 @@ class TestForward:
         q[..., 0] = sign * np.sqrt(B)
         Kt = np.zeros((n_kv, hd, L))
         Kt[:, 0] = np.sqrt(B)
-        Vt = np.full((n_kv, L, hd + 1), big)
-        Vt[..., hd] = 1.0
+        Vt = np.full((n_kv, L, hd), big)
         assert M._exp_bounded(q, Kt, Vt)
         assert not M._exp_bounded(q * (1 + 1e-9), Kt, Vt)
         group = H // n_kv
         qg = q.reshape(n, n_kv, group, hd).transpose(1, 2, 0, 3).reshape(n_kv, group * n, hd)
-        pv = np.exp(qg @ Kt) @ Vt                      # every key, masked or not
-        sigma = pv[..., hd]
+        e = np.exp(qg @ Kt)                            # every key, masked or not
+        pv, sigma = e @ Vt, e.sum(axis=-1)
         assert np.isfinite(pv).all()
         assert (sigma >= np.finfo(float).tiny).all()
         assert (1.0 / (H * sigma) >= np.finfo(float).tiny).all()
@@ -654,13 +674,12 @@ def _plan_arrays(record):
 
 def _single_pass_attend(q, Kt, Vt, scale, window):
     """model._attend as one pass over the whole [H, n, m+n] score array of
-    the same key panels Kt[kv, hd, m+n] and the values Vt without their ones
-    lane: masked scores set to -inf by a boolean index, then the row max
+    the same key panels Kt[kv, hd, m+n] and values Vt[kv, m+n, hd]: masked
+    scores set to -inf by a boolean index, then the row max
     subtracted, exp, normalise before PV, and the head-averaged block as
     sum(axis=0) / H; its column sums and last min(n, window) rows are
     returned."""
     n, H, hd = q.shape
-    Vt = Vt[..., :hd]
     n_kv, L = Kt.shape[0], Kt.shape[2]
     m, group = L - n, H // n_kv
     qg = q.reshape(n, n_kv, group, hd).transpose(1, 2, 0, 3).reshape(n_kv, group * n, hd)
@@ -682,9 +701,9 @@ def _tiled_single_pass_attend(q, Kt, Vt, scale, window):
     panels it can see, Kt[..., :m + r1], the masked scores are set to -inf
     by a boolean index and the row max is subtracted, both skipped on a
     call of more than one tile that model._exp_bounded admits; then exp
-    runs and the masked entries are zeroed. PV runs on the exp against the
-    values with their ones lane, which gives the row totals σ, and is
-    divided by them; the mass and rows take the weights 1 / (H σ). Every
+    runs and the masked entries are zeroed. The row totals σ are summed from
+    the exp as model._tile sums them, and PV runs on the exp and is divided
+    by them; the mass and rows take the weights 1 / (H σ). Every
     matmul and reduction has model._attend's shape, and one token's row is
     its mass (no window, no rows)."""
     n, H, hd = q.shape
@@ -707,11 +726,10 @@ def _tiled_single_pass_attend(q, Kt, Vt, scale, window):
             s -= s.max(axis=-1, keepdims=True)
         np.exp(s, out=s)
         s[mask] = 0.0
-        pv = scores @ Vt[:, :seen]
-        sigma = pv[..., hd].reshape(H, t)
-        pv = pv[..., :hd] / pv[..., hd:]
+        sigma = scores.sum(axis=-1)
+        pv = (scores @ Vt[:, :seen]) / sigma[..., None]
         out[r0:r1] = pv.reshape(n_kv, group, t, hd).transpose(2, 0, 1, 3).reshape(t, -1)
-        w = 1.0 / (H * sigma)
+        w = 1.0 / (H * sigma.reshape(H, t))
         mass[:seen] += w.reshape(-1) @ scores.reshape(H * t, seen)
         lo = max(first - r0, 0)
         if lo < t:

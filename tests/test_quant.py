@@ -28,6 +28,13 @@ class TestQuantSpec:
         with pytest.raises(ConfigError):
             E.QuantSpec(granularity="per-column")
 
+    @pytest.mark.parametrize("field", ["scale_bits", "zero_point_bits"])
+    @pytest.mark.parametrize("bad", [0, -64])
+    def test_scale_and_zero_point_widths_checked(self, field, bad):
+        # scale_bits=-64 once gave a 2-bit plan 1.91 bpw
+        with pytest.raises(ConfigError, match=field):
+            E.QuantSpec(**{field: bad})
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("bits", [2, 3, 4, 8])

@@ -96,6 +96,14 @@ class TestJointLoss:
         with pytest.raises(ValueError):
             E.MpoWeights(beta=0)
 
+    @pytest.mark.parametrize("field", ["w_p", "w_q", "w_g", "beta", "delta"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected(self, field, bad):
+        # nan once gave a NaN loss, inf an infinite one, and beta=inf a
+        # silent 1.0
+        with pytest.raises(E.ConfigError, match="finite"):
+            E.MpoWeights(**{field: bad})
+
     def test_nonfinite_logprobs_rejected(self):
         with pytest.raises(ValueError):
             E.PrefBatch([np.inf], [0.0], [0.0], [0.0])

@@ -30,16 +30,19 @@ The shapes, on the default ``ModelConfig`` unless named otherwise:
 - ``cacheless_8``, ``cacheless_32`` and ``cacheless_512``: forwards of 8,
   32 and 512 tokens with no cache, in us per forward;
 - ``prefill_2048`` and ``prefill_516``: ``bench.prefill`` into a new cache,
-  in ms.
+  in ms;
+- ``assign_precision``: a plan for that 1-layer d=32 draft model from two
+  16-token sequences under a 5.0 bpw budget, in ms per plan.
 
 Per shape it records both trees' medians over the rounds, the median of the
 per-round change/parent ratios, the rounds the change was faster in, and
-whether both trees produced the same tokens in every round. It writes them
-under ``in_process`` in ``--out`` and keeps the keys it does not write.
+whether both trees produced the same tokens (for ``assign_precision``, the
+same plan) in every round. It writes them under ``in_process`` in ``--out``
+and keeps the keys it does not write.
 ``--quick`` runs smaller shapes (16 and 256 cached, 16 steps, a 128-token
 prompt, draft and verify steps at 64 and 68 cached, cacheless forwards of
-8, 32 and 64 tokens, prefills of 64 and 20 tokens) for two rounds, under
-the same keys.
+8, 32 and 64 tokens, prefills of 64 and 20 tokens; the same plan) for two
+rounds, under the same keys.
 """
 from __future__ import annotations
 
@@ -180,13 +183,22 @@ class Shapes:
     def prefill_516(self):
         return self._prefill(20 if self.quick else 516)
 
+    def assign_precision(self):
+        t0 = time.thread_time()
+        plan = self.E.assign_precision(self.draft, [self.stream[:16], self.stream[16:32]],
+                                       5.0)
+        # the trees' QuantSpec classes differ, so compare their fields
+        return ((time.thread_time() - t0) * 1e3,
+                {slot: vars(spec) for slot, spec in plan.specs.items()})
+
 
 SHAPES = {"forward_64": "us per forward", "forward_2000": "us per forward",
           "edge_stream_step": "us per step", "spec_decode_request": "ms per request",
           "draft_step": "us per forward", "verify_step": "us per forward",
           "cacheless_8": "us per forward", "cacheless_32": "us per forward",
           "cacheless_512": "us per forward",
-          "prefill_2048": "ms per prefill", "prefill_516": "ms per prefill"}
+          "prefill_2048": "ms per prefill", "prefill_516": "ms per prefill",
+          "assign_precision": "ms per plan"}
 
 
 def run(trees: dict[str, Path], rounds: int, quick: bool) -> dict:
