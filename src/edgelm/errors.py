@@ -22,7 +22,8 @@ class ManifestError(ValueError):
 
 
 def at_least(low, **counts):
-    """A ConfigError naming the first of ``counts`` (name -> value) below ``low``."""
+    """A ConfigError naming the first of ``counts`` (name -> value) below
+    ``low``, or NaN."""
     for name, count in counts.items():
-        if count < low:
+        if not count >= low:
             raise ConfigError(f"{name} ({count}) must be >= {low}")

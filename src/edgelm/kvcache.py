@@ -27,13 +27,15 @@ gathers faster. The arrays a layer exposes are views.
 
 Score state lives with the cache: an accumulated-mass vector and a ring of
 the last ``window`` head-averaged attention rows. The ring is one
-[window, capacity] buffer in the same arena, one slot per row with its
-length, and every slot is zero past the kept count. Each forward hands
+[window, capacity] buffer in the same arena, one slot per row with the
+position of its query, which appends and evictions leave alone, and every
+slot is zero past the kept count. A row's length, the count of kept
+positions up to its query's, is read when the row is. Each forward hands
 ``append_block`` both per layer, never an [n, kept+n] block: the column
 mass of its head-averaged attention, added to the vector, and the rows of
 its last ``window`` queries, pushed into the ring. ``truncate`` zeros the
-dropped columns and pops the newest rows, and ``evict`` gathers the kept
-columns of every slot.
+dropped columns and pops the rows of dropped queries, and ``evict``
+gathers the kept columns of every slot.
 """
 from __future__ import annotations
 
@@ -182,11 +184,12 @@ class _LayerStore:
     n_kv_heads, head_dim]), ``values``, ``positions`` and ``acc`` are views
     over those slots, valid until the next append, truncate or evict.
 
-    The window of recent attention rows is a ring: ``_rows[s, :_lens[s]]``
-    is the row in slot s, the newest row sits just before ``_head`` and
-    ``_count`` slots are live. Every slot, live or not, is zero past
-    ``kept``, so writing a new row's ``[:kept + n]`` overwrites all a reused
-    slot held, and a sum over slots needs no per-row cut.
+    The window of recent attention rows is a ring: slot s holds the row of
+    the query at position ``_qpos[s]``, over the kept entries up to it, the
+    newest row sits just before ``_head`` and ``_count`` slots are live.
+    Every slot, live or not, is zero past ``kept``, so writing a new row's
+    ``[:kept + n]`` overwrites all a reused slot held, and a sum over slots
+    needs no per-row cut.
 
     ``next_position`` is one past the last appended position. Eviction
     leaves it alone, even when it drops the newest entries; truncation sets
@@ -200,7 +203,7 @@ class _LayerStore:
         self._positions = np.zeros(0, dtype=np.int64)
         self._acc = np.zeros(0)                      # accumulated attention mass
         self._rows = np.zeros((window, 0))
-        self._lens = np.zeros(window, dtype=np.int64)
+        self._qpos = np.zeros(window, dtype=np.int64)   # each slot's query position
         self._head = self._count = 0
 
     keys = property(lambda self: self._keys[..., :self.kept].transpose(2, 0, 1))
@@ -214,8 +217,9 @@ class _LayerStore:
 
     @property
     def rows(self) -> list[np.ndarray]:
-        """The window's rows, oldest first, each cut at its own length (views)."""
-        return [self._rows[s, :self._lens[s]] for s in self.slots()]
+        """The window's rows, oldest first, each cut after its query (views)."""
+        ends = np.searchsorted(self.positions, self._qpos, "right")
+        return [self._rows[s, :ends[s]] for s in self.slots()]
 
     def reserve(self, n: int):
         """Make room for n more entries, doubling the capacity when it grows."""
@@ -234,37 +238,43 @@ class _LayerStore:
 
     def push_rows(self, rows: np.ndarray, end: int):
         """Write the last ``window`` of ``rows``, the attention rows of the
-        last new queries, into the ring. The last row has length end, each
-        one before it one less, and each is zero past its length."""
-        w, r = self._lens.size, rows.shape[0]
+        queries at the last r of the first ``end`` entries, into the ring;
+        each is zero past its query."""
+        w, r = self._qpos.size, rows.shape[0]
         for i in range(max(0, r - w), r):
             self._rows[self._head, :end] = rows[i]
-            self._lens[self._head] = end - r + i + 1
+            self._qpos[self._head] = self._positions[end - r + i]
             self._head = (self._head + 1) % w
         self._count = min(self._count + r, w)
 
     def truncate(self, kept: int):
-        """Shorten to the first ``kept`` entries: zero the dropped columns and
-        pop the newest rows longer than ``kept``."""
+        """Shorten to the first ``kept`` (fewer than now) entries: zero the
+        dropped columns and pop the newest rows, those whose query is at or
+        past the first dropped entry. A row left whose query lies past the
+        newest kept entry (it was evicted) takes that entry's position, or
+        -1, which counts the same kept entries, so that no entry appended
+        later at its query's position or before joins it."""
         self._rows[:, kept:self.kept] = 0.0
-        while self._count and self._lens[self._head - 1] > kept:
-            self._head = (self._head - 1) % self._lens.size
+        while self._count and self._qpos[self._head - 1] >= self._positions[kept]:
+            self._head = (self._head - 1) % self._qpos.size
             self._count -= 1
         self.kept, self.staged = kept, 0
         self.next_position = int(self._positions[kept - 1]) + 1 if kept else 0
+        # query positions rise along the ring: the newest row has the largest
+        if self._count and self._qpos[self._head - 1] >= self.next_position:
+            np.minimum(self._qpos, self.next_position - 1, out=self._qpos)
 
     def gather(self, keep):
         """Keep only the entries at the sorted indices ``keep``, in place; an
         int ``keep`` is instead a one-drop's dropped index. Those before the
         first dropped index stay; the rest move back by one slice per buffer
-        when they form one run (every one-drop), else by a gather."""
+        when they form one run (every one-drop), else by a gather. The ring's
+        query positions hold, so only entries move."""
         if isinstance(keep, int):
-            self._lens -= self._lens > keep
             return self._move(keep, slice(keep + 1, self.kept), self.kept - 1)
         shift = keep - np.arange(keep.size)     # nondecreasing: how far each moves
         i = int(np.searchsorted(shift, 0, side="right"))
         run = i < keep.size and shift[i] == shift[-1]
-        self._lens = np.searchsorted(keep, self._lens)
         self._move(i, slice(keep[i], keep[-1] + 1) if run else keep[i:], keep.size)
 
     def _move(self, i: int, src, kept: int):
@@ -433,9 +443,9 @@ def _pooled_window_score(stores: list[_LayerStore], obs: int, kernel: int) -> np
     to the in-order mean of the clipped slice (numpy's ``mean`` for kernels
     up to 7). Returns [layers, n]."""
     n, h = stores[0].kept, kernel // 2
-    if obs > stores[0]._lens.size:
+    if obs > stores[0]._qpos.size:
         raise ConfigError(f"observation window {obs} exceeds the cache's "
-                          f"{stores[0]._lens.size}-row window")
+                          f"{stores[0]._qpos.size}-row window")
     m = np.zeros((len(stores), h + n + h))      # the mean rows, zero-padded by h
     for mean, ls in zip(m, stores):
         count = min(obs, ls._count)

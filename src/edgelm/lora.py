@@ -46,6 +46,8 @@ def create_adapter(model: TinyLM, target_slots, r: int, alpha: float,
     at creation)."""
     shapes = _projected_shapes(model.config)
     target_slots = tuple(target_slots)
+    if len(set(target_slots)) != len(target_slots):
+        raise ConfigError(f"target slots {list(target_slots)} list a slot twice")
     at_least(1, r=r)
     if not np.isfinite(alpha):
         raise ConfigError(f"alpha ({alpha}) must be finite")

@@ -30,9 +30,9 @@ attention: the new queries' column mass and the last ``window`` rows.
 
 A one-token forward costs numpy calls more than arithmetic, so each model
 keeps a per-layer plan (:meth:`TinyLM.plan`): its fused float64 weights,
-its norm scales (none for a unit one) and each adapted slot's columns, checked
-by identity once per forward and rebuilt only for the layers whose slots
-were rebound. Rope reads cached inverse frequencies.
+its norm scales (none for a unit one) and each adapted slot's columns,
+checked by identity once per forward and rebuilt from the float64 memo once
+a slot was rebound. Rope reads cached inverse frequencies.
 """
 from __future__ import annotations
 
@@ -124,15 +124,15 @@ class TinyLM:
     rebinding ``weights[name]`` to another array or ``QuantTensor`` is picked
     up; an array or encoding mutated in place after the first forward is not.
 
-    ``forward`` reads them through :meth:`plan`: one record per layer, then
-    one for the head, each holding its fused float64 projections ([wq|wk|wv],
-    wo, [w_gate|w_up], w_down; the embedding and the head) and each adapted
+    :meth:`plan` is the one way to them: one record per layer, then one for
+    the head, each holding its fused float64 projections ([wq|wk|wv], wo,
+    [w_gate|w_up], w_down; the embedding and the head) and each adapted
     slot's column range, and the scale of each norm, None for a unit one,
     which every served model has, quantized ones included, so that no
-    forward multiplies by ones. The fused arrays are the memo's own. A
-    record is rebuilt by the same identity rule, for its own slots only, so
-    rebinding one slot rebuilds one layer's record. ``_layer`` stays a function, so
-    that a layer's temporaries are freed when it returns.
+    forward multiplies by ones. The fused arrays are the memo's own: once
+    any slot is rebound, every record is rebuilt from the memo, which
+    converts only the rebound slot's group again. ``_layer`` stays a
+    function, so that a layer's temporaries are freed when it returns.
     """
     config: ModelConfig
     weights: dict  # slot name -> np.ndarray (float32) or QuantTensor
@@ -147,7 +147,7 @@ class TinyLM:
             return w
         return w.dequantize()  # QuantTensor
 
-    def resolve(self, *names: str) -> np.ndarray:
+    def _resolve(self, *names: str) -> np.ndarray:
         """The named slots as one float64 array, side by side along the last
         axis, memoised (see the class docstring)."""
         entry = self._memo.get(names)
@@ -164,21 +164,20 @@ class TinyLM:
         return out
 
     def plan(self) -> list:
-        """Each layer's record, then the head's (see the class docstring):
-        a layer's is (attn_norm scale, qkv, wo, ffn_norm scale, gate_up,
-        down), the head's (embedding, final_norm scale, head projection). A
-        scale is None for a unit one; a projection is (weight, its slots'
-        (name, first, end) columns)."""
+        """Each layer's record, then the head's (see the class docstring),
+        kept while every slot holds the object they were built from: a
+        layer's is (attn_norm scale, qkv, wo, ffn_norm scale, gate_up, down),
+        the head's (embedding, final_norm scale, head projection). A scale is
+        None for a unit one; a projection is (weight, its slots' (name,
+        first, end) columns), the head's the tied embedding's transpose or
+        ``lm_head``."""
         names, sources, records = self._plan
         if records and all(map(operator.is_, sources, map(self.weights.__getitem__, names))):
             return records
         groups = [tuple(f"layers.{i}.{slot}" for slot in _LAYER_SLOTS)
                   for i in range(self.config.n_layers)]
         groups.append(("token_embed", "final_norm", "lm_head")[:3 - self.config.tie_embeddings])
-        built = dict(zip(names, sources))   # the objects the records were built from
-        records = [record if record and all(self.weights[s] is built[s] for s in group)
-                   else _record(self, *group)
-                   for group, record in zip(groups, records or [None] * len(groups))]
+        records = [_record(self, *group) for group in groups]
         names = sum(groups, ())
         self._plan = (names, tuple(map(self.weights.__getitem__, names)), records)
         return records
@@ -194,21 +193,21 @@ _LAYER_SLOTS = ("attn_norm", "wq", "wk", "wv", "wo", "ffn_norm", "w_gate", "w_up
 def _projection(model: TinyLM, *slots: str, w=None):
     """The slots side by side (or ``w``) and each slot's (name, first, end)
     columns."""
-    w = model.resolve(*slots) if w is None else w
+    w = model._resolve(*slots) if w is None else w
     ends = list(itertools.accumulate(model.weights[s].shape[-1] for s in slots))
     return w, tuple(zip(slots, [0] + ends[:-1], ends))
 
 
 def _scale(model: TinyLM, norm: str):
     """The norm slot's scale, or None for a unit one, which is skipped."""
-    scale = model.resolve(norm)
+    scale = model._resolve(norm)
     return scale if (scale != 1.0).any() else None
 
 
 def _record(model: TinyLM, *names: str):
     """The plan record of one layer's nine slots, or of the head's."""
     if names[0] == "token_embed":
-        embed = model.resolve("token_embed")
+        embed = model._resolve("token_embed")
         return embed, _scale(model, "final_norm"), _projection(
             model, *names[2:], w=None if names[2:] else embed.T)
     return (_scale(model, names[0]), _projection(model, *names[1:4]),
@@ -251,19 +250,15 @@ def init_model(config: ModelConfig, seed: int) -> TinyLM:
 
 
 def rms_norm(x: np.ndarray, scale, eps: float = 1e-6) -> np.ndarray:
-    """RMS norm of x's rows times ``scale``; None, a plan's unit scale, is
-    not multiplied."""
-    h = _normed(x, eps)
-    return h if scale is None else h * scale
-
-
-def _normed(x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """RMS norm with unit scale: x over the root mean square of its rows."""
+    """x over the root mean square of its rows, times ``scale``; None, a
+    plan's unit scale, is not multiplied."""
     if 0 < x.size == x.shape[-1]:
         # one row: the same sum, then its mean and root in Python floats,
         # which round as numpy's do
-        return x / math.sqrt(float(np.add.reduce(x * x, None)) / x.size + eps)
-    return x / np.sqrt(np.add.reduce(x * x, -1, None, None, True) / x.shape[-1] + eps)
+        h = x / math.sqrt(float(np.add.reduce(x * x, None)) / x.size + eps)
+    else:
+        h = x / np.sqrt(np.add.reduce(x * x, -1, None, None, True) / x.shape[-1] + eps)
+    return h if scale is None else h * scale
 
 
 def apply_rope(vec: np.ndarray, position: int, theta: float) -> np.ndarray:

@@ -83,7 +83,7 @@ class QuantTensor:
 
     The tensor's shape is ``codes.shape``; each element's group follows from
     the shape and spec (:attr:`group_index`). :meth:`dequantize` decodes on
-    every call; a model keeps the one dense copy (:meth:`TinyLM.resolve`).
+    every call; a model keeps the one dense copy (:meth:`TinyLM.plan`).
     Freezing makes every encoding array read-only.
     """
 
@@ -96,6 +96,9 @@ class QuantTensor:
             zero_points, dtype=np.int32)
         self.spec = spec
         self.mask = None if mask is None else np.asarray(mask, dtype=bool)
+        if self.mask is not None and self.mask.shape != self.codes.shape:
+            raise ShapeError(f"mask shape {self.mask.shape} != codes shape "
+                             f"{self.codes.shape}")
         self.frozen = False
         if frozen:
             self.freeze()
@@ -360,7 +363,7 @@ def assign_precision(model: TinyLM, calibration, bpw_budget: float,
                         replace(base[name], bits=bits))
 
     # one trial model: a trial rebinds the slot it moves, then rebinds it
-    # back, so each forward's plan rebuilds only that slot's layer record
+    # back, so each forward's plan converts only that slot's group again
     trial_model = TinyLM(config=model.config, weights={})
 
     def best_step(levels: dict[str, int], step: int):
@@ -398,9 +401,13 @@ _MAGIC = b"EDGELMQ1"
 
 
 def pack_bits(values: np.ndarray, bits: int) -> bytes:
-    """LSB-first bit packing of nonnegative ints, little-endian byte order."""
-    values = np.asarray(values, dtype="<u8").ravel()
-    planes = np.unpackbits(values.view(np.uint8).reshape(-1, 8), axis=1,
+    """LSB-first bit packing of ints in [0, 2**bits), little-endian byte
+    order; any other value is a ValueError."""
+    values = np.asarray(values).ravel()
+    if values.size and not 0 <= values.min() <= values.max() < 2 ** bits:
+        raise ValueError(f"values in [{values.min()}, {values.max()}] do not fit "
+                         f"{bits} unsigned bits")
+    planes = np.unpackbits(values.astype("<u8").view(np.uint8).reshape(-1, 8), axis=1,
                            count=bits, bitorder="little")
     return np.packbits(planes, bitorder="little").tobytes()
 

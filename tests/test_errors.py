@@ -43,3 +43,14 @@ CASES = [(lambda f=f: E.ModelConfig(**{f: 0}), f, 0) for f in MODEL_FIELDS] + [
 def test_count_below_its_floor_is_a_config_error_naming_it(build, name, value):
     with pytest.raises(ConfigError, match=rf"^{name} \({value}\) must be >= "):
         build()
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: E.DraftConfig(E.IndependentDraft(MODEL), k=float("nan")), "k"),
+    (lambda: E.AttentionSink(sinks=float("nan")), "sinks"),
+    (lambda: bench.EvictMethod(eviction_ratios=(0.5, float("nan"))), "eviction_ratio"),
+], ids=["k", "sinks", "eviction_ratio"])
+def test_nan_count_is_a_config_error_naming_it(build, name):
+    # a NaN k once passed, and speculative decoding then proposed no token
+    with pytest.raises(ConfigError, match=rf"^{name} \(nan\) must be >= "):
+        build()

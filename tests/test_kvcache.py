@@ -624,6 +624,44 @@ def test_a_forward_stages_and_commits_each_layer_once():
                              for name in ("stage", "append_block")]
 
 
+@pytest.mark.parametrize("policy, budget", [
+    (E.HeavyHitter(recent=2), 19),                  # a one-drop
+    (E.Hybrid(obs=4), 11),
+    (E.RandomPolicy(seed=5), 7)])
+def test_eviction_moves_entries_and_leaves_the_ring_alone(policy, budget):
+    # each ring slot keeps its query's position; a row's length is the count
+    # of kept positions up to it, and the row holds the kept ones' columns
+    c = make_cache(20, n_layers=2, seed=21, window=6)
+    before = [(ls._qpos.copy(), ls._head, ls._count,
+               [dict(zip(ls.positions[:r.size].tolist(), r.tolist())) for r in ls.rows])
+              for ls in c.layers]
+    E.evict(c, policy, budget)
+    for ls, (qpos, head, count, rows) in zip(c.layers, before):
+        assert ls.kept == budget
+        np.testing.assert_array_equal(ls._qpos, qpos)
+        assert (ls._head, ls._count) == (head, count)
+        assert len(ls.rows) == len(rows) == 6
+        for s, got, was in zip(ls.slots(), ls.rows, rows):
+            kept = [p for p in ls.positions.tolist() if p <= ls._qpos[s]]
+            assert got.tolist() == [was[p] for p in kept]
+
+
+def test_a_truncate_after_an_eviction_keeps_each_rows_length():
+    # the newest kept entry is position 7 when 8 is evicted and 9 truncated;
+    # the row of query 8 stays, and the entry then appended at position 8
+    # does not join it
+    c = make_cache(10, window=4)
+    ls = c.layers[0]
+    ls.gather(8)
+    c.truncate(1)
+    assert [r.size for r in ls.rows] == [7, 8, 8]
+    c.append(0, np.zeros((1, 2)), np.zeros((1, 2)), 8, np.full(9, 1 / 9))
+    assert [r.size for r in ls.rows] == [7, 8, 8, 9]
+    E.evict(c, E.HeavyHitter(recent=1), 5)
+    assert [r.size for r in ls.rows] == [
+        int((ls.positions <= q).sum()) for q in (6, 7, 7, 8)]
+
+
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_only_the_window_of_rows_is_read(data):
@@ -649,7 +687,7 @@ def test_only_the_window_of_rows_is_read(data):
     # the window is laid out as one handed the whole block
     w, c = whole.layers[0], cut.layers[0]
     np.testing.assert_array_equal(c._rows, w._rows)
-    assert (c._lens.tolist(), c._head, c._count) == (w._lens.tolist(), w._head, w._count)
+    assert (c._qpos.tolist(), c._head, c._count) == (w._qpos.tolist(), w._head, w._count)
     for c in (cut, single):
         _assert_same_layer(_layer_state(c.layers[0]), _layer_state(w))
     policy, _, _ = _draw_policy(data, window, whole.kept(0))
@@ -886,7 +924,6 @@ def _fancy_gather(ls, idx):
     for buf in (ls._keys, ls._positions, ls._acc, ls._rows):
         buf[..., :idx.size] = buf[..., idx]
     ls._rows[:, idx.size:ls.kept] = 0.0
-    ls._lens = np.searchsorted(idx, ls._lens)
     ls.kept, ls.staged = idx.size, 0
 
 
@@ -898,7 +935,7 @@ def _kept_indices(keep, n):
 
 def _full_layer_state(ls):
     return [ls._keys.copy(), ls._values.copy(), ls._positions.copy(), ls._acc.copy(),
-            ls._rows.copy(), ls._lens.copy(), ls._head, ls._count, ls.kept,
+            ls._rows.copy(), ls._qpos.copy(), ls._head, ls._count, ls.kept,
             ls.staged, ls.next_position]
 
 

@@ -51,6 +51,13 @@ class TestAdapterCreation:
         np.testing.assert_array_equal(a.A[TARGETS[0]], b.A[TARGETS[0]])
         assert not np.array_equal(a.A[TARGETS[0]], c.A[TARGETS[0]])
 
+    def test_slot_listed_twice_rejected(self):
+        # it once built an adapter that save_adapter wrote and load_adapter
+        # rejected ("slot layers.0.wq is listed twice")
+        with pytest.raises(ConfigError, match="list a slot twice"):
+            E.create_adapter(small_model(1), ["layers.0.wq", "layers.0.wq"], r=2,
+                             alpha=4.0, seed=0)
+
     def test_unknown_slot_rejected(self):
         with pytest.raises(ConfigError):
             E.create_adapter(small_model(), ("nope",), r=1, alpha=1.0, seed=0)

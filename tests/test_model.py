@@ -639,7 +639,10 @@ class TestPlan:
         first = m.plan()
         m.weights["layers.1.w_up"] = m.weights["layers.1.w_up"] * np.float32(2)
         second = m.plan()
-        assert [a is b for a, b in zip(first, second)] == [True, False, True, True]
+        # the records are new, but only layer 1's arrays are not the memo's old ones
+        same = [all(map(np.shares_memory, _plan_arrays(a), _plan_arrays(b)))
+                for a, b in zip(first, second)]
+        assert same == [True, False, True, True]
 
     @pytest.mark.parametrize("kind", ["float", "quant"])
     def test_a_reloaded_model_builds_its_own_plan(self, kind, tmp_path):

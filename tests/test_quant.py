@@ -254,6 +254,20 @@ class TestBpw:
                                        granularity="per-group", group_size=128))
         assert E.bpw_exact(qt) == Fraction(1024 * 4 + 128 + 128, 1024)
 
+    def test_mask_of_another_shape_rejected(self):
+        # a (1, 8) mask once broadcast over (4, 8) codes: bpw_exact counted 4
+        # kept weights where the full mask keeps 7, and a model saved with it
+        # did not load ("blob length 4 != 128 bytes")
+        x = np.arange(1.0, 33.0).reshape(4, 8)
+        spec = E.QuantSpec(bits=4, group_size=8)
+        full = np.zeros((4, 8), dtype=bool)
+        full[0, :4] = full[1:, 0] = True                  # 7 kept weights
+        with pytest.raises(ShapeError, match=r"mask shape \(1, 8\) != codes shape \(4, 8\)"):
+            E.quantize(x, spec, mask=full[:1])
+        # 25 weights fewer at 4 bits each, and 1 mask bit per weight
+        assert (E.bpw_exact(E.quantize(x, spec, mask=full))
+                == E.bpw_exact(E.quantize(x, spec)) - Fraction(25 * 4, 32) + 1)
+
     def test_structured_mask_bits(self):
         # 2:4 mask costs ceil(log2 C(4,2)) = 3 bits per 4 weights
         assert E.Structured(n=2, m=4).mask_bits_per_weight() == Fraction(3, 4)
@@ -399,6 +413,23 @@ class TestPacking:
     def test_unpack_short_buffer_rejected(self):
         with pytest.raises(ShapeError):
             Q.unpack_bits(b"\x00\x00", 3, 6)  # 18 bits need 3 bytes
+
+    @pytest.mark.parametrize("bits, value", [(2, 4), (4, 16), (4, -1), (8, 256), (8, -300)])
+    def test_value_outside_its_bits_rejected(self, bits, value):
+        with pytest.raises(ValueError, match="do not fit"):
+            Q.pack_bits(np.array([0, value, 1]), bits)
+
+    @pytest.mark.parametrize("scheme, code", [("asymmetric", 16), ("symmetric", 9),
+                                              ("symmetric", -8)])
+    def test_code_outside_its_width_is_not_saved(self, tmp_path, scheme, code):
+        # packing once wrapped these: 16 reloaded as 0 and 9 as -7, and -8
+        # wrote a file that load_quant_model rejects
+        m = small_model(9)
+        qm = E.ptq_model(m, E.uniform_plan(m, 4, scheme=scheme, group_size=8))
+        qm.weights["layers.0.wq"].codes[0, 0] = code
+        with pytest.raises(ValueError, match="do not fit 4 unsigned bits"):
+            E.save_quant_model(qm, tmp_path / "q")
+        assert not (tmp_path / "q").exists()
 
     def test_quant_manifest_roundtrip(self, tmp_path):
         m = small_model(9)

@@ -13,7 +13,9 @@ reads. It prints one JSON object, key -> SHA-256 hex digest, covering:
   ``run_quant_bench`` runs, the last with an ``assign_precision`` plan;
 - exact bpw ``Fraction``s of a set of precision plans;
 - the four manifest files that ``tests/test_manifest.py`` pins;
-- the argmax of every row of cacheless forwards.
+- the argmax of every row of cacheless forwards;
+- every layer's window rows and kept positions on a default-window cache
+  through eviction, truncation and decoding.
 
 Two checkouts with the same outputs print the same object. ``--quick``
 serves seed 1 and the first pool entry of each workload and runs one trial
@@ -144,10 +146,34 @@ def cacheless_argmaxes() -> dict:
     return out
 
 
+def window_rows() -> dict:
+    """Each layer's window rows and kept positions on a default-window cache
+    after a 48-token prefill, a ``Hybrid()`` eviction to 32, a truncate of 3,
+    two decode steps and a one-drop to 30."""
+    import numpy as np
+
+    import edgelm as E
+
+    model = E.init_model(E.ModelConfig(), 0)
+    cache = E.KvCache.for_model(model.config)
+    prompt = np.random.default_rng(13).integers(0, 256, 48)
+    steps = [lambda: E.forward(model, prompt, cache=cache),
+             lambda: E.evict(cache, E.Hybrid(), 32), lambda: cache.truncate(3),
+             lambda: E.forward(model, [7], cache=cache),
+             lambda: E.forward(model, [9], cache=cache),
+             lambda: E.evict(cache, E.Hybrid(), 30)]
+    states = []
+    for step in steps:
+        step()
+        states.append([(ls.rows, cache.kept_positions(li))
+                       for li, ls in enumerate(cache.layers)])
+    return {"evict.window_rows": digest(states)}
+
+
 def digests(quick: bool = False) -> dict:
     """Every key this tool prints, with its digest."""
     return {**served_outputs(quick), **bench_rows(quick), **exact_bpw(),
-            **manifests(), **cacheless_argmaxes()}
+            **manifests(), **cacheless_argmaxes(), **window_rows()}
 
 
 def main(argv=None) -> int:
