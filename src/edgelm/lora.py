@@ -1,10 +1,10 @@
 """1+N low-rank adapter registry over a frozen base, plus a fine-tuning demo
 on a frozen quantized linear map with analytic gradients.
 
-The base model (float or quantized) is never mutated: adapter deltas are
-applied on the fly during forward, from factors held as float64 in memory
-and written as float32 on disk. A cryptographic hash of the base weights
-is exposed so deployments can assert the frozen contract.
+The base model (float or quantized) is never mutated: a forward merges the
+adapter's deltas into copies of the projections they target, from factors
+held as float64 in memory and written as float32 on disk. A cryptographic
+hash of the base weights is exposed so deployments can assert the frozen contract.
 """
 from __future__ import annotations
 
@@ -20,11 +20,11 @@ from .model import TinyLM, ForwardOutput, forward, slot_rng
 from .quant import QuantTensor
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoraAdapter:
-    """Factors per target slot, which the forward reads as they are.
-    :func:`create_adapter` and :func:`load_adapter` store them as float64
-    holding float32 values, which :func:`save_adapter` writes exactly."""
+    """Factors per target slot, float64 holding float32 values, which a
+    forward merges into the plan and sets read-only: rebind one to change it,
+    as a weight is rebound. Frozen, as the plan reads r, alpha and slots once."""
     name: str
     r: int
     alpha: float
@@ -74,14 +74,17 @@ class AdapterRegistry:
         self.active: Optional[str] = None
 
     def register(self, adapter: LoraAdapter):
-        """Add an adapter whose every delta has the shape of a base slot the
-        forward projects through."""
-        shapes = _projected_shapes(self.base.config)
+        """Add an adapter whose every slot has factors A [r, in] and B [out, r]
+        and the shape of a base slot the forward projects through."""
+        shapes, r = _projected_shapes(self.base.config), adapter.r
         for slot in adapter.target_slots:
-            delta = (adapter.A[slot].shape[1], adapter.B[slot].shape[0])
-            if shapes.get(slot) != delta:
+            a, b = adapter.A[slot].shape, adapter.B[slot].shape
+            if len(a) != 2 or len(b) != 2 or (a[0], b[1]) != (r, r):
+                raise ConfigError(f"adapter {adapter.name} slot {slot!r}: A {list(a)} and "
+                                  f"B {list(b)} are not [r, in] and [out, r] with r = {r}")
+            if shapes.get(slot) != (a[1], b[0]):
                 raise ConfigError(f"adapter {adapter.name} slot {slot!r}: delta shape "
-                                  f"{delta}, projected base shape {shapes.get(slot)}")
+                                  f"{a[1], b[0]}, projected base shape {shapes.get(slot)}")
         self.adapters[adapter.name] = adapter
 
     def activate(self, name: Optional[str]):
@@ -93,8 +96,7 @@ class AdapterRegistry:
         return self.adapters[self.active] if self.active is not None else None
 
     def apply_forward(self, tokens, cache=None) -> ForwardOutput:
-        """Forward with the active adapter's delta applied per use; the stored
-        base weights are never touched."""
+        """Forward with the active adapter; the base weights are never touched."""
         return forward(self.base, tokens, cache=cache, adapter=self.active_adapter())
 
     def base_hash(self) -> str:

@@ -30,15 +30,14 @@ attention: the new queries' column mass and the last ``window`` rows.
 
 A one-token forward costs numpy calls more than arithmetic, so each model
 keeps a per-layer plan (:meth:`TinyLM.plan`): its fused float64 weights,
-its norm scales (none for a unit one) and each adapted slot's columns,
-checked by identity once per forward and rebuilt from the float64 memo once
-a slot was rebound. Rope reads cached inverse frequencies.
+with the active adapter's deltas merged in, and its norm scales (none for a
+unit one), checked by identity once per forward and rebuilt from the
+float64 memo once one changed. Rope reads cached inverse frequencies.
 """
 from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import math
 import operator
 from dataclasses import asdict, dataclass, field
@@ -126,13 +125,13 @@ class TinyLM:
 
     :meth:`plan` is the one way to them: one record per layer, then one for
     the head, each holding its fused float64 projections ([wq|wk|wv], wo,
-    [w_gate|w_up], w_down; the embedding and the head) and each adapted
-    slot's column range, and the scale of each norm, None for a unit one,
-    which every served model has, quantized ones included, so that no
-    forward multiplies by ones. The fused arrays are the memo's own: once
-    any slot is rebound, every record is rebuilt from the memo, which
-    converts only the rebound slot's group again. ``_layer`` stays a
-    function, so that a layer's temporaries are freed when it returns.
+    [w_gate|w_up], w_down; the embedding and the head), the memo's own or a
+    copy with one adapter's deltas merged in, and the scale of each norm,
+    None for a unit one, which every served model has, quantized ones
+    included, so that no forward multiplies by ones. Once the adapter, a
+    factor or a slot is another object, every record is rebuilt from the
+    memo, which converts only a rebound slot's group again. ``_layer`` stays
+    a function, so that a layer's temporaries are freed when it returns.
     """
     config: ModelConfig
     weights: dict  # slot name -> np.ndarray (float32) or QuantTensor
@@ -163,23 +162,23 @@ class TinyLM:
         self._memo[names] = (tuple(self.weights[n] for n in names), out)
         return out
 
-    def plan(self) -> list:
-        """Each layer's record, then the head's (see the class docstring),
-        kept while every slot holds the object they were built from: a
-        layer's is (attn_norm scale, qkv, wo, ffn_norm scale, gate_up, down),
-        the head's (embedding, final_norm scale, head projection). A scale is
-        None for a unit one; a projection is (weight, its slots' (name,
-        first, end) columns), the head's the tied embedding's transpose or
-        ``lm_head``."""
+    def plan(self, adapter=None) -> list:
+        """Each layer's record, then the head's (see the class docstring), for
+        ``adapter``, kept while it, its factors and every slot are the objects
+        they were built from: a layer's is (attn_norm scale, qkv, wo, ffn_norm
+        scale, gate_up, down), the head's (embedding, final_norm scale, head:
+        the tied embedding's transpose or ``lm_head``); a scale is None for a unit one."""
         names, sources, records = self._plan
-        if records and all(map(operator.is_, sources, map(self.weights.__getitem__, names))):
+        factors = () if adapter is None else (*adapter.A.values(), *adapter.B.values())
+        if records and all(map(operator.is_, sources, (
+                adapter, *factors, *map(self.weights.__getitem__, names)))):
             return records
         groups = [tuple(f"layers.{i}.{slot}" for slot in _LAYER_SLOTS)
                   for i in range(self.config.n_layers)]
         groups.append(("token_embed", "final_norm", "lm_head")[:3 - self.config.tie_embeddings])
-        records = [_record(self, *group) for group in groups]
+        records = [_record(self, adapter, *group) for group in groups]
         names = sum(groups, ())
-        self._plan = (names, tuple(map(self.weights.__getitem__, names)), records)
+        self._plan = (names, (adapter, *factors, *map(self.weights.__getitem__, names)), records)
         return records
 
     def reset_counters(self):
@@ -190,12 +189,22 @@ _LAYER_SLOTS = ("attn_norm", "wq", "wk", "wv", "wo", "ffn_norm", "w_gate", "w_up
                 "w_down")
 
 
-def _projection(model: TinyLM, *slots: str, w=None):
-    """The slots side by side (or ``w``) and each slot's (name, first, end)
-    columns."""
-    w = model._resolve(*slots) if w is None else w
-    ends = list(itertools.accumulate(model.weights[s].shape[-1] for s in slots))
-    return w, tuple(zip(slots, [0] + ends[:-1], ends))
+def _projection(model: TinyLM, adapter, *slots: str):
+    """The slots side by side: the memo's array, or a copy with W + (alpha /
+    r) (B A)^T in each slot ``adapter`` targets, whose factors it sets read-only."""
+    w, end = model._resolve(*slots), 0
+    for slot in slots:
+        first, end = end, end + model.weights[slot].shape[-1]
+        if adapter is not None and slot in adapter.target_slots:
+            w = w if w.flags.writeable else w.copy()
+            delta = (adapter.alpha / adapter.r) * np.matmul(
+                adapter.B[slot], adapter.A[slot], dtype=np.float64).T
+            if not np.isfinite(delta).all():
+                raise ConfigError(f"adapter {adapter.name} slot {slot!r}: delta is not finite")
+            w[:, first:end] += delta
+            for factor in (adapter.A[slot], adapter.B[slot]):
+                factor.setflags(write=False)
+    return w
 
 
 def _scale(model: TinyLM, norm: str):
@@ -204,15 +213,15 @@ def _scale(model: TinyLM, norm: str):
     return scale if (scale != 1.0).any() else None
 
 
-def _record(model: TinyLM, *names: str):
+def _record(model: TinyLM, adapter, *names: str):
     """The plan record of one layer's nine slots, or of the head's."""
     if names[0] == "token_embed":
         embed = model._resolve("token_embed")
-        return embed, _scale(model, "final_norm"), _projection(
-            model, *names[2:], w=None if names[2:] else embed.T)
-    return (_scale(model, names[0]), _projection(model, *names[1:4]),
-            _projection(model, names[4]), _scale(model, names[5]),
-            _projection(model, *names[6:8]), _projection(model, names[8]))
+        return (embed, _scale(model, "final_norm"),
+                _projection(model, adapter, *names[2:]) if names[2:] else embed.T)
+    return (_scale(model, names[0]), _projection(model, adapter, *names[1:4]),
+            _projection(model, adapter, names[4]), _scale(model, names[5]),
+            _projection(model, adapter, *names[6:8]), _projection(model, adapter, names[8]))
 
 
 @dataclass
@@ -298,21 +307,9 @@ def _silu(x: np.ndarray) -> np.ndarray:
     return np.divide(x, y, y)
 
 
-def _proj(h: np.ndarray, proj, adapter=None) -> np.ndarray:
-    """h @ a plan projection (see :meth:`TinyLM.plan`); each adapted slot's
-    columns add its delta."""
-    w, cols = proj
-    y = h @ w
-    if adapter is None:
-        return y
-    for slot, first, end in cols:
-        if slot in adapter.target_slots:
-            # [r, in] and [out, r]; a float32 factor assigned by hand is cast,
-            # since a mixed-dtype matmul sums in another order
-            a = adapter.A[slot].astype(np.float64, copy=False)
-            b = adapter.B[slot].astype(np.float64, copy=False)
-            y[:, first:end] += (adapter.alpha / adapter.r) * ((h @ a.T) @ b.T)
-    return y
+def _proj(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """h @ a plan projection (see :meth:`TinyLM.plan`)."""
+    return h @ w
 
 
 _ROW_TILE = 16  # query rows per attention tile (8, 32 and 64 measured slower)
@@ -441,13 +438,13 @@ def in_vocab(ids: np.ndarray, vocab_size: int) -> np.ndarray:
     return ids
 
 
-def _layer(cfg: ModelConfig, record, li: int, x, rope, positions, cache, adapter):
+def _layer(cfg: ModelConfig, record, li: int, x, rope, positions, cache):
     """Layer li over the residual stream x [n, d_model], from its plan
     record; its temporaries are freed when it returns."""
     attn_scale, qkv_proj, wo, ffn_scale, gate_up_proj, down = record
     n, hd = x.shape[0], cfg.head_dim
     n_qk = cfg.n_heads + cfg.n_kv_heads
-    qkv = _proj(rms_norm(x, attn_scale), qkv_proj, adapter)
+    qkv = _proj(rms_norm(x, attn_scale), qkv_proj)
     qk = _rope_block(qkv[:, :n_qk * hd].reshape(n, n_qk, hd), rope)
     q, k = qk[:, :cfg.n_heads], qk[:, cfg.n_heads:]
     v = qkv[:, n_qk * hd:].reshape(n, cfg.n_kv_heads, hd)
@@ -455,13 +452,13 @@ def _layer(cfg: ModelConfig, record, li: int, x, rope, positions, cache, adapter
     # views of the cached and new keys, as [kv, hd, m+n] panels, and values
     Kt, Vt = cache.stage(li, k, v)
     out, mass, rows = _attend(q, Kt, Vt, 1.0 / math.sqrt(hd), cache.window)
-    x = x + _proj(out, wo, adapter)
+    x = x + _proj(out, wo)
     cache.append_block(li, positions, mass, rows)
 
-    gate_up = _proj(rms_norm(x, ffn_scale), gate_up_proj, adapter)
+    gate_up = _proj(rms_norm(x, ffn_scale), gate_up_proj)
     gate = _silu(gate_up[:, :cfg.ffn_dim])
     gate *= gate_up[:, cfg.ffn_dim:]
-    return x + _proj(gate, down, adapter)
+    return x + _proj(gate, down)
 
 
 def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
@@ -488,13 +485,13 @@ def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
     positions = np.arange(start, start + n)
 
     model.stats["forwards"] += 1
-    *layers, (embed, final_scale, head) = model.plan()
+    *layers, (embed, final_scale, head) = model.plan(adapter)
     rope = _rope_table(positions, cfg.head_dim, cfg.rope_theta)
     x = embed[tokens]
     for li, record in enumerate(layers):
-        x = _layer(cfg, record, li, x, rope, positions, cache, adapter)
+        x = _layer(cfg, record, li, x, rope, positions, cache)
     h = rms_norm(x, final_scale)
-    return ForwardOutput(logits=_proj(h, head, adapter), final_hidden=h)
+    return ForwardOutput(logits=_proj(h, head), final_hidden=h)
 
 
 def greedy_continue(model: TinyLM, cache, tokens, n: int, adapter=None) -> list[int]:

@@ -432,10 +432,14 @@ def save_quant_model(model: TinyLM, path):
         raw = qt.codes.ravel().astype(np.int64)
         if qt.spec.scheme == "symmetric":
             raw = raw + qmax  # shift to nonnegative for packing
+        codes = pack_bits(raw, qt.spec.bits)
+        if qt.spec.scheme == "symmetric" and raw.size and raw.max() > 2 * qmax:
+            # 2**bits - 1 fits the width but is qmax + 1
+            raise ValueError(f"slot {name}: symmetric code {int(raw.max()) - qmax} is "
+                             f"outside [-{qmax}, {qmax}]")
         entry = {
             "name": name, "shape": list(qt.shape), "frozen": qt.frozen,
-            "spec": asdict(qt.spec),
-            "codes": blobs.add(pack_bits(raw, qt.spec.bits)),
+            "spec": asdict(qt.spec), "codes": blobs.add(codes),
             "scales": blobs.add(np.asarray(qt.scales, dtype="<f8").tobytes()),
         }
         if qt.zero_points is not None:

@@ -92,7 +92,7 @@ class FeatureReuseDraft:
     def start(self, target: TinyLM):
         """Float64 (embed, the target's LM head [d_model, vocab], w1, w2),
         the first two from the target's plan."""
-        embed, _, (head, _) = target.plan()[-1]
+        embed, _, head = target.plan()[-1]
         return embed, head, self.w1.astype(np.float64), self.w2.astype(np.float64)
 
     def propose(self, state, target: TinyLM, context, k, last_hidden):

@@ -1,5 +1,9 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import edgelm as E
 from edgelm.errors import ConfigError, FrozenEncodingError
@@ -86,7 +90,7 @@ class TestAdapterCreation:
         with pytest.raises(ConfigError, match="token_embed"):
             E.create_adapter(m, ("token_embed",), r=2, alpha=4.0, seed=0)
         ad = E.create_adapter(m, TARGETS, r=2, alpha=4.0, seed=0)
-        ad.target_slots += ("token_embed",)
+        ad = dataclasses.replace(ad, target_slots=ad.target_slots + ("token_embed",))
         ad.A["token_embed"] = np.zeros((2, 32))
         ad.B["token_embed"] = np.full((16, 2), 5.0)
         reg = E.AdapterRegistry(m)
@@ -131,7 +135,9 @@ class TestMergeEquivalence:
     @pytest.mark.parametrize("factor", ["A", "B"])
     @pytest.mark.parametrize("how", ["rebind", "mutate"])
     def test_next_forward_reads_the_factors_as_they_are(self, factor, how):
-        # no copy of a factor outlives a rebinding or an in-place write
+        # a rebound factor is picked up by identity, as a rebound weight is;
+        # the forward that merged a factor set it read-only, so a write in
+        # place raises and leaves the merged plan as it was
         m = small_model(2)
         ad = E.create_adapter(m, TARGETS, r=2, alpha=4.0, seed=3)
         for slot in TARGETS:
@@ -141,18 +147,19 @@ class TestMergeEquivalence:
         reg.activate(ad.name)
         before = reg.apply_forward([4, 8, 15]).logits
         factors = getattr(ad, factor)
-        if how == "rebind":
-            factors[TARGETS[0]] = factors[TARGETS[0]] * 3.0
-        else:
-            factors[TARGETS[0]] *= 3.0
+        if how == "mutate":
+            with pytest.raises(ValueError, match="read-only"):
+                factors[TARGETS[0]] *= 3.0
+            np.testing.assert_array_equal(reg.apply_forward([4, 8, 15]).logits, before)
+            return
+        factors[TARGETS[0]] = factors[TARGETS[0]] * 3.0
         after = reg.apply_forward([4, 8, 15]).logits
         assert not np.allclose(after, before)
         np.testing.assert_allclose(after, E.forward(_merged_model(reg), [4, 8, 15]).logits,
                                    atol=1e-4)
 
     def test_wo_and_untied_head_deltas_read_the_scaled_norms(self):
-        # non-unit norm scales are folded into the base weights; each delta
-        # still reads its projection's input with the norm's scale
+        # each delta reads its projection's input with the norm's scale
         m = E.init_model(E.ModelConfig(vocab_size=32, d_model=16, n_layers=1,
                                        n_heads=2, n_kv_heads=1, head_dim=8,
                                        max_seq=128, tie_embeddings=False), 4)
@@ -170,6 +177,24 @@ class TestMergeEquivalence:
             assert not np.allclose(logits, E.forward(m, [4, 8, 15]).logits)
             np.testing.assert_allclose(logits, E.forward(_merged_model(reg), [4, 8, 15]).logits,
                                        atol=1e-4)
+
+    @pytest.mark.parametrize("factor", ["A", "B"])
+    def test_non_finite_factor_rejected_at_the_next_forward(self, factor):
+        # a NaN factor once made every logit NaN, and greedy decoding emitted
+        # token 0 at every step
+        m = small_model(2)
+        ad = E.create_adapter(m, TARGETS, r=2, alpha=4.0, seed=3)
+        reg = E.AdapterRegistry(m)
+        reg.register(ad)
+        reg.activate(ad.name)
+        reg.apply_forward([1, 2, 3])
+        factors = getattr(ad, factor)
+        factors[TARGETS[1]] = np.full(factors[TARGETS[1]].shape, np.nan)
+        with pytest.raises(ConfigError,
+                           match=r"adapter adapter slot 'layers\.0\.wv': delta is not finite"):
+            reg.apply_forward([1, 2, 3])
+        with pytest.raises(ConfigError, match="not finite"):
+            E.greedy_decode(m, [1, 2, 3], 4, adapter=ad)
 
     def test_delta_shape_matches_weight(self):
         m = small_model(2)
@@ -212,6 +237,22 @@ class TestRegistry:
             reg.register(E.create_adapter(wide, TARGETS, r=2, alpha=4.0, seed=0))
         assert reg.adapters == {}
 
+    @pytest.mark.parametrize("factor, shape", [("A", (3, 16)), ("B", (16, 3)),
+                                               ("A", (2, 16, 1))],
+                             ids=["A-rank-3", "B-rank-3", "A-3-axes"])
+    def test_factor_of_another_rank_rejected(self, factor, shape):
+        # such an adapter once registered, and apply_forward then failed in
+        # numpy's matmul
+        ad = E.create_adapter(small_model(), TARGETS, r=2, alpha=4.0, seed=0)
+        getattr(ad, factor)[TARGETS[0]] = np.zeros(shape)
+        a, b = ad.A[TARGETS[0]].shape, ad.B[TARGETS[0]].shape
+        reg = E.AdapterRegistry(small_model())
+        with pytest.raises(ConfigError, match=re.escape(
+                f"slot 'layers.0.wq': A {list(a)} and B {list(b)} are not [r, in] and "
+                "[out, r] with r = 2")):
+            reg.register(ad)
+        assert reg.adapters == {}
+
     def test_slot_missing_from_base_rejected(self):
         deep = E.init_model(E.ModelConfig(vocab_size=32, d_model=16, n_layers=2,
                                           n_heads=2, n_kv_heads=1, head_dim=8,
@@ -229,6 +270,91 @@ class TestRegistry:
         reg.activate("adapter")
         reg.apply_forward([3, 9])
         assert reg.base_hash() == h0
+
+
+def untied_model():
+    return E.init_model(E.ModelConfig(vocab_size=32, d_model=16, n_layers=2, n_heads=2,
+                                      n_kv_heads=1, head_dim=8, max_seq=128,
+                                      tie_embeddings=False), 6)
+
+
+# the first, middle and last slot of a fused [wq|wk|wv] and [w_gate|w_up],
+# the unfused wo and w_down, and an untied head
+ADAPTED = ("layers.0.wq", "layers.0.wk", "layers.0.wv", "layers.1.wo", "layers.1.w_gate",
+           "layers.1.w_up", "layers.0.w_down", "lm_head")
+_LAYER_GROUPS = (("wq", "wk", "wv"), ("wo",), ("w_gate", "w_up"), ("w_down",))
+
+
+class _OnTheFly:
+    """A base projection w whose product h @ it also adds, in each adapted
+    slot's columns, the delta (alpha / r) ((h A^T) B^T) per call, as the
+    forward did before deltas were merged into the plan."""
+    __array_ufunc__ = None          # ndarray @ this defers to __rmatmul__
+
+    def __init__(self, w, slots, model, adapter):
+        self.w, self.slots, self.model, self.adapter = w, slots, model, adapter
+
+    def __rmatmul__(self, h):
+        ad, y, first = self.adapter, h @ self.w, 0
+        for slot in self.slots:
+            end = first + self.model.weights[slot].shape[-1]
+            if ad is not None and slot in ad.target_slots:
+                a = ad.A[slot].astype(np.float64, copy=False)
+                b = ad.B[slot].astype(np.float64, copy=False)
+                y[:, first:end] += (ad.alpha / ad.r) * ((h @ a.T) @ b.T)
+            first = end
+        return y
+
+
+def _on_the_fly_logits(model, tokens, adapter):
+    """The logits of ``model``'s weights with ``adapter``'s deltas added per
+    call: the base plan, each projection wrapped in :class:`_OnTheFly`."""
+    ref = E.TinyLM(model.config, model.weights)
+    *layers, (embed, scale, head) = ref.plan()
+    records = []
+    for i, (attn, qkv, wo, ffn, gate_up, down) in enumerate(layers):
+        qkv, wo, gate_up, down = (
+            _OnTheFly(w, [f"layers.{i}.{s}" for s in slots], model, adapter)
+            for w, slots in zip((qkv, wo, gate_up, down), _LAYER_GROUPS))
+        records.append((attn, qkv, wo, ffn, gate_up, down))
+    records.append((embed, scale, _OnTheFly(head, ["lm_head"], model, adapter)))
+    ref.plan = lambda adapter=None: records
+    return E.forward(ref, tokens, adapter=adapter).logits
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_merged_plan_matches_the_deltas_on_the_fly(data):
+    m = untied_model()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    adapters = []
+    for name in ("p", "q"):
+        slots = data.draw(st.lists(st.sampled_from(ADAPTED), min_size=1, unique=True))
+        ad = E.create_adapter(m, slots, r=data.draw(st.integers(1, 4)),
+                              alpha=data.draw(st.floats(0.25, 16.0)), seed=3, name=name)
+        for slot, b in ad.B.items():
+            ad.B[slot] = rng.normal(0, 1.0, b.shape)
+        adapters.append(ad)
+    tokens = data.draw(st.lists(st.integers(0, 31), min_size=1, max_size=20))
+    steps = data.draw(st.lists(st.sampled_from(["p", "q", None, "rebind"]), min_size=1,
+                               max_size=6))
+    ad = None
+    for step in steps:
+        if step == "rebind":                # the last adapter's, picked up by identity
+            ad = adapters[0] if ad is None else ad
+            factors = getattr(ad, data.draw(st.sampled_from("AB")))
+            slot = data.draw(st.sampled_from(ad.target_slots))
+            factors[slot] = rng.normal(0, 1.0, factors[slot].shape)
+        else:
+            ad = None if step is None else adapters["pq".index(step)]
+        logits = E.forward(m, tokens, adapter=ad).logits
+        np.testing.assert_allclose(logits, _on_the_fly_logits(m, tokens, ad), rtol=0,
+                                   atol=1e-12)
+        if ad is not None:                  # a merged factor is read-only
+            factors = getattr(ad, data.draw(st.sampled_from("AB")))
+            with pytest.raises(ValueError, match="read-only"):
+                factors[data.draw(st.sampled_from(ad.target_slots))] += 1.0
+            np.testing.assert_array_equal(E.forward(m, tokens, adapter=ad).logits, logits)
 
 
 def planted_problem(seed=0, out_dim=5, in_dim=7, n=24):

@@ -212,22 +212,13 @@ def _scale(value):
     return poison
 
 
-def _top_code(m):
-    # the largest packed value, 2^b - 1, decodes to qmax + 1
-    qt = m.weights["layers.0.wq"]
-    qt.codes = qt.codes.copy()
-    qt.codes.flat[0] = 2 ** (qt.spec.bits - 1)
-
-
 @pytest.mark.parametrize("name, poison, match", [
     ("float.edgelm", _nan_weight, "non-finite"),
     ("adapter.edgelma", _inf_adapter, "non-finite"),
     ("sym.edgelmq", _scale(np.inf), "non-finite"),
     ("asym_sparse.edgelmq", _scale(0.0), "positive"),
     ("sym.edgelmq", _scale(-1.0), "positive"),
-    ("sym.edgelmq", _top_code, "qmax"),
-], ids=["model-nan", "adapter-inf", "scale-inf", "scale-zero", "scale-negative",
-        "code-above-qmax"])
+], ids=["model-nan", "adapter-inf", "scale-inf", "scale-zero", "scale-negative"])
 def test_values_the_writer_never_stores_rejected(name, poison, match, files, tmp_path):
     load, save, _ = FORMATS[name]
     path = tmp_path / name
@@ -237,6 +228,20 @@ def test_values_the_writer_never_stores_rejected(name, poison, match, files, tmp
     save(obj, path)
     with pytest.raises(ManifestError, match=match):
         load(path)
+
+
+def test_packed_code_above_qmax_rejected(files, tmp_path):
+    # the writer refuses a symmetric code of qmax + 1, so its packed value,
+    # 2^b - 1, is written into the first code's bits (LSB first) by hand
+    path = tmp_path / "sym.edgelmq"
+    path.write_bytes(files["sym.edgelmq"])
+    header, blobs = _manifest.read(path, b"EDGELMQ1")
+    data = bytearray(blobs.data)
+    entry = next(s for s in header["slots"] if s["name"] == "layers.0.wq")
+    data[entry["codes"][0]] |= 2 ** entry["spec"]["bits"] - 1
+    _manifest.write(path, b"EDGELMQ1", header, _manifest.Blobs(data))
+    with pytest.raises(ManifestError, match="symmetric code 4 exceeds qmax 3"):
+        E.load_quant_model(path)
 
 
 @pytest.mark.parametrize("raw", [

@@ -8,7 +8,7 @@ KEYS = {
     "bench.quant_rows", "bpw_exact", "manifest.float.edgelm",
     "manifest.sym.edgelmq", "manifest.asym_sparse.edgelmq",
     "manifest.adapter.edgelma", "argmax.float", "argmax.quant4", "argmax.adapter",
-    "evict.window_rows",
+    "argmax.adapter_untied", "evict.window_rows",
 }
 
 

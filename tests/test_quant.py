@@ -431,6 +431,17 @@ class TestPacking:
             E.save_quant_model(qm, tmp_path / "q")
         assert not (tmp_path / "q").exists()
 
+    def test_symmetric_code_above_qmax_is_not_saved(self, tmp_path):
+        # 8 shifted to 15, which fits 4 unsigned bits, and was written; the
+        # reload raised "symmetric code 8 exceeds qmax 7"
+        m = small_model(9)
+        qm = E.ptq_model(m, E.uniform_plan(m, 4, group_size=8))
+        qm.weights["layers.0.wq"].codes[0, 0] = 8
+        with pytest.raises(ValueError,
+                           match=r"slot layers\.0\.wq: symmetric code 8 is outside \[-7, 7\]"):
+            E.save_quant_model(qm, tmp_path / "q")
+        assert not (tmp_path / "q").exists()
+
     def test_quant_manifest_roundtrip(self, tmp_path):
         m = small_model(9)
         qm = E.ptq_model(m, E.uniform_plan(m, 3, scheme="asymmetric",

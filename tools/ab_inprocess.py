@@ -19,6 +19,9 @@ The shapes, on the default ``ModelConfig`` unless named otherwise:
   with a rank-4 adapter on every ``wq`` and ``wv``, ``Hybrid()`` eviction to
   128 and one forward, over the 127 steps after a 256-token prompt, in us
   per step;
+- ``adapter_switch``: the first forward after a switch, which builds the
+  plan: a one-token forward on a fresh cache of that base, cycling three
+  such adapters and None, in us per forward;
 - ``spec_decode_request``: perfbench spec_decode's request, a 1-layer d=32
   independent draft, k=4, a 512-token prompt and 64 new tokens, in ms;
 - ``draft_step`` and ``verify_step``: the two forwards a speculative round
@@ -41,8 +44,8 @@ same plan) in every round. It writes them under ``in_process`` in ``--out``
 and keeps the keys it does not write.
 ``--quick`` runs smaller shapes (16 and 256 cached, 16 steps, a 128-token
 prompt, draft and verify steps at 64 and 68 cached, cacheless forwards of
-8, 32 and 64 tokens, prefills of 64 and 20 tokens; the same plan) for two
-rounds, under the same keys.
+8, 32 and 64 tokens, prefills of 64 and 20 tokens, 5 switch cycles; the
+same plan) for two rounds, under the same keys.
 """
 from __future__ import annotations
 
@@ -95,10 +98,13 @@ class Shapes:
             self.caches[n] = cache
         base = E.ptq_model(self.model, E.uniform_plan(self.model, 4), freeze=True)
         targets = [s for s in base.config.slot_shapes() if s.endswith(("wq", "wv"))]
-        self.adapter = E.create_adapter(base, targets, r=4, alpha=8.0, seed=100)
-        for slot, b in self.adapter.B.items():
-            self.adapter.B[slot] = E.slot_rng(100, slot + ".B").normal(0, 0.02, b.shape)
-        self.base = base
+        self.adapters = []
+        for seed in (100, 101, 102):
+            adapter = E.create_adapter(base, targets, r=4, alpha=8.0, seed=seed)
+            for slot, b in adapter.B.items():
+                adapter.B[slot] = E.slot_rng(seed, slot + ".B").normal(0, 0.02, b.shape)
+            self.adapters.append(adapter)
+        self.adapter, self.base = self.adapters[0], base
         self.draft = E.init_model(E.ModelConfig(d_model=32, n_layers=1, n_heads=2,
                                                 n_kv_heads=1, head_dim=16), 1)
         self.draft_cache = E.IndependentDraft(self.draft).start(self.model)
@@ -162,6 +168,18 @@ class Shapes:
         kept = [cache.kept_positions(li).tolist() for li in range(cache.n_layers)]
         return spent / steps * 1e6, [toks, kept]
 
+    def adapter_switch(self):
+        E, reps = self.E, 5 if self.quick else 30
+        toks, spent = [], 0.0
+        for i in range(reps):
+            for adapter in (*self.adapters, None):
+                cache = E.KvCache.for_model(self.base.config)
+                t0 = time.thread_time()
+                fo = E.forward(self.base, self.stream[i:i + 1], cache=cache, adapter=adapter)
+                spent += time.thread_time() - t0
+                toks.append(_argmax(fo))
+        return spent / len(toks) * 1e6, toks
+
     def spec_decode_request(self):
         E = self.E
         prompt = self.stream[:128 if self.quick else 512]
@@ -193,7 +211,8 @@ class Shapes:
 
 
 SHAPES = {"forward_64": "us per forward", "forward_2000": "us per forward",
-          "edge_stream_step": "us per step", "spec_decode_request": "ms per request",
+          "edge_stream_step": "us per step", "adapter_switch": "us per forward",
+          "spec_decode_request": "ms per request",
           "draft_step": "us per forward", "verify_step": "us per forward",
           "cacheless_8": "us per forward", "cacheless_32": "us per forward",
           "cacheless_512": "us per forward",

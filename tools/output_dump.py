@@ -13,7 +13,7 @@ reads. It prints one JSON object, key -> SHA-256 hex digest, covering:
   ``run_quant_bench`` runs, the last with an ``assign_precision`` plan;
 - exact bpw ``Fraction``s of a set of precision plans;
 - the four manifest files that ``tests/test_manifest.py`` pins;
-- the argmax of every row of cacheless forwards;
+- the argmax of every row of cacheless forwards, adapted ones included;
 - every layer's window rows and kept positions on a default-window cache
   through eviction, truncation and decoding.
 
@@ -125,22 +125,30 @@ def manifests() -> dict:
 
 def cacheless_argmaxes() -> dict:
     """Row argmaxes of cacheless forwards of 1 to 40 tokens (one tile and
-    several) on a float model, its 4-bit copy and an adapter over it."""
+    several) on a float model, its 4-bit copy and an adapter over it, and on
+    the untied model with an adapter on the middle of a fused [wq|wk|wv],
+    ``wo``, the first of [w_gate|w_up], ``w_down`` and ``lm_head``."""
     import numpy as np
 
     import edgelm as E
 
+    def adapter(m, slots):
+        ad = E.create_adapter(m, slots, r=4, alpha=8.0, seed=7)
+        for slot, b in ad.B.items():
+            ad.B[slot] = E.slot_rng(7, slot + ".B").normal(0, 1.0, b.shape)
+        return ad
+
     model = E.init_model(E.ModelConfig(), 0)
     quantized = E.ptq_model(model, E.uniform_plan(model, 4), freeze=True)
-    adapter = E.create_adapter(model, ["layers.0.wq", "layers.2.w_up"], r=4,
-                               alpha=8.0, seed=7)
-    for slot, b in adapter.B.items():
-        adapter.B[slot] = E.slot_rng(7, slot + ".B").normal(0, 1.0, b.shape)
+    untied = E.init_model(E.ModelConfig(tie_embeddings=False), 0)
     rng = np.random.default_rng(11)
     prompts = [rng.integers(0, 256, n) for n in (1, 2, 7, 16, 17, 40)]
     out = {}
     for name, m, ad in (("float", model, None), ("quant4", quantized, None),
-                        ("adapter", model, adapter)):
+                        ("adapter", model, adapter(model, ["layers.0.wq", "layers.2.w_up"])),
+                        ("adapter_untied", untied, adapter(untied, [
+                            "layers.1.wk", "layers.0.wo", "layers.2.w_gate",
+                            "layers.3.w_down", "lm_head"]))):
         out[f"argmax.{name}"] = digest(
             [E.forward(m, p, adapter=ad).logits.argmax(axis=-1) for p in prompts])
     return out
