@@ -78,6 +78,8 @@ class AdapterRegistry:
         and the shape of a base slot the forward projects through."""
         shapes, r = _projected_shapes(self.base.config), adapter.r
         for slot in adapter.target_slots:
+            if slot not in adapter.A or slot not in adapter.B:
+                raise ConfigError(f"adapter {adapter.name} slot {slot!r}: no A or B factor")
             a, b = adapter.A[slot].shape, adapter.B[slot].shape
             if len(a) != 2 or len(b) != 2 or (a[0], b[1]) != (r, r):
                 raise ConfigError(f"adapter {adapter.name} slot {slot!r}: A {list(a)} and "

@@ -22,6 +22,15 @@ place, and rope is one complex multiply per pair. The RMS norm of one row
 takes its mean square and root as Python floats, which round as the
 block's do.
 
+A layer runs as two functions, its attention half and its FFN half, so
+that each half's temporaries are freed when it returns and none of the
+attention's is alive through the FFN. The FFN half normalises all rows at
+once, then runs the MLP over blocks of ``_FFN_ROWS`` rows into one output,
+bit-identical to one pass. So no [n, 2 ffn_dim] gate/up product is built,
+and a forward's working memory is set by the attention half's [n,
+d_model]-wide arrays. A forward of up to 128 tokens (a decode step, a draft
+step, a verify) is one block, with no loop.
+
 Every forward runs on a :class:`~edgelm.kvcache.KvCache`, by default a
 scratch one with no window of rows: each layer stages its new keys and
 values once, attends over one view of the cached and new entries, then
@@ -130,8 +139,10 @@ class TinyLM:
     None for a unit one, which every served model has, quantized ones
     included, so that no forward multiplies by ones. Once the adapter, a
     factor or a slot is another object, every record is rebuilt from the
-    memo, which converts only a rebound slot's group again. ``_layer`` stays
-    a function, so that a layer's temporaries are freed when it returns.
+    memo, which converts only a rebound slot's group again, after dropping
+    the old records, so that a switch never holds two adapters' merged
+    copies. A layer's two halves are functions, so that their temporaries
+    are freed when they return.
     """
     config: ModelConfig
     weights: dict  # slot name -> np.ndarray (float32) or QuantTensor
@@ -173,6 +184,10 @@ class TinyLM:
         if records and all(map(operator.is_, sources, (
                 adapter, *factors, *map(self.weights.__getitem__, names)))):
             return records
+        # drop the old records before building the new, so that a switch holds
+        # one adapter's merged copies, not two; a rebuild that raises leaves none
+        del records
+        self._plan = ((), (), ())
         groups = [tuple(f"layers.{i}.{slot}" for slot in _LAYER_SLOTS)
                   for i in range(self.config.n_layers)]
         groups.append(("token_embed", "final_norm", "lm_head")[:3 - self.config.tie_embeddings])
@@ -440,8 +455,18 @@ def in_vocab(ids: np.ndarray, vocab_size: int) -> np.ndarray:
 
 def _layer(cfg: ModelConfig, record, li: int, x, rope, positions, cache):
     """Layer li over the residual stream x [n, d_model], from its plan
-    record; its temporaries are freed when it returns."""
-    attn_scale, qkv_proj, wo, ffn_scale, gate_up_proj, down = record
+    record: its attention half, then its FFN half. Each half's temporaries
+    are freed when it returns, so none of the attention's is alive while the
+    FFN runs, and the FFN half runs over blocks of ``_FFN_ROWS`` rows, so
+    none of its own grows past a block: a long forward holds no more at
+    once than its attention half does."""
+    return _ffn_half(cfg, record, _attention_half(cfg, record, li, x, rope, positions, cache))
+
+
+def _attention_half(cfg: ModelConfig, record, li: int, x, rope, positions, cache):
+    """x plus layer li's attention over its cached and new keys, which it
+    stages and commits on ``cache``."""
+    attn_scale, qkv_proj, wo = record[:3]
     n, hd = x.shape[0], cfg.head_dim
     n_qk = cfg.n_heads + cfg.n_kv_heads
     qkv = _proj(rms_norm(x, attn_scale), qkv_proj)
@@ -452,13 +477,39 @@ def _layer(cfg: ModelConfig, record, li: int, x, rope, positions, cache):
     # views of the cached and new keys, as [kv, hd, m+n] panels, and values
     Kt, Vt = cache.stage(li, k, v)
     out, mass, rows = _attend(q, Kt, Vt, 1.0 / math.sqrt(hd), cache.window)
-    x = x + _proj(out, wo)
     cache.append_block(li, positions, mass, rows)
+    return x + _proj(out, wo)
 
-    gate_up = _proj(rms_norm(x, ffn_scale), gate_up_proj)
-    gate = _silu(gate_up[:, :cfg.ffn_dim])
-    gate *= gate_up[:, cfg.ffn_dim:]
-    return x + _proj(gate, down)
+
+# rows per FFN block: a [128, 2 ffn_dim] gate/up product is 512 KB at d_model 64;
+# blocks of 32 and 64 rows traced the same forward peak and ran slower
+_FFN_ROWS = 128
+
+
+def _ffn_half(cfg: ModelConfig, record, x):
+    """x plus the layer's SiLU-gated MLP of its normalised rows. Past
+    ``_FFN_ROWS`` rows, the MLP runs over blocks of that many into one
+    output, so no [n, 2 ffn_dim] product is built; the rows are normalised
+    at once, and the last block takes a one-row remainder, which would run
+    as a GEMV and round otherwise: so every row is bit-identical to one
+    pass over all of them."""
+    scale, gate_up_proj, down = record[3:]
+    h, n = rms_norm(x, scale), x.shape[0]
+    if n <= _FFN_ROWS:
+        return _mlp(x, h, gate_up_proj, down, cfg.ffn_dim)
+    out = np.empty_like(x)
+    bounds = [*range(0, n - 1, _FFN_ROWS), n]
+    for r0, r1 in zip(bounds, bounds[1:]):
+        _mlp(x[r0:r1], h[r0:r1], gate_up_proj, down, cfg.ffn_dim, out[r0:r1])
+    return out
+
+
+def _mlp(x, h, gate_up_proj, down, ffn_dim: int, out=None):
+    """x + (silu(h W_gate) * h W_up) W_down, into ``out`` (None: a new array)."""
+    gate_up = _proj(h, gate_up_proj)
+    gate = _silu(gate_up[:, :ffn_dim])
+    gate *= gate_up[:, ffn_dim:]
+    return np.add(x, _proj(gate, down), out)
 
 
 def forward(model: TinyLM, tokens, cache=None, adapter=None) -> ForwardOutput:
@@ -527,6 +578,8 @@ def greedy_decode(model: TinyLM, prompt, max_new: int, adapter=None) -> list[int
         raise ValueError("max_new must be nonnegative")
     check_decode_fits(model.config, len(prompt), max_new, "model")
     cache = KvCache.for_model(model.config, window=0)
+    if max_new:
+        cache.reserve(len(prompt) + max_new - 1)    # the last token is never forwarded
     return prompt + greedy_continue(model, cache, prompt, max_new, adapter)
 
 

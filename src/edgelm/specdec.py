@@ -181,6 +181,7 @@ def decode_speculative(target: TinyLM, draft_cfg: DraftConfig, prompt,
     draft.check(target, len(prompt), max_new)
 
     cache = KvCache.for_model(target.config, window=0)
+    cache.reserve(len(prompt) + max_new - 1)    # the last token is never forwarded
     draft_state = draft.start(target)
     stats = SpecStats()
     out = list(prompt)

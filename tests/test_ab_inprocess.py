@@ -9,7 +9,7 @@ from tools import ab_inprocess
 
 ROOT = Path(__file__).resolve().parents[1]
 FIELDS = {"unit", "parent_median", "change_median", "median_ratio", "change_faster",
-          "tokens_equal"}
+          "tokens_equal", "parent_peak_kib", "change_peak_kib"}
 
 
 def test_quick_run_writes_every_shape_and_keeps_other_keys(tmp_path):
@@ -33,3 +33,7 @@ def test_quick_run_writes_every_shape_and_keeps_other_keys(tmp_path):
         assert math.isfinite(shape["median_ratio"]) and shape["median_ratio"] > 0
         assert shape["change_faster"].endswith("of 2")
         assert shape["tokens_equal"] is True, name
+        # one tree on both sides: the same array peak, give or take the few
+        # Python objects a tree's first samples allocate
+        peaks = shape["parent_peak_kib"], shape["change_peak_kib"]
+        assert min(peaks) > 0 and math.isclose(*peaks, rel_tol=0.02), name

@@ -261,6 +261,17 @@ class TestRegistry:
         with pytest.raises(ConfigError, match=r"layers\.1\.wq.*None"):
             E.AdapterRegistry(small_model()).register(ad)
 
+    def test_target_slot_without_factors_rejected(self):
+        # such an adapter raised a bare KeyError from register
+        m = E.init_model(E.ModelConfig(vocab_size=32, d_model=16, n_layers=1, n_heads=2,
+                                       n_kv_heads=1, head_dim=8, max_seq=128), 0)
+        ad = E.create_adapter(m, ("layers.0.wq",), r=2, alpha=4.0, seed=0, name="extra")
+        ad = dataclasses.replace(ad, target_slots=ad.target_slots + ("layers.0.wv",))
+        reg = E.AdapterRegistry(m)
+        with pytest.raises(ConfigError, match=r"adapter extra slot 'layers\.0\.wv'"):
+            reg.register(ad)
+        assert reg.adapters == {}
+
     def test_quantized_base_supported(self):
         m = small_model(4)
         qbase = E.ptq_model(m, E.uniform_plan(m, 4, group_size=8), freeze=True)

@@ -1,5 +1,8 @@
 import copy
+import dataclasses
+import functools
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -465,6 +468,24 @@ class TestForward:
         # whole chunk's [H, 512, 2048] score array (32 MiB) do not
         assert peak < scores + rows + arena + 8 * 2**20
 
+    def test_block_forward_peak_memory_is_bounded(self):
+        # spec_decode's first verify: 516 tokens on a reserved cache with no
+        # window; one [516, 2 ffn_dim] gate/up product alone is 2.1 MB, and
+        # the one-pass FFN, with the attention's temporaries alive, read 6.03 MiB
+        cfg, length = E.ModelConfig(), 516
+        model = E.init_model(cfg, 0)
+        tokens = np.random.default_rng(0).integers(0, cfg.vocab_size, length)
+        E.forward(model, tokens[:1])        # resolve the weights before tracing
+        cache = E.KvCache.for_model(cfg, window=0)
+        cache.reserve(length)
+        tracemalloc.start()
+        try:
+            E.forward(model, tokens, cache=cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20
+
     @pytest.mark.parametrize("bad", [[], [3] * 600 + [999], [3] * 600 + [-1],
                                      [3] * 600 + [1.0], [3] * 1022])
     def test_prefill_checks_the_whole_prompt_first(self, bad):
@@ -538,6 +559,46 @@ def test_silu_in_place_is_bit_identical(gate_up, half):
         got, want = M._silu(x), x / (1.0 + np.exp(-x))
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert gate_up.tobytes() == before.tobytes()
+
+
+def _one_pass_ffn(cfg, record, x):
+    """The FFN over all rows at once, as _layer ran it before its row blocks."""
+    _, _, _, ffn_scale, gate_up_proj, down = record
+    gate_up = M._proj(M.rms_norm(x, ffn_scale), gate_up_proj)
+    gate = M._silu(gate_up[:, :cfg.ffn_dim])
+    gate *= gate_up[:, cfg.ffn_dim:]
+    return x + M._proj(gate, down)
+
+
+@functools.cache
+def _ffn_model(unit: bool):
+    """The default model, with a non-unit ffn_norm scale unless ``unit``."""
+    m = E.init_model(E.ModelConfig(), 3)
+    if not unit:
+        w = m.weights["layers.0.ffn_norm"]
+        m.weights["layers.0.ffn_norm"] = np.random.default_rng(3).uniform(
+            0.5, 2.0, w.shape).astype(np.float32)
+    return m
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 300), unit=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@example(n=63, unit=True, seed=0)
+@example(n=64, unit=False, seed=1)
+@example(n=65, unit=True, seed=2)
+@example(n=65, unit=False, seed=3)
+@example(n=128, unit=False, seed=4)
+@example(n=129, unit=True, seed=5)
+@example(n=129, unit=False, seed=6)
+@example(n=257, unit=False, seed=7)
+def test_ffn_half_is_bit_identical_to_one_pass(n, unit, seed):
+    # blocks of _FFN_ROWS rows, and a last one that took a one-row remainder
+    model = _ffn_model(unit)
+    record = model.plan()[0]
+    assert (record[3] is None) == unit
+    x = np.random.default_rng(seed).normal(0.0, 1.0, (n, model.config.d_model))
+    got = M._ffn_half(model.config, record, x)
+    assert got.tobytes() == _one_pass_ffn(model.config, record, x).tobytes()
 
 
 def _fresh(model, **weights):
@@ -644,6 +705,39 @@ class TestPlan:
                 for a, b in zip(first, second)]
         assert same == [True, False, True, True]
 
+    def test_a_rebuild_holds_no_old_record(self, monkeypatch):
+        m = E.init_model(small_config(), 8)
+        adapters = []
+        for seed in (1, 2):
+            a = E.create_adapter(m, ["layers.0.wq", "layers.1.wv"], r=2, alpha=4.0,
+                                 seed=seed)
+            for slot, b in a.B.items():
+                a.B[slot] = np.random.default_rng(seed).normal(0, 0.5, b.shape)
+            adapters.append(a)
+        want = E.forward(_fresh(m), self.TOKENS, adapter=adapters[1]).logits
+        E.forward(m, self.TOKENS, adapter=adapters[0])
+        old = _own_plan_arrays(m, adapters[0])
+        assert old                           # the merged copies, the head's view
+        record, alive = M._record, []
+
+        def spy_record(model, adapter, *names):
+            alive.append(sum(ref() is not None for ref in old))
+            return record(model, adapter, *names)
+
+        monkeypatch.setattr(M, "_record", spy_record)
+        np.testing.assert_array_equal(E.forward(m, self.TOKENS, adapter=adapters[1]).logits,
+                                      want)
+        assert alive == [0] * (m.config.n_layers + 1)
+        # a rebuild that raises leaves no plan: the next forward builds one
+        old = _own_plan_arrays(m, adapters[1])
+        bad = dataclasses.replace(adapters[1], B={**adapters[1].B, "layers.1.wv": np.full(
+            adapters[1].B["layers.1.wv"].shape, np.nan)})
+        with pytest.raises(ConfigError, match="delta is not finite"):
+            E.forward(m, self.TOKENS, adapter=bad)
+        assert all(ref() is None for ref in old)
+        np.testing.assert_array_equal(E.forward(m, self.TOKENS, adapter=adapters[1]).logits,
+                                      want)
+
     @pytest.mark.parametrize("kind", ["float", "quant"])
     def test_a_reloaded_model_builds_its_own_plan(self, kind, tmp_path):
         m = E.init_model(small_config(), 7)
@@ -673,6 +767,14 @@ def _plan_arrays(record):
     if isinstance(record, tuple):
         return [a for part in record for a in _plan_arrays(part)]
     return []
+
+
+def _own_plan_arrays(model, adapter):
+    """Weak references to the arrays of the model's plan for ``adapter`` that
+    only the plan holds: not the memo's."""
+    memo = [entry[1] for entry in model._memo.values()]
+    return [weakref.ref(a) for rec in model.plan(adapter) for a in _plan_arrays(rec)
+            if not any(a is b for b in memo)]
 
 
 def _single_pass_attend(q, Kt, Vt, scale, window):

@@ -424,6 +424,31 @@ def test_caches_that_nothing_evicts_refuse_a_window_policy():
             E.evict(cache, E.ObsWindow(), E.ObsWindow().floor())
 
 
+@pytest.mark.parametrize("decode", ["greedy", "speculative"])
+def test_a_decode_never_grows_its_cache_after_the_first_forward(decode, monkeypatch):
+    # the first forward finds room for the most entries the request holds,
+    # prompt + max_new - 1, so no later one copies the arena
+    prompt, max_new = list(range(40)), 24
+    capacities, forward = [], model_mod.forward
+
+    def spy_forward(model, tokens, cache=None, adapter=None):
+        fo = forward(model, tokens, cache=cache, adapter=adapter)
+        if model is VARIED:
+            capacities.append([ls._positions.size for ls in cache.layers])
+        return fo
+
+    monkeypatch.setattr(model_mod, "forward", spy_forward)
+    monkeypatch.setattr(specdec, "forward", spy_forward)
+    if decode == "greedy":
+        E.greedy_decode(VARIED, prompt, max_new)
+    else:
+        E.decode_speculative(VARIED, E.DraftConfig(E.IndependentDraft(DRAFTS["truncated"]),
+                                                   4), prompt, max_new)
+    assert len(capacities) > 1
+    assert capacities == [[len(prompt) + max_new - 1] * VARIED.config.n_layers] * len(
+        capacities)
+
+
 # --- the draft contract -------------------------------------------------------
 
 class _ContextDraft:

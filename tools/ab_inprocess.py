@@ -38,10 +38,13 @@ The shapes, on the default ``ModelConfig`` unless named otherwise:
   16-token sequences under a 5.0 bpw budget, in ms per plan.
 
 Per shape it records both trees' medians over the rounds, the median of the
-per-round change/parent ratios, the rounds the change was faster in, and
+per-round change/parent ratios, the rounds the change was faster in,
 whether both trees produced the same tokens (for ``assign_precision``, the
-same plan) in every round. It writes them under ``in_process`` in ``--out``
-and keeps the keys it does not write.
+same plan) in every round, and each tree's peak memory: the most KiB that
+one sample held at once above what was live before it, by tracemalloc, in
+one untimed pass per tree before the rounds, so that tracing slows no timed
+sample. It writes them under ``in_process`` in ``--out`` and keeps the keys
+it does not write.
 ``--quick`` runs smaller shapes (16 and 256 cached, 16 steps, a 128-token
 prompt, draft and verify steps at 64 and 68 cached, cacheless forwards of
 8, 32 and 64 tokens, prefills of 64 and 20 tokens, 5 switch cycles; the
@@ -57,6 +60,7 @@ import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -220,10 +224,24 @@ SHAPES = {"forward_64": "us per forward", "forward_2000": "us per forward",
           "assign_precision": "ms per plan"}
 
 
+def peak_kib(sample) -> float:
+    """The traced peak of one ``sample()``, in KiB: what it held at once of
+    what it allocated."""
+    tracemalloc.start()
+    try:
+        sample()
+        return round(tracemalloc.get_traced_memory()[1] / 1024, 1)
+    finally:
+        tracemalloc.stop()
+
+
 def run(trees: dict[str, Path], rounds: int, quick: bool) -> dict:
-    """Every shape on both trees for ``rounds`` rounds; the summary per shape."""
+    """Every shape on both trees for ``rounds`` rounds, after one traced pass
+    per tree; the summary per shape."""
     shapes = {tree: Shapes(load_edgelm(path, f"edgelm_{tree}"), quick)
               for tree, path in trees.items()}
+    peaks = {name: {tree: peak_kib(getattr(shapes[tree], name)) for tree in TREES}
+             for name in SHAPES}
     times = {name: {tree: [] for tree in TREES} for name in SHAPES}
     same = dict.fromkeys(SHAPES, True)
     for r in range(rounds):
@@ -243,7 +261,9 @@ def run(trees: dict[str, Path], rounds: int, quick: bool) -> dict:
                      "median_ratio": round(statistics.median(ratios), 4),
                      "change_faster": f"{sum(c < p for p, c in zip(parent, change))} "
                                       f"of {rounds}",
-                     "tokens_equal": same[name]}
+                     "tokens_equal": same[name],
+                     "parent_peak_kib": peaks[name]["parent"],
+                     "change_peak_kib": peaks[name]["change"]}
     return out
 
 
@@ -267,7 +287,8 @@ def main(argv=None) -> int:
         "command": "python3 tools/ab_inprocess.py PARENT CHANGE" + " --quick" * args.quick,
         "how": "both trees' edgelm imported side by side in one process; each round "
                "times every shape on both trees, the first tree alternating by round; "
-               "thread CPU time, one BLAS thread",
+               "thread CPU time, one BLAS thread; peaks by tracemalloc in one untimed "
+               "pass per tree before the rounds",
         "python": platform.python_version(), "nproc": os.cpu_count(),
         "rounds": rounds, "shapes": shapes}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
