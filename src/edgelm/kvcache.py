@@ -23,10 +23,10 @@ entries in place, moving only those past the first dropped one, by one
 slice per buffer when they form one run. Keys sit in one [head_dim,
 capacity] panel per KV head, so QK reads them unit-strided; values stay
 [capacity, n_kv_heads, head_dim], which PV reads as fast and eviction
-gathers faster. The arrays a layer exposes are views. A decode that knows
-how many entries its request can hold reserves them before its first
-forward (:meth:`KvCache.reserve`), so its arena is allocated once and
-never copied mid-request.
+gathers faster. The arrays a layer exposes are views. Every decode's
+cache is built by :func:`~edgelm.model.decode_cache`, which reserves
+(:meth:`KvCache.reserve`) every entry the decode forwards before its first
+forward, so its arena is allocated once and never copied mid-request.
 
 Score state lives with the cache: an accumulated-mass vector and a ring of
 the last ``window`` head-averaged attention rows. The ring is one
@@ -314,9 +314,9 @@ class KvCache:
 
     def reserve(self, n: int):
         """Make room for n more entries in every layer, so that staging up to
-        n more copies no buffer. A decode reserves, before its first forward,
-        the most entries its request can hold: its arena then never copies
-        itself mid-request."""
+        n more copies no buffer. ``decode_cache`` reserves, before a decode's
+        first forward, the most entries the decode can hold: its arena then
+        never copies itself mid-request."""
         for ls in self.layers:
             ls.reserve(n)
 

@@ -143,8 +143,10 @@ def qalft_fit(w_q: QuantTensor, data, r: int, alpha: float, steps: int,
     Full-batch gradient descent with analytic gradients and backtracking on
     the step size, minimizing mean squared error of (W + (alpha/r) B A) x vs y.
     The quantized encodings are never touched (and cannot be: frozen arrays
-    reject writes).
+    reject writes). ``learning_rate`` must be positive and finite.
     """
+    if not 0 < learning_rate < np.inf:
+        raise ConfigError(f"learning_rate ({learning_rate}) must be positive and finite")
     if not w_q.frozen:
         raise FrozenEncodingError("qalft_fit requires a frozen quantized base")
     pairs = list(data)
@@ -181,7 +183,10 @@ def qalft_fit(w_q: QuantTensor, data, r: int, alpha: float, steps: int,
 
 def qalft_gradient_check(w_q: QuantTensor, data, r: int, alpha: float,
                          seed: int = 0, h: float = 1e-4) -> float:
-    """Max relative error of analytic gradients vs central finite differences."""
+    """Max relative error of analytic gradients vs central finite differences
+    of step ``h``."""
+    if not 0 < h < np.inf:
+        raise ConfigError(f"h ({h}) must be positive and finite")
     pairs = list(data)
     X = np.stack([np.asarray(x, dtype=np.float64) for x, _ in pairs])
     Y = np.stack([np.asarray(y, dtype=np.float64) for _, y in pairs])

@@ -570,16 +570,26 @@ def check_decode_fits(config: ModelConfig, prompt_len: int, max_new: int, role: 
                           f"decoding needs {role} position {top}")
 
 
+def decode_cache(config: ModelConfig, prompt_len: int, max_new: int, role: str) -> KvCache:
+    """The KV cache of a decode of ``max_new`` tokens after ``prompt_len``,
+    the one rule for every decode's cache: the decode must fit ``max_seq``
+    (:func:`check_decode_fits`), the cache keeps no window of rows, as
+    nothing evicts it, and it is reserved for every entry the decode
+    forwards, so its arena is never copied mid-request."""
+    check_decode_fits(config, prompt_len, max_new, role)
+    cache = KvCache.for_model(config, window=0)
+    if max_new >= 1:
+        cache.reserve(prompt_len + max_new - 1)    # the last token is never forwarded
+    return cache
+
+
 def greedy_decode(model: TinyLM, prompt, max_new: int, adapter=None) -> list[int]:
-    """Argmax decoding with a full cache, which nothing evicts, so it keeps
-    no window of rows; ties go to the lowest id."""
+    """Argmax decoding with a full cache, a :func:`decode_cache`; ties go to
+    the lowest id."""
     prompt = token_ids(prompt).tolist()
     if max_new < 0:
         raise ValueError("max_new must be nonnegative")
-    check_decode_fits(model.config, len(prompt), max_new, "model")
-    cache = KvCache.for_model(model.config, window=0)
-    if max_new:
-        cache.reserve(len(prompt) + max_new - 1)    # the last token is never forwarded
+    cache = decode_cache(model.config, len(prompt), max_new, "model")
     return prompt + greedy_continue(model, cache, prompt, max_new, adapter)
 
 

@@ -5,15 +5,15 @@ auto-regresses over the target's top-layer hidden states sharing the target's
 embeddings and LM head. Verification is greedy prefix matching, so the output
 stream is token-identical to plain greedy decoding regardless of draft quality.
 
-Each draft kind keeps its own rule in four methods: ``check`` rejects a draft
-that does not fit the request, ``start`` builds its state for one request,
+Each draft kind keeps its own rule in three methods: ``start`` rejects a
+draft that does not fit the request and builds its state for it,
 ``propose`` drafts k tokens and ``rollback`` drops what was not accepted.
 Only the module-level :func:`propose` calls a draft's ``propose``.
 
-Nothing evicts the target's KV cache or an independent draft's: both only
-truncate. So both are built with no window of attention rows, and neither
-the verify nor the draft forwards build or keep the rows that only an
-eviction policy reads.
+The target's KV cache and an independent draft's are each built by one
+rule, :func:`~edgelm.model.decode_cache`: nothing evicts them, they only
+truncate, so neither keeps a window of attention rows, and each is reserved
+once for every entry its decode forwards.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractViolation, at_least
 from .kvcache import KvCache
-from .model import (TinyLM, check_decode_fits, forward, greedy_continue, in_vocab,
+from .model import (TinyLM, decode_cache, forward, greedy_continue, in_vocab,
                     slot_rng, token_ids)
 
 
@@ -41,16 +41,14 @@ class IndependentDraft:
     """
     model: TinyLM
 
-    def check(self, target: TinyLM, prompt_len: int, max_new: int):
-        # the draft decodes at most max_new - 1 tokens: the last is the target's
+    def start(self, target: TinyLM, prompt_len: int, n: int) -> KvCache:
+        """The draft's :func:`~edgelm.model.decode_cache` for at most n
+        tokens after ``prompt_len``."""
         dc, vocab = self.model.config, target.config.vocab_size
         if dc.vocab_size != vocab:
             raise ConfigError(f"draft vocab_size {dc.vocab_size} "
                               f"!= target vocab_size {vocab}")
-        check_decode_fits(dc, prompt_len, max_new - 1, "draft")
-
-    def start(self, target: TinyLM) -> KvCache:
-        return KvCache.for_model(self.model.config, window=0)
+        return decode_cache(dc, prompt_len, n, "draft")
 
     def propose(self, cache: KvCache, target: TinyLM, context, k, last_hidden):
         seen = cache.next_position()
@@ -83,15 +81,13 @@ class FeatureReuseDraft:
         return cls(w1=r1.normal(0, 0.02, (2 * d_model, d_model)).astype(np.float32),
                    w2=r2.normal(0, 0.02, (d_model, d_model)).astype(np.float32))
 
-    def check(self, target: TinyLM, prompt_len: int, max_new: int):
+    def start(self, target: TinyLM, prompt_len: int, n: int):
+        """Float64 (embed, the target's LM head [d_model, vocab], w1, w2),
+        the first two from the target's plan."""
         d = target.config.d_model
         if (self.w1.shape, self.w2.shape) != ((2 * d, d), (d, d)):
             raise ConfigError(f"feature-reuse head w1 {self.w1.shape}, w2 "
                               f"{self.w2.shape} does not fit target d_model {d}")
-
-    def start(self, target: TinyLM):
-        """Float64 (embed, the target's LM head [d_model, vocab], w1, w2),
-        the first two from the target's plan."""
         embed, _, head = target.plan()[-1]
         return embed, head, self.w1.astype(np.float64), self.w2.astype(np.float64)
 
@@ -145,13 +141,14 @@ def propose(draft_cfg: DraftConfig, target: TinyLM, context, k: int,
     """Greedy auto-regression of the draft for k tokens after ``context``.
 
     ``cache`` is the draft's state for the request (from its ``start``);
-    ``None`` starts a fresh one. Only the tokens the draft reads are checked:
-    each must be an integer id in the target's vocabulary.
+    ``None`` starts a fresh one for these k tokens. Only the tokens the
+    draft reads are checked: each must be an integer id in the target's
+    vocabulary.
     """
     if k < 1:
         return []
     draft = draft_cfg.draft
-    state = draft.start(target) if cache is None else cache
+    state = draft.start(target, len(context), k) if cache is None else cache
     return draft.propose(state, target, context, k, last_hidden)
 
 
@@ -176,13 +173,10 @@ def decode_speculative(target: TinyLM, draft_cfg: DraftConfig, prompt,
     prompt = token_ids(prompt).tolist()
     if max_new < 1:
         raise ValueError("max_new must be >= 1")
-    check_decode_fits(target.config, len(prompt), max_new, "target")
+    cache = decode_cache(target.config, len(prompt), max_new, "target")
     draft = draft_cfg.draft
-    draft.check(target, len(prompt), max_new)
-
-    cache = KvCache.for_model(target.config, window=0)
-    cache.reserve(len(prompt) + max_new - 1)    # the last token is never forwarded
-    draft_state = draft.start(target)
+    # the draft decodes at most max_new - 1 tokens: the last is the target's
+    draft_state = draft.start(target, len(prompt), max_new - 1)
     stats = SpecStats()
     out = list(prompt)
     pending = list(prompt)          # committed tokens not yet in the cache

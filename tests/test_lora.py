@@ -413,6 +413,16 @@ class TestQalft:
         err = E.qalft_gradient_check(wq, data, r=2, alpha=3.0, seed=1)
         assert err < 1e-4
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, np.nan, np.inf, -np.inf])
+    def test_step_sizes_must_be_positive_and_finite(self, step):
+        # a NaN or infinite rate used to halve forever in the backtracking
+        # loop, and a NaN or infinite h read as a perfect gradient check
+        wq, data = planted_problem(6, out_dim=4, in_dim=6)
+        with pytest.raises(ConfigError, match="learning_rate"):
+            E.qalft_fit(wq, data, r=1, alpha=2.0, steps=5, learning_rate=step)
+        with pytest.raises(ConfigError, match="h "):
+            E.qalft_gradient_check(wq, data, r=1, alpha=2.0, h=step)
+
     def test_rank_exceeding_dims_rejected(self):
         wq, data = planted_problem(5)
         with pytest.raises(ConfigError):

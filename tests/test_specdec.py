@@ -424,45 +424,107 @@ def test_caches_that_nothing_evicts_refuse_a_window_policy():
             E.evict(cache, E.ObsWindow(), E.ObsWindow().floor())
 
 
-@pytest.mark.parametrize("decode", ["greedy", "speculative"])
+@pytest.mark.parametrize("decode", ["greedy", "speculative", "propose"])
 def test_a_decode_never_grows_its_cache_after_the_first_forward(decode, monkeypatch):
     # the first forward finds room for the most entries the request holds,
-    # prompt + max_new - 1, so no later one copies the arena
+    # prompt + max_new - 1 for the target and one fewer for the draft, which
+    # decodes max_new - 1 tokens; a standalone propose of k tokens holds
+    # len(context) + k - 1; so no later forward copies either arena
     prompt, max_new = list(range(40)), 24
-    capacities, forward = [], model_mod.forward
+    draft = DRAFTS["truncated"]
+    capacities, forward = {"target": [], "draft": []}, model_mod.forward
 
     def spy_forward(model, tokens, cache=None, adapter=None):
         fo = forward(model, tokens, cache=cache, adapter=adapter)
-        if model is VARIED:
-            capacities.append([ls._positions.size for ls in cache.layers])
+        role = "target" if model is VARIED else "draft"
+        capacities[role].append([ls._positions.size for ls in cache.layers])
         return fo
 
     monkeypatch.setattr(model_mod, "forward", spy_forward)
     monkeypatch.setattr(specdec, "forward", spy_forward)
+    draft_cfg = E.DraftConfig(E.IndependentDraft(draft), 4)
     if decode == "greedy":
         E.greedy_decode(VARIED, prompt, max_new)
+        held = {"target": len(prompt) + max_new - 1}
+    elif decode == "speculative":
+        E.decode_speculative(VARIED, draft_cfg, prompt, max_new)
+        held = {"target": len(prompt) + max_new - 1, "draft": len(prompt) + max_new - 2}
     else:
-        E.decode_speculative(VARIED, E.DraftConfig(E.IndependentDraft(DRAFTS["truncated"]),
-                                                   4), prompt, max_new)
-    assert len(capacities) > 1
-    assert capacities == [[len(prompt) + max_new - 1] * VARIED.config.n_layers] * len(
-        capacities)
+        propose(draft_cfg, VARIED, prompt, 4)
+        held = {"draft": len(prompt) + 4 - 1}
+    assert {role for role, seen in capacities.items() if seen} == set(held)
+    n_layers = {"target": VARIED.config.n_layers, "draft": draft.config.n_layers}
+    for role, n in held.items():
+        assert len(capacities[role]) > 1
+        assert capacities[role] == [[n] * n_layers[role]] * len(capacities[role])
+
+
+def _with_max_seq(model, max_seq):
+    return E.TinyLM(replace(model.config, max_seq=max_seq), model.weights)
+
+
+@settings(max_examples=80, deadline=None)
+@given(target_max_seq=st.integers(1, 48), draft_max_seq=st.integers(1, 48),
+       prompt_len=st.integers(1, 32), max_new=st.integers(0, 24))
+def test_every_decoder_refuses_exactly_at_max_seq(target_max_seq, draft_max_seq,
+                                                  prompt_len, max_new):
+    # the target forwards up to position prompt_len + max_new - 2; the draft,
+    # which decodes max_new - 1 tokens, up to prompt_len + max_new - 3
+    prompt = [(7 * i) % VARIED.config.vocab_size for i in range(prompt_len)]
+    target_short = max_new >= 1 and prompt_len + max_new - 2 >= target_max_seq
+    draft_short = max_new >= 2 and prompt_len + max_new - 3 >= draft_max_seq
+    reserved = {"target": prompt_len + max_new - 1, "draft": prompt_len + max_new - 2}
+    expected = E.greedy_decode(VARIED, prompt, max_new)
+    target = _with_max_seq(VARIED, target_max_seq)
+    draft = _with_max_seq(DRAFTS["truncated"], draft_max_seq)
+    capacities, forward = {"target": set(), "draft": set()}, model_mod.forward
+
+    def spy_forward(model, tokens, cache=None, adapter=None):
+        fo = forward(model, tokens, cache=cache, adapter=adapter)
+        role = "target" if model is target else "draft"
+        capacities[role].update(ls._positions.size for ls in cache.layers)
+        return fo
+
+    def decoders():
+        # (name, refused, the roles that forward, run)
+        yield ("greedy", target_short, {"target"} if max_new >= 1 else set(),
+               lambda: E.greedy_decode(target, prompt, max_new))
+        if max_new >= 1:
+            draft_cfg = E.DraftConfig(E.IndependentDraft(draft), 4)
+            yield ("speculative", target_short or draft_short,
+                   {"target", "draft"} if max_new >= 2 else {"target"},
+                   lambda: E.decode_speculative(target, draft_cfg, prompt, max_new)[0])
+
+    with mock.patch.object(model_mod, "forward", spy_forward), \
+            mock.patch.object(specdec, "forward", spy_forward):
+        for name, short, forwarding, run in decoders():
+            target.reset_counters()
+            draft.reset_counters()
+            for seen in capacities.values():
+                seen.clear()
+            if short:
+                with pytest.raises(ConfigError, match="max_seq"):
+                    run()
+                assert target.stats["forwards"] == draft.stats["forwards"] == 0
+                continue
+            assert run() == expected, name
+            # one capacity per role, the reserved count (reserve allocates at
+            # least 16 entries)
+            assert {role: seen for role, seen in capacities.items() if seen} == {
+                role: {max(reserved[role], 16)} for role in forwarding}, name
 
 
 # --- the draft contract -------------------------------------------------------
 
 class _ContextDraft:
-    """A draft with only the four methods every draft kind has: it proposes
+    """A draft with only the three methods every draft kind has: it proposes
     seeded random ids drawn from the context and records every rollback."""
 
     def __init__(self, seed):
         self.seed = seed
         self.rollbacks = []
 
-    def check(self, target, prompt_len, max_new):
-        pass
-
-    def start(self, target):
+    def start(self, target, prompt_len, n):
         return np.random.default_rng(self.seed)
 
     def propose(self, rng, target, context, k, last_hidden):
@@ -475,7 +537,7 @@ class _ContextDraft:
 @settings(max_examples=60, deadline=None)
 @given(k=st.sampled_from([1, 2, 4, 6]), prompt=PARTIAL_ACCEPT_CASES["prompt"],
        max_new=PARTIAL_ACCEPT_CASES["max_new"], seed=st.integers(0, 2**32 - 1))
-def test_any_draft_with_the_four_methods_is_lossless(k, prompt, max_new, seed):
+def test_any_draft_with_the_three_methods_is_lossless(k, prompt, max_new, seed):
     draft = _ContextDraft(seed)
     trace: list = []
     out, stats = E.decode_speculative(VARIED, E.DraftConfig(draft, k), prompt,

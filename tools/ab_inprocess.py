@@ -26,10 +26,11 @@ The shapes, on the default ``ModelConfig`` unless named otherwise:
   independent draft, k=4, a 512-token prompt and 64 new tokens, in ms;
 - ``draft_step`` and ``verify_step``: the two forwards a speculative round
   is made of, each truncated back, in us per forward: that draft's
-  one-token forward at 512 cached entries, on the cache its
-  ``IndependentDraft.start`` builds, and the default model's 5-token
-  forward at 516 cached entries, on a cache of the same window (the tree
-  builds both of a request's caches by one rule);
+  one-token forward at 512 cached entries, on a cache with no window of
+  rows, as a request's draft cache has, and the default model's 5-token
+  forward at 516 cached entries, on a cache of the same window (both built
+  by ``KvCache.for_model``, so the shape runs on trees whose draft
+  ``start`` methods differ);
 - ``cacheless_8``, ``cacheless_32`` and ``cacheless_512``: forwards of 8,
   32 and 512 tokens with no cache, in us per forward;
 - ``prefill_2048`` and ``prefill_516``: ``bench.prefill`` into a new cache,
@@ -111,7 +112,7 @@ class Shapes:
         self.adapter, self.base = self.adapters[0], base
         self.draft = E.init_model(E.ModelConfig(d_model=32, n_layers=1, n_heads=2,
                                                 n_kv_heads=1, head_dim=16), 1)
-        self.draft_cache = E.IndependentDraft(self.draft).start(self.model)
+        self.draft_cache = E.KvCache.for_model(self.draft.config, window=0)
         self.verify_cache = E.KvCache.for_model(self.model.config,
                                                 window=self.draft_cache.window)
         at = 64 if quick else 512
